@@ -49,7 +49,7 @@ from .ingest import (
     serialize_column,
 )
 from .permtest import PermutationResult, nth_permutation, pearson, perm_test
-from .synth import FGN_MAX_LENGTH, GenSpec, fgn_autocovariance, generate
+from .synth import GenSpec, fgn_autocovariance, generate
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "DivergenceCurve",
     "EmbeddingParams",
     "EpsTooSmallError",
-    "FGN_MAX_LENGTH",
     "FractalSummary",
     "GenSpec",
     "HurstEstimate",

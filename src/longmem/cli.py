@@ -28,7 +28,6 @@ from .acf import acf_direct, acf_fft, band_mean, first_zero_crossing
 from .chaos import EmbeddingParams, lyap_fit, lyap_k
 from .core import TimeSeries, summarize
 from .errors import (
-    EpsTooSmallError,
     NumericError,
     ParseError,
     ValidationError,
@@ -183,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--weighted",
         action="store_true",
-        help="weight the log-log fit by block counts",
+        help="weight the log-log fit by 1/std_rs^2, the block-to-block R/S scatter",
     )
     p.set_defaults(func=_cmd_hurst)
 
@@ -335,10 +334,6 @@ def _jsonable(value):
         return float(value)
     if isinstance(value, (np.integer,)):
         return int(value)
-    if isinstance(value, float) and not np.isfinite(value):
-        # NaN/inf are representable in JSON output via the Python reader
-        # convention; keep them rather than silently dropping points.
-        return value
     return value
 
 
@@ -770,7 +765,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (NumericError, EpsTooSmallError) as exc:
+    except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

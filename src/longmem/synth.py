@@ -3,28 +3,25 @@
 Every generator is deterministic for a given ``GenSpec``: stochastic kinds
 draw from ``numpy.random.Generator`` seeded with PCG64, so the exact output
 stream is pinned by the seed and the numpy bit-generator contract. The
-fractional Gaussian noise generator is exact (covariance factorization),
-not spectral, so its sample paths carry no method bias; estimator
-tolerances in the test suite rely on that.
+fractional Gaussian noise generator is exact: circulant embedding of the
+autocovariance (Davies & Harte 1987) reproduces the target covariance
+with no spectral-method bias, and estimator tolerances in the test suite
+rely on that. It costs O(n log n), has no length limit and uses only
+numpy's FFT, so its output does not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .core import TimeSeries
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 
-__all__ = ["GenSpec", "generate", "fgn_autocovariance", "FGN_MAX_LENGTH"]
+__all__ = ["GenSpec", "generate", "fgn_autocovariance"]
 
 KINDS = ("white", "walk", "fgn", "ar1", "logistic", "sine")
-
-# Exact-covariance fGn builds and factors a dense n x n Toeplitz matrix;
-# beyond this length use chunked/approximate methods instead.
-FGN_MAX_LENGTH = 4096
 
 
 @dataclass(frozen=True)
@@ -53,11 +50,6 @@ class GenSpec:
         if self.kind == "fgn":
             if self.h is None or not np.isfinite(self.h) or not 0.0 < self.h < 1.0:
                 raise ValidationError("fgn requires target h in (0, 1)")
-            if self.n > FGN_MAX_LENGTH:
-                raise ValidationError(
-                    f"exact fgn is limited to n <= {FGN_MAX_LENGTH}; "
-                    "generate shorter chunks and analyze them separately"
-                )
         elif self.kind == "ar1":
             if self.phi is None or not np.isfinite(self.phi) or not -1.0 < self.phi < 1.0:
                 raise ValidationError("ar1 requires phi in (-1, 1)")
@@ -78,23 +70,64 @@ def fgn_autocovariance(h: float, max_lag: int) -> np.ndarray:
 
     gamma(k) = ((k+1)^2H - 2 k^2H + (k-1)^2H) / 2, the stationary increment
     covariance of fractional Brownian motion with unit variance at lag 1.
+    It is evaluated as k^2H/2 * (expm1(2H log1p(1/k)) + expm1(2H log1p(-1/k))),
+    which avoids the cancellation of the three large powers at long lags.
+    gamma(0) is exactly 1, and at h = 0.5 every gamma(k >= 1) is exactly 0.
     """
-    k = np.arange(max_lag + 1, dtype=float)
+    gamma = np.zeros(max_lag + 1)
+    gamma[0] = 1.0
+    if h == 0.5:
+        return gamma
+    k = np.arange(1, max_lag + 1, dtype=float)
     two_h = 2.0 * h
-    return 0.5 * (np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at k = 1 is exact
+        below = np.expm1(two_h * np.log1p(-1.0 / k))
+    gamma[1:] = 0.5 * k**two_h * (np.expm1(two_h * np.log1p(1.0 / k)) + below)
+    return gamma
 
 
-@lru_cache(maxsize=4)
-def _fgn_factor(h: float, n: int) -> np.ndarray:
-    """Lower-triangular Cholesky factor of the n x n fGn covariance."""
-    gamma = fgn_autocovariance(h, n - 1)
-    idx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    cov = gamma[idx]
-    return np.linalg.cholesky(cov)
+def _circulant_eigenvalues(h: float, n: int) -> np.ndarray:
+    """Eigenvalues 0..n of the size-2n circulant embedding the fGn covariance.
+
+    The circulant's first row is gamma(0..n) followed by gamma(n-1..1); it
+    is symmetric, so its eigenvalues are the real rfft of that row. They
+    are nonnegative for every h in (0, 1) (Craigmile 2003); a negative one
+    means the covariance was not evaluated accurately enough, and is
+    reported rather than clipped.
+    """
+    gamma = fgn_autocovariance(h, n)
+    eigenvalues = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+    if eigenvalues.min() < 0.0:
+        raise NumericError(
+            f"fgn circulant embedding has a negative eigenvalue "
+            f"({eigenvalues.min():.3g}) at h={h}, n={n}"
+        )
+    return eigenvalues
 
 
 def _white(n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(n)
+
+
+def _fgn(n: int, h: float, seed: int) -> np.ndarray:
+    """Exact fGn by circulant embedding (Davies & Harte 1987).
+
+    One draw of 2n standard normals fills the Hermitian spectrum of a
+    complex Gaussian vector scaled by sqrt(eigenvalue): the real DC and
+    Nyquist terms take one normal each, the n-1 interior terms take a real
+    and an imaginary part with variance 1/2 each. Its orthonormal inverse
+    FFT is a real stationary series of length 2n whose covariance is the
+    circulant; its first n samples have covariance gamma exactly.
+    """
+    if h == 0.5:  # the circulant is the identity
+        return _white(n, seed)
+    scale = np.sqrt(_circulant_eigenvalues(h, n))
+    z = _white(2 * n, seed)
+    spectrum = np.empty(n + 1, dtype=complex)
+    spectrum[0] = z[0]
+    spectrum[n] = z[1]
+    spectrum[1:n] = (z[2 : n + 1] + 1j * z[n + 1 :]) * np.sqrt(0.5)
+    return np.fft.irfft(spectrum * scale, 2 * n, norm="ortho")[:n]
 
 
 def generate(spec: GenSpec) -> TimeSeries:
@@ -104,8 +137,9 @@ def generate(spec: GenSpec) -> TimeSeries:
 
     * ``white``  - i.i.d. standard Gaussian.
     * ``walk``   - cumulative sum of the ``white`` series for the same seed.
-    * ``fgn``    - exact fractional Gaussian noise: Cholesky factor of the
-      Toeplitz autocovariance applied to a Gaussian vector.
+    * ``fgn``    - exact fractional Gaussian noise by circulant embedding
+      of the autocovariance, O(n log n) with no length limit; at h = 0.5
+      it is the ``white`` series for the same seed.
     * ``ar1``    - x[t] = phi * x[t-1] + eps[t], started from the
       stationary distribution.
     * ``logistic`` - iterates of r*x*(1-x); the output starts at the first
@@ -119,7 +153,7 @@ def generate(spec: GenSpec) -> TimeSeries:
     elif kind == "walk":
         values = np.cumsum(_white(n, spec.seed))
     elif kind == "fgn":
-        values = _fgn_factor(spec.h, n) @ _white(n, spec.seed)
+        values = _fgn(n, spec.h, spec.seed)
     elif kind == "ar1":
         eps = _white(n, spec.seed)
         phi = spec.phi

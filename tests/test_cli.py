@@ -2,13 +2,20 @@
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import longmem
 from longmem import GenSpec, IngestOptions, acf_fft, generate, parse, pearson
 from longmem.cli import main
+
+SRC_DIR = str(Path(longmem.__file__).resolve().parents[1])
 
 CPC_TEXT = """SOUTHERN OSCILLATION INDEX
 (STANDARDIZED DATA)
@@ -28,6 +35,17 @@ CSV_TEXT = "2014-01,0.5\n2014-02,0.7\n2014-03,-0.1\n2014-04,0.4\n2014-05,0.9\n"
 def run(capsys, *args):
     code = main(list(args))
     return code, capsys.readouterr().out
+
+
+def run_module(*args, **env):
+    """Run ``python -m longmem`` with ``env`` added to the environment."""
+    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "longmem", *args],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path, **env},
+        timeout=120,
+    )
 
 
 def write(tmp_path, name, text):
@@ -377,5 +395,21 @@ class TestGenCommand:
     def test_invalid_parameters_exit_three(self, capsys):
         assert main(["gen", "--kind", "fgn", "--n", "100"]) == 3  # missing h
         capsys.readouterr()
-        assert main(["gen", "--kind", "fgn", "--n", "5000", "--h", "0.7"]) == 3
+        assert main(["gen", "--kind", "fgn", "--n", "100", "--h", "1.0"]) == 3
         capsys.readouterr()
+        assert main(["gen", "--kind", "fgn", "--n", "5000", "--h", "0.7"]) == 0
+        capsys.readouterr()
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        proc = run_module("gen", "--kind", "white", "--n", "4")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(b"# synthetic white (n=4, seed=0)\n")
+
+    def test_fgn_stdout_independent_of_blas_threads(self):
+        argv = ("gen", "--kind", "fgn", "--n", "4096", "--h", "0.7", "--seed", "11")
+        one = run_module(*argv, OPENBLAS_NUM_THREADS="1")
+        two = run_module(*argv, OPENBLAS_NUM_THREADS="2")
+        assert one.returncode == 0 and two.returncode == 0
+        assert one.stdout == two.stdout

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import longmem.synth as synth
 from longmem import (
-    FGN_MAX_LENGTH,
     GenSpec,
+    NumericError,
     ValidationError,
     acf_fft,
     fgn_autocovariance,
@@ -26,11 +27,6 @@ class TestGenSpec:
         for bad in (None, 0.0, 1.0, -0.3, float("nan")):
             with pytest.raises(ValidationError):
                 GenSpec(kind="fgn", n=256, h=bad)
-
-    def test_fgn_length_cap(self):
-        GenSpec(kind="fgn", n=FGN_MAX_LENGTH, h=0.7)  # at the cap: fine
-        with pytest.raises(ValidationError):
-            GenSpec(kind="fgn", n=FGN_MAX_LENGTH + 1, h=0.7)
 
     def test_ar1_requires_phi_in_open_interval(self):
         for bad in (None, 1.0, -1.0, 2.5):
@@ -131,9 +127,10 @@ class TestFgn:
                     float(delta) ** (2.0 * h), rel=1e-9
                 )
 
-    def test_ensemble_autocovariance_matches_theory(self):
+    @pytest.mark.parametrize("h", [0.1, 0.3, 0.7, 0.9])
+    def test_ensemble_autocovariance_matches_theory(self, h):
         # 20-seed ensemble mean at lags 0..5 within 5 standard errors
-        h, n = 0.7, 2048
+        n = 2048
         gamma = fgn_autocovariance(h, 5)
         per_seed = []
         for seed in range(20):
@@ -143,6 +140,35 @@ class TestFgn:
         mean = per_seed.mean(axis=0)
         sem = per_seed.std(axis=0, ddof=1) / np.sqrt(20.0)
         assert np.all(np.abs(mean - gamma) < 5.0 * sem)
+
+    def test_long_path_lag_one_matches_theory(self):
+        # no length cap: a 1e5-sample path is finite and its lag-1
+        # autocorrelation sits within 6 sampling scales of 2^(2H-1) - 1
+        h, n = 0.7, 100_000
+        ts = generate(GenSpec(kind="fgn", n=n, seed=0, h=h))
+        assert np.all(np.isfinite(ts.values))
+        r1 = acf_fft(ts, 1).coefficients[1]
+        tol = 6.0 * max(n**-0.5, n ** (2.0 * h - 2.0))
+        assert abs(r1 - (2.0 ** (2.0 * h - 1.0) - 1.0)) < tol
+
+    @pytest.mark.parametrize("n", [4096, 100_000])
+    @pytest.mark.parametrize("h", [0.05, 0.1, 0.3, 0.7, 0.9, 0.95, 0.99])
+    def test_circulant_eigenvalues_positive(self, h, n):
+        # nonnegative in theory (Craigmile 2003); rounding error in gamma at
+        # large lags shows first as a negative eigenvalue near h = 1
+        assert synth._circulant_eigenvalues(h, n).min() > 0.0
+
+    def test_negative_eigenvalue_raises_not_clipped(self, monkeypatch):
+        # gamma = (1, 2, 0, ...) is no covariance: the circulant's
+        # eigenvalues 1 + 4 cos(pi k / n) go negative near k = n
+        def not_a_covariance(h, max_lag):
+            gamma = np.zeros(max_lag + 1)
+            gamma[:2] = (1.0, 2.0)
+            return gamma
+
+        monkeypatch.setattr(synth, "fgn_autocovariance", not_a_covariance)
+        with pytest.raises(NumericError, match="negative eigenvalue"):
+            generate(GenSpec(kind="fgn", n=64, seed=0, h=0.7))
 
 
 class TestAr1:
