@@ -8,6 +8,9 @@ writes plot-ready curve data as two-column numeric text. Identical
 invocations on identical inputs produce byte-identical structured output
 — the payload carries no timestamps and all randomness is seeded.
 
+Each subcommand returns a ``_Report`` and ``main`` renders it, so the
+envelope, the renderings and the ``--out`` file have one code path.
+
 Exit codes: 0 success, 2 parse/usage error, 3 input validation error,
 4 numeric failure (zero variance, radius too small).
 """
@@ -20,7 +23,8 @@ import itertools
 import json
 import shlex
 import sys
-from dataclasses import asdict
+from collections.abc import Iterable
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -48,6 +52,7 @@ __all__ = ["main", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
 
+# lyap option -> (EmbeddingParams field, type); also the axes of --grid.
 _GRID_FIELDS = {
     "m": ("m", int),
     "d": ("d", int),
@@ -57,12 +62,16 @@ _GRID_FIELDS = {
     "refs": ("n_ref", int),
 }
 
-_SUITE_ROWS = (
-    ("Simple R/S Hurst estimation", "h_simple"),
-    ("Corrected R over S Hurst exponent", "h_corrected_rs"),
-    ("Empirical Hurst exponent", "h_empirical"),
-    ("Corrected empirical Hurst exponent", "h_corrected_empirical"),
-    ("Theoretical Hurst exponent", "h_theoretical"),
+# Exit code of each error type, the most specific first.
+_EXIT_CODES = ((ParseError, 2), (ValidationError, 3), (NumericError, 4))
+
+# Table labels of the suite estimates, in ``HurstSuite`` field order.
+_SUITE_LABELS = (
+    "Simple R/S Hurst estimation",
+    "Corrected R over S Hurst exponent",
+    "Empirical Hurst exponent",
+    "Corrected empirical Hurst exponent",
+    "Theoretical Hurst exponent",
 )
 
 
@@ -88,10 +97,8 @@ def _span(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 def _int_pair(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition(":")
+    lo, _, hi = text.partition(":")
     try:
-        if not sep:
-            raise ValueError
         return int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(
@@ -99,11 +106,10 @@ def _int_pair(text: str) -> tuple[int, int]:
         ) from None
 
 
-def _add_input_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--input", required=True, help="data file to analyse")
+def _add_format_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--input-format",
-        choices=("auto",) + FORMATS,
+        choices=FORMATS,
         default="auto",
         help="file layout (default: sniff)",
     )
@@ -113,6 +119,11 @@ def _add_input_options(sub: argparse.ArgumentParser) -> None:
         default=-999.9,
         help="value treated as absent (default -999.9)",
     )
+
+
+def _add_input_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--input", required=True, help="data file to analyse")
+    _add_format_options(sub)
     sub.add_argument(
         "--range",
         type=_span,
@@ -143,6 +154,15 @@ def _add_output_options(sub: argparse.ArgumentParser, curve: bool = True) -> Non
         )
 
 
+def _add_analysis(subs, name: str, help: str, func, curve: bool = True):
+    """A subcommand that analyses one ``--input`` file."""
+    p = subs.add_parser(name, help=help)
+    _add_input_options(p)
+    _add_output_options(p, curve)
+    p.set_defaults(func=func)
+    return p
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="longmem",
@@ -150,20 +170,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = subs.add_parser("stats", help="descriptive summary statistics")
-    _add_input_options(p)
-    _add_output_options(p, curve=False)
+    p = _add_analysis(subs, "stats", "descriptive summary statistics", _cmd_stats, curve=False)
     p.add_argument(
         "--resolution",
         type=float,
         default=0.1,
         help="rounding grid for the two modes (default 0.1)",
     )
-    p.set_defaults(func=_cmd_stats)
 
-    p = subs.add_parser("acf", help="autocorrelation function")
-    _add_input_options(p)
-    _add_output_options(p)
+    p = _add_analysis(subs, "acf", "autocorrelation function", _cmd_acf)
     p.add_argument("--max-lag", type=int, required=True)
     p.add_argument("--method", choices=("fft", "direct"), default="fft")
     p.add_argument(
@@ -173,27 +188,20 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="LO:HI",
         help="also report the mean coefficient over this lag band",
     )
-    p.set_defaults(func=_cmd_acf)
 
-    p = subs.add_parser("hurst", help="rescaled-range table and fitted exponent")
-    _add_input_options(p)
-    _add_output_options(p)
+    p = _add_analysis(subs, "hurst", "rescaled-range table and fitted exponent", _cmd_hurst)
     p.add_argument("--min-window", type=int, default=8)
     p.add_argument(
         "--weighted",
         action="store_true",
         help="weight the log-log fit by 1/std_rs^2, the block-to-block R/S scatter",
     )
-    p.set_defaults(func=_cmd_hurst)
 
-    p = subs.add_parser("suite", help="five-variant rescaled-range estimator suite")
-    _add_input_options(p)
-    _add_output_options(p, curve=False)
-    p.set_defaults(func=_cmd_suite)
+    _add_analysis(
+        subs, "suite", "five-variant rescaled-range estimator suite", _cmd_suite, curve=False
+    )
 
-    p = subs.add_parser("lyap", help="divergence curve and largest Lyapunov exponent")
-    _add_input_options(p)
-    _add_output_options(p)
+    p = _add_analysis(subs, "lyap", "divergence curve and largest Lyapunov exponent", _cmd_lyap)
     p.add_argument("--m", type=int, default=2, help="embedding dimension")
     p.add_argument("--d", type=int, default=1, help="embedding delay")
     p.add_argument("--theiler", type=int, default=12, help="temporal exclusion window")
@@ -220,7 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="parameter family, e.g. 'm=2,3,4;eps=0.2,0.3'",
     )
-    p.set_defaults(func=_cmd_lyap)
 
     p = subs.add_parser("permtest", help="seeded permutation test of a correlation")
     p.add_argument("--x", required=True, help="first series file")
@@ -232,17 +239,13 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar=("U", "V"),
         help="build the second series as sqrt(u^2 + v^2) from two files",
     )
-    p.add_argument(
-        "--input-format",
-        choices=("auto",) + FORMATS,
-        default="auto",
-    )
-    p.add_argument("--missing-sentinel", type=float, default=-999.9)
+    _add_format_options(p)
     p.add_argument("--n-perm", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tail", choices=TAILS, default="two")
     _add_output_options(p)
-    p.set_defaults(func=_cmd_permtest)
+    # permtest reads whole files: no calendar slice, and gaps are errors
+    p.set_defaults(func=_cmd_permtest, range=None, on_gap="error")
 
     p = subs.add_parser("gen", help="synthetic series with known properties")
     p.add_argument("--kind", choices=KINDS, required=True)
@@ -263,64 +266,49 @@ def _build_parser() -> argparse.ArgumentParser:
 # shared plumbing
 
 
-def _sniff_format(text: str) -> str:
-    """Guess the file layout from its first data-looking line."""
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        left, sep, _ = line.partition(",")
-        if sep and left.strip().count("-") == 1:
-            return "csv_pair"
-        tokens = line.split()
-        if len(tokens) == 13:
-            try:
-                int(tokens[0])
-                return "cpc_table"
-            except ValueError:
-                pass
-        if len(tokens) == 1:
-            try:
-                float(tokens[0])
-                return "column"
-            except ValueError:
-                continue  # caption line of a table
-    return "cpc_table"
+@dataclass
+class _Report:
+    """What one subcommand found; ``main`` renders it.
+
+    ``table`` is the table rendering before the warnings; ``curve`` the
+    ``--out`` lines, lazy where long so they cost nothing without ``--out``.
+    """
+
+    inputs: list[dict]
+    results: dict
+    warnings: list[WarningRecord]
+    table: list[str]
+    curve: Iterable[str] = ()
 
 
 def _load_series(
-    path: str,
-    input_format: str,
-    missing_sentinel: float,
-    range_: tuple | None = None,
-    on_gap: str = "error",
-) -> tuple[TimeSeries, dict, list[WarningRecord]]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
-    fmt = _sniff_format(text) if input_format == "auto" else input_format
+    ns, *paths: str
+) -> tuple[list[TimeSeries], list[dict], list[WarningRecord]]:
+    """Each file's series and ``inputs`` digest, and the parser's warnings."""
     opts = IngestOptions(
-        format=fmt,
-        missing_sentinel=missing_sentinel,
-        range=range_,
-        on_gap=on_gap,
+        format=ns.input_format,
+        missing_sentinel=ns.missing_sentinel,
+        range=ns.range,
+        on_gap=ns.on_gap,
     )
-    result = parse(text, opts)
-    digest = {
-        "path": path,
-        "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        "rows": len(result.series),
-    }
-    return result.series, digest, list(result.warnings)
-
-
-def _load_input(ns) -> tuple[TimeSeries, list[dict], list[WarningRecord]]:
-    series, digest, warnings = _load_series(
-        ns.input, ns.input_format, ns.missing_sentinel, ns.range, ns.on_gap
-    )
-    return series, [digest], warnings
+    series, inputs, warnings = [], [], []
+    for path in paths:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValidationError(f"cannot read {path}: {exc}") from None
+        result = parse(text, opts)
+        series.append(result.series)
+        inputs.append(
+            {
+                "path": path,
+                "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+                "rows": len(result.series),
+            }
+        )
+        warnings.extend(result.warnings)
+    return series, inputs, warnings
 
 
 def _jsonable(value):
@@ -328,12 +316,8 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
     return value
 
 
@@ -354,6 +338,8 @@ def _fmt_value(value) -> str:
         return format(value, ".6g")
     if value is None:
         return "-"
+    if isinstance(value, tuple):  # a step or lag range
+        return ":".join(map(str, value))
     return str(value)
 
 
@@ -369,29 +355,23 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
         rows.append((prefix, out))
 
 
-def _render_table(envelope: dict, lines: list[str]) -> str:
-    rendered = list(lines)
-    for warning in envelope["warnings"]:
-        rendered.append(f"warning [{warning['code']}]: {warning['message']}")
-    return "\n".join(rendered) + "\n"
-
-
 def _emit(ns, envelope: dict, table_lines: list[str]) -> None:
+    warnings = envelope["warnings"]
     if ns.format == "json":
         sys.stdout.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
-    elif ns.format == "csv":
+        return
+    if ns.format == "csv":
         rows: list[tuple[str, str]] = []
         _flatten("", envelope["results"], rows)
-        out = ["key,value"]
-        out.extend(f"{k},{v}" for k, v in rows)
-        for warning in envelope["warnings"]:
-            out.append(f"warning.{warning['code']},{json.dumps(warning['message'])}")
-        sys.stdout.write("\n".join(out) + "\n")
+        lines = ["key,value", *(f"{k},{v}" for k, v in rows)]
+        lines.extend(f"warning.{w['code']},{json.dumps(w['message'])}" for w in warnings)
     else:
-        sys.stdout.write(_render_table(envelope, table_lines))
+        lines = list(table_lines)
+        lines.extend(f"warning [{w['code']}]: {w['message']}" for w in warnings)
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _write_out(path: str, lines: list[str]) -> None:
+def _write_out(path: str, lines: Iterable[str]) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -399,70 +379,62 @@ def _write_out(path: str, lines: list[str]) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
-def _kv_lines(pairs) -> list[str]:
-    pairs = list(pairs)
+def _kv_lines(results: dict, *skip: str) -> list[str]:
+    """Aligned key-value lines for the entries of ``results`` that are not
+    arrays or nested; a tuple is a range and shows as ``lo:hi``."""
+    pairs = [
+        (k, v)
+        for k, v in results.items()
+        if k not in skip and not isinstance(v, (dict, list, np.ndarray))
+    ]
     width = max(len(k) for k, _ in pairs)
     return [f"{k:<{width}}  {_fmt_value(v)}" for k, v in pairs]
+
+
+def _columns(widths: dict[str, int], rows) -> list[str]:
+    """A right-aligned table under a header of ``widths``' names."""
+    lines = ["  ".join(f"{name:>{w}}" for name, w in widths.items())]
+    lines.extend(
+        "  ".join(f"{_fmt_value(v):>{w}}" for v, w in zip(row, widths.values()))
+        for row in rows
+    )
+    return lines
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_stats(ns, argv) -> int:
-    series, inputs, warnings = _load_input(ns)
-    stats = summarize(series, mode_resolution=ns.resolution)
-    results = asdict(stats)
-    envelope = _envelope(argv, inputs, results, warnings)
-    lines = _kv_lines(results.items())
-    _emit(ns, envelope, lines)
-    return 0
+def _cmd_stats(ns) -> _Report:
+    [series], inputs, warnings = _load_series(ns, ns.input)
+    results = asdict(summarize(series, mode_resolution=ns.resolution))
+    return _Report(inputs, results, warnings, _kv_lines(results))
 
 
-def _cmd_acf(ns, argv) -> int:
-    series, inputs, warnings = _load_input(ns)
+def _cmd_acf(ns) -> _Report:
+    [series], inputs, warnings = _load_series(ns, ns.input)
     compute = acf_fft if ns.method == "fft" else acf_direct
     result = compute(series.values, ns.max_lag)
-    zero = first_zero_crossing(result)
     results = {
         "n": result.n,
         "max_lag": result.max_lag,
         "method": ns.method,
-        "first_zero_crossing": zero,
+        "first_zero_crossing": first_zero_crossing(result),
         "coefficients": result.coefficients,
     }
+    table = _kv_lines(results)
     if ns.band is not None:
         lo, hi = ns.band
         results["band"] = {"lo": lo, "hi": hi, "mean": band_mean(result, lo, hi)}
-    envelope = _envelope(argv, inputs, results, warnings)
-
-    lines = _kv_lines(
-        [
-            ("n", result.n),
-            ("max_lag", result.max_lag),
-            ("method", ns.method),
-            ("first_zero_crossing", zero),
-        ]
-    )
-    if ns.band is not None:
-        lines.extend(_kv_lines([(f"band_mean[{lo}:{hi}]", results["band"]["mean"])]))
-    lines.append("")
-    lines.append(f"{'lag':>5}  {'r':>12}")
-    lines.extend(
-        f"{k:>5}  {_fmt_value(float(r)):>12}"
-        for k, r in enumerate(result.coefficients)
-    )
-    _emit(ns, envelope, lines)
-    if ns.out:
-        _write_out(
-            ns.out,
-            [f"{k} {float(r)!r}" for k, r in enumerate(result.coefficients)],
-        )
-    return 0
+        table.extend(_kv_lines({f"band_mean[{lo}:{hi}]": results["band"]["mean"]}))
+    table.append("")
+    table.extend(_columns({"lag": 5, "r": 12}, enumerate(results["coefficients"].tolist())))
+    curve = (f"{k} {float(r)!r}" for k, r in enumerate(result.coefficients))
+    return _Report(inputs, results, warnings, table, curve)
 
 
-def _cmd_hurst(ns, argv) -> int:
-    series, inputs, warnings = _load_input(ns)
+def _cmd_hurst(ns) -> _Report:
+    [series], inputs, warnings = _load_series(ns, ns.input)
     table = rs_table(series, min_window=ns.min_window)
     estimate = fit_h(table, weighted=ns.weighted)
     warnings.extend(estimate.warnings)
@@ -487,49 +459,24 @@ def _cmd_hurst(ns, argv) -> int:
         "skipped_blocks": table.skipped_blocks,
         "table": [asdict(point) for point in table],
     }
-    envelope = _envelope(argv, inputs, results, warnings)
-
-    lines = [f"{'window':>8}  {'mean_rs':>12}  {'std_rs':>12}  {'blocks':>6}"]
-    lines.extend(
-        f"{p.window:>8}  {_fmt_value(p.mean_rs):>12}  "
-        f"{_fmt_value(p.std_rs):>12}  {p.blocks:>6}"
-        for p in table
-    )
+    widths = {"window": 8, "mean_rs": 12, "std_rs": 12, "blocks": 6}
+    lines = _columns(widths, (point.values() for point in results["table"]))
     lines.append("")
-    lines.extend(
-        _kv_lines(
-            [
-                ("h", estimate.h),
-                ("std_err", estimate.std_err),
-                ("r_squared", estimate.r_squared),
-                ("weighted", estimate.weighted),
-                ("fractal_dimension", estimate.fractal_dimension),
-                ("fractal_correlation", rho),
-                ("points_used", estimate.points_used),
-            ]
-        )
-    )
-    _emit(ns, envelope, lines)
-    if ns.out:
-        _write_out(
-            ns.out,
-            [f"{p.window} {p.mean_rs!r}" for p in table],
-        )
-    return 0
+    # the skipped-block count is reported by the SKIPPED_BLOCKS warning
+    lines.extend(_kv_lines(results, "skipped_blocks"))
+    curve = [f"{p.window} {p.mean_rs!r}" for p in table]
+    return _Report(inputs, results, warnings, lines, curve)
 
 
-def _cmd_suite(ns, argv) -> int:
-    series, inputs, warnings = _load_input(ns)
-    suite = hurst_suite(series)
-    results = asdict(suite)
-    envelope = _envelope(argv, inputs, results, warnings)
-    width = max(len(label) for label, _ in _SUITE_ROWS) + 1
+def _cmd_suite(ns) -> _Report:
+    [series], inputs, warnings = _load_series(ns, ns.input)
+    results = asdict(hurst_suite(series))
+    width = max(len(label) for label in _SUITE_LABELS) + 1
     lines = [
-        f"{label + ':':<{width}}  {_fmt_value(getattr(suite, field))}"
-        for label, field in _SUITE_ROWS
+        f"{label + ':':<{width}}  {_fmt_value(value)}"
+        for label, value in zip(_SUITE_LABELS, results.values())
     ]
-    _emit(ns, envelope, lines)
-    return 0
+    return _Report(inputs, results, warnings, lines)
 
 
 def _parse_grid(spec: str) -> list[dict]:
@@ -557,128 +504,76 @@ def _parse_grid(spec: str) -> list[dict]:
     ]
 
 
-def _curve_payload(params: EmbeddingParams, curve, fit) -> dict:
-    payload = {
-        "params": {
-            "m": params.m,
-            "d": params.d,
-            "theiler": params.theiler,
-            "eps": params.eps,
-            "n_ref": params.n_ref,
-            "steps": params.s,
-            "k_min": params.k_min,
-        },
-        "s_values": curve.s_values,
-        "ref_counts": curve.ref_counts,
-    }
-    if fit is not None:
-        payload["fit"] = {
-            "lambda1": fit.lambda1,
-            "fit_range": list(fit.fit_range),
-            "r_squared": fit.r_squared,
-            "dt": fit.dt,
-            "chaos_consistent": fit.chaos_consistent,
-        }
-    return payload
-
-
-def _cmd_lyap(ns, argv) -> int:
-    series, inputs, warnings = _load_input(ns)
-    base = {
-        "m": ns.m,
-        "d": ns.d,
-        "theiler": ns.theiler,
-        "eps": ns.eps,
-        "n_ref": ns.refs,
-        "s": ns.steps,
-        "seed": ns.seed,
-        "random_sample": ns.random_refs,
-    }
+def _cmd_lyap(ns) -> _Report:
+    [series], inputs, warnings = _load_series(ns, ns.input)
+    base = {field: getattr(ns, name) for name, (field, _) in _GRID_FIELDS.items()}
+    base.update(seed=ns.seed, random_sample=ns.random_refs)
     overrides = _parse_grid(ns.grid) if ns.grid else [{}]
-    payloads = []
+    payloads, lines, curve_lines = [], [], []
     for combo in overrides:
         params = EmbeddingParams(**{**base, **combo})
         curve = lyap_k(series, params)
-        fit = (
-            lyap_fit(curve, ns.fit[0], ns.fit[1], dt=ns.dt)
-            if ns.fit is not None
-            else None
-        )
-        payloads.append((params, curve, fit))
-
-    results = {"curves": [_curve_payload(p, c, f) for p, c, f in payloads]}
-    envelope = _envelope(argv, inputs, results, warnings)
-
-    lines: list[str] = []
-    for params, curve, fit in payloads:
-        lines.append(
+        payload = {
+            "params": {
+                "m": params.m,
+                "d": params.d,
+                "theiler": params.theiler,
+                "eps": params.eps,
+                "n_ref": params.n_ref,
+                "steps": params.s,
+                "k_min": params.k_min,
+            },
+            "s_values": curve.s_values,
+            "ref_counts": curve.ref_counts,
+        }
+        header = (
             f"# m={params.m} d={params.d} theiler={params.theiler} "
             f"eps={params.eps} refs={params.n_ref} steps={params.s}"
         )
-        lines.append(f"{'step':>5}  {'S':>12}  {'refs':>5}")
-        lines.extend(
-            f"{step:>5}  {_fmt_value(float(s)):>12}  {int(refs):>5}"
-            for step, (s, refs) in enumerate(zip(curve.s_values, curve.ref_counts))
-        )
-        if fit is not None:
+        rows = zip(itertools.count(), curve.s_values.tolist(), curve.ref_counts.tolist())
+        lines.append(header)
+        lines.extend(_columns({"step": 5, "S": 12, "refs": 5}, rows))
+        if ns.fit is not None:
+            fit = lyap_fit(curve, ns.fit[0], ns.fit[1], dt=ns.dt)
+            payload["fit"] = {
+                "lambda1": fit.lambda1,
+                "fit_range": fit.fit_range,
+                "r_squared": fit.r_squared,
+                "dt": fit.dt,
+                "chaos_consistent": fit.chaos_consistent,
+            }
             lines.append("")
-            lines.extend(
-                _kv_lines(
-                    [
-                        ("lambda1", fit.lambda1),
-                        ("fit_range", f"{fit.fit_range[0]}:{fit.fit_range[1]}"),
-                        ("r_squared", fit.r_squared),
-                        ("dt", fit.dt),
-                        ("chaos_consistent", fit.chaos_consistent),
-                    ]
-                )
-            )
+            lines.extend(_kv_lines(payload["fit"]))
+        if len(overrides) > 1:
+            curve_lines.append(header)
+        curve_lines.extend(f"{step} {float(s)!r}" for step, s in enumerate(curve.s_values))
         lines.append("")
-    if lines and lines[-1] == "":
-        lines.pop()
-    _emit(ns, envelope, lines)
-
-    if ns.out:
-        blocks: list[str] = []
-        for params, curve, _ in payloads:
-            if len(payloads) > 1:
-                blocks.append(
-                    f"# m={params.m} d={params.d} theiler={params.theiler} "
-                    f"eps={params.eps} refs={params.n_ref} steps={params.s}"
-                )
-            blocks.extend(
-                f"{step} {float(s)!r}" for step, s in enumerate(curve.s_values)
-            )
-            blocks.append("")
-        if blocks and blocks[-1] == "":
-            blocks.pop()
-        _write_out(ns.out, blocks)
-    return 0
+        curve_lines.append("")
+        payloads.append(payload)
+    # a blank line separates the curves; none follows the last
+    del lines[-1], curve_lines[-1]
+    return _Report(inputs, {"curves": payloads}, warnings, lines, curve_lines)
 
 
-def _cmd_permtest(ns, argv) -> int:
-    x_series, x_digest, warnings = _load_series(
-        ns.x, ns.input_format, ns.missing_sentinel
-    )
-    inputs = [x_digest]
+def _check_calendars(paths: list[str], series: list[TimeSeries]) -> None:
+    """Refuse to pair anchored inputs that start in different months."""
+    anchored = [(p, s.start) for p, s in zip(paths, series) if s.start is not None]
+    if len({start for _, start in anchored}) > 1:
+        starts = ", ".join(f"{p} starts {y:04d}-{m:02d}" for p, (y, m) in anchored)
+        raise ValidationError(
+            f"inputs start in different months ({starts}); permtest pairs "
+            "samples by position, so anchored inputs must share a start"
+        )
+
+
+def _cmd_permtest(ns) -> _Report:
+    paths = [ns.x, ns.y] if ns.y is not None else [ns.x, *ns.resultant]
+    series, inputs, warnings = _load_series(ns, *paths)
+    _check_calendars(paths, series)
     if ns.y is not None:
-        y_series, y_digest, more = _load_series(
-            ns.y, ns.input_format, ns.missing_sentinel
-        )
-        inputs.append(y_digest)
-        warnings.extend(more)
-        y_values = y_series.values
+        y_values = series[1].values
     else:
-        u_path, v_path = ns.resultant
-        u_series, u_digest, more_u = _load_series(
-            u_path, ns.input_format, ns.missing_sentinel
-        )
-        v_series, v_digest, more_v = _load_series(
-            v_path, ns.input_format, ns.missing_sentinel
-        )
-        inputs.extend([u_digest, v_digest])
-        warnings.extend(more_u)
-        warnings.extend(more_v)
+        u_series, v_series = series[1:]
         if len(u_series) != len(v_series):
             raise ValidationError(
                 "resultant component files must have equal length "
@@ -687,63 +582,36 @@ def _cmd_permtest(ns, argv) -> int:
         y_values = np.hypot(u_series.values, v_series.values)
 
     result = perm_test(
-        x_series.values,
+        series[0].values,
         y_values,
         n_perm=ns.n_perm,
         seed=ns.seed,
         tail=ns.tail,
     )
     results = {
-        "r_obs": result.r_obs,
-        "n": result.n,
-        "n_perm": result.n_perm,
-        "seed": result.seed,
-        "tail": result.tail,
-        "r_crit_lower": result.r_crit_lower,
-        "r_crit_upper": result.r_crit_upper,
-        "p_lower": result.p_lower,
-        "p_upper": result.p_upper,
-        "p_two_sided": result.p_two_sided,
-        "decision_5pct": result.decision_5pct,
-        "r_sorted_summary": dict(result.r_sorted_summary),
+        f.name: getattr(result, f.name)
+        for f in fields(result)
+        if f.name not in ("r_sorted", "r_sorted_summary")
     }
-    envelope = _envelope(argv, inputs, results, warnings)
-
-    pairs = [(k, v) for k, v in results.items() if k != "r_sorted_summary"]
-    pairs.extend(
-        (f"r_sorted[{name}]", value)
-        for name, value in result.r_sorted_summary.items()
-    )
-    _emit(ns, envelope, _kv_lines(pairs))
-    if ns.out:
-        _write_out(
-            ns.out,
-            [f"{rank} {float(r)!r}" for rank, r in enumerate(result.r_sorted, start=1)],
-        )
-    return 0
+    results["r_sorted_summary"] = dict(result.r_sorted_summary)
+    summary = {f"r_sorted[{k}]": v for k, v in result.r_sorted_summary.items()}
+    curve = (f"{rank} {float(r)!r}" for rank, r in enumerate(result.r_sorted, start=1))
+    return _Report(inputs, results, warnings, _kv_lines({**results, **summary}), curve)
 
 
-def _cmd_gen(ns, argv) -> int:
+def _cmd_gen(ns) -> _Report | str:
+    """The generated column as text, or a report when it goes to ``--out``."""
     kwargs = {
         name: getattr(ns, name)
         for name in ("h", "phi", "r", "x0", "period")
         if getattr(ns, name) is not None
     }
     spec = GenSpec(kind=ns.kind, n=ns.n, seed=ns.seed, **kwargs)
-    series = generate(spec)
-    text = serialize_column(series)
+    text = serialize_column(generate(spec))
     if ns.out is None:
-        sys.stdout.write(text)
-        return 0
-    try:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {ns.out}: {exc}") from None
+        return text
     results = {"kind": ns.kind, "n": ns.n, "seed": ns.seed, "path": ns.out, **kwargs}
-    envelope = _envelope(argv, [], results, [])
-    _emit(ns, envelope, _kv_lines(results.items()))
-    return 0
+    return _Report([], results, [], _kv_lines(results), text.splitlines())
 
 
 # ---------------------------------------------------------------------------
@@ -758,16 +626,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return ns.func(ns, argv)
-    except ParseError as exc:
+        report = ns.func(ns)
+        if isinstance(report, str):  # gen without --out: the bare column
+            sys.stdout.write(report)
+            return 0
+        # the curve file comes first, so a failed write prints no envelope
+        if getattr(ns, "out", None):
+            _write_out(ns.out, report.curve)
+        envelope = _envelope(argv, report.inputs, report.results, report.warnings)
+        _emit(ns, envelope, report.table)
+        return 0
+    except (ValidationError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -10,6 +10,8 @@ Three formats are understood:
 * ``column``: one value per line, ``#`` comments and blank lines allowed,
   no calendar anchor.
 
+``format="auto"`` picks one of the three from the first data-looking line.
+
 Values equal to the missing sentinel (default -999.9, compared with a
 small tolerance because files are decimal text) are treated as absent.
 Trailing absences are dropped; an interior absence is a gap, and gaps are
@@ -34,12 +36,14 @@ __all__ = [
     "parse",
     "select_range",
     "serialize_column",
+    "WARN_RANGE_CLIPPED",
     "WARN_TRUNCATED_AT_GAP",
 ]
 
-FORMATS = ("cpc_table", "csv_pair", "column")
+FORMATS = ("auto", "cpc_table", "csv_pair", "column")
 ON_GAP = ("error", "truncate_at_first_gap")
 
+WARN_RANGE_CLIPPED = "RANGE_CLIPPED"
 WARN_TRUNCATED_AT_GAP = "TRUNCATED_AT_GAP"
 
 _SENTINEL_TOL = 1e-6
@@ -87,6 +91,10 @@ def _month_name(anchor: tuple[int, int] | None, index: int) -> str:
     return f"{total // 12:04d}-{total % 12 + 1:02d}"
 
 
+def _span_name(span: tuple[tuple[int, int], tuple[int, int]]) -> str:
+    return f"{_month_name(span[0], 0)}:{_month_name(span[1], 0)}"
+
+
 def _resolve_gaps(
     values: list[float | None],
     anchor: tuple[int, int] | None,
@@ -119,6 +127,31 @@ def _resolve_gaps(
             )
         )
     return trimmed, anchor, warnings  # type: ignore[return-value]
+
+
+def _sniff_format(text: str) -> str:
+    """Guess the file layout from its first data-looking line."""
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        left, sep, _ = line.partition(",")
+        if sep and left.strip().count("-") == 1:
+            return "csv_pair"
+        tokens = line.split()
+        if len(tokens) == 13:
+            try:
+                int(tokens[0])
+                return "cpc_table"
+            except ValueError:
+                pass
+        if len(tokens) == 1:
+            try:
+                float(tokens[0])
+                return "column"
+            except ValueError:
+                continue  # caption line of a table
+    return "cpc_table"
 
 
 def _parse_cpc_table(text: str, opts: IngestOptions) -> tuple[list[float | None], tuple[int, int]]:
@@ -232,16 +265,18 @@ def select_range(
 def parse(text: str, opts: IngestOptions) -> ParseResult:
     """Parse a raw document into a contiguous monthly series.
 
-    Returns the series together with warning records (currently only
-    truncation at an interior gap). Range selection, when requested, is
-    applied after gap resolution and is inclusive on both ends.
+    Returns the series together with warning records: truncation at an
+    interior gap, and a range that reaches past the data. Range
+    selection, when requested, is applied after gap resolution and is
+    inclusive on both ends.
     """
     if not text.strip():
         raise ValidationError("document is empty")
+    fmt = _sniff_format(text) if opts.format == "auto" else opts.format
     anchor: tuple[int, int] | None
-    if opts.format == "cpc_table":
+    if fmt == "cpc_table":
         raw_values, anchor = _parse_cpc_table(text, opts)
-    elif opts.format == "csv_pair":
+    elif fmt == "csv_pair":
         raw_values, anchor = _parse_csv_pair(text, opts)
     else:
         raw_values = _parse_column(text, opts)
@@ -250,6 +285,15 @@ def parse(text: str, opts: IngestOptions) -> ParseResult:
     series = TimeSeries(values=np.asarray(values, dtype=float), start=anchor)
     if opts.range is not None:
         series = select_range(series, *opts.range)
+        delivered = (series.start, series.time_of(len(series) - 1))
+        if delivered != tuple(map(tuple, opts.range)):
+            warnings.append(
+                WarningRecord(
+                    code=WARN_RANGE_CLIPPED,
+                    message=f"range {_span_name(opts.range)} reaches past the "
+                    f"data; delivered {_span_name(delivered)}",
+                )
+            )
     return ParseResult(series=series, warnings=tuple(warnings))
 
 

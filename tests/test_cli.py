@@ -54,6 +54,16 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def csv_file(tmp_path, name, start_year, n=120, seed=0):
+    """White noise as ``YYYY-MM,value`` rows from January of ``start_year``."""
+    values = generate(GenSpec(kind="white", n=n, seed=seed)).values
+    text = "".join(
+        f"{start_year + i // 12:04d}-{i % 12 + 1:02d},{float(v)!r}\n"
+        for i, v in enumerate(values)
+    )
+    return write(tmp_path, name, text)
+
+
 def gen_file(tmp_path, name, kind="white", n=256, seed=0, **extra):
     path = tmp_path / name
     spec = generate(GenSpec(kind=kind, n=n, seed=seed, **extra))
@@ -181,6 +191,22 @@ class TestWarnings:
         assert codes == ["TRUNCATED_AT_GAP"]
         _, as_csv = run(capsys, *base, "--format", "csv")
         assert "warning.TRUNCATED_AT_GAP," in as_csv
+
+    def test_range_clipped_warning_in_all_formats(self, tmp_path, capsys):
+        path = csv_file(tmp_path, "fifties.csv", 1950)
+        base = ["stats", "--input", path, "--range", "1940-01:1951-12"]
+        code, table = run(capsys, *base)
+        assert code == 0
+        assert (
+            "warning [RANGE_CLIPPED]: range 1940-01:1951-12 reaches past the "
+            "data; delivered 1950-01:1951-12"
+        ) in table
+        _, as_json = run(capsys, *base, "--format", "json")
+        envelope = json.loads(as_json)
+        assert [w["code"] for w in envelope["warnings"]] == ["RANGE_CLIPPED"]
+        assert envelope["results"]["n"] == 24
+        _, as_csv = run(capsys, *base, "--format", "csv")
+        assert "warning.RANGE_CLIPPED," in as_csv
 
 
 class TestFormatsAndRange:
@@ -349,6 +375,39 @@ class TestPermtestCommand:
             main(["permtest", "--x", x, "--y", x, "--resultant", x, x]) == 2
         )
         capsys.readouterr()
+
+    def test_different_calendars_exit_three(self, tmp_path, capsys):
+        fifties = csv_file(tmp_path, "fifties.csv", 1950, seed=1)
+        sixties = csv_file(tmp_path, "sixties.csv", 1960, seed=2)
+        code = main(["permtest", "--x", fifties, "--y", sixties, "--n-perm", "200"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "starts 1950-01" in err and "starts 1960-01" in err
+
+    def test_same_calendar_pairs(self, tmp_path, capsys):
+        x = csv_file(tmp_path, "x.csv", 1950, seed=1)
+        y = csv_file(tmp_path, "y.csv", 1950, seed=2)
+        code, out = run(
+            capsys, "permtest", "--x", x, "--y", y, "--n-perm", "200", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["results"]["n"] == 120
+
+    def test_resultant_calendars_checked(self, tmp_path, capsys):
+        x = csv_file(tmp_path, "x.csv", 1950, seed=1)
+        u = csv_file(tmp_path, "u.csv", 1950, seed=2)
+        v = csv_file(tmp_path, "v.csv", 1960, seed=3)
+        late_u = csv_file(tmp_path, "late_u.csv", 1960, seed=4)
+        for components in ((u, v), (late_u, v)):  # u vs v, then x vs the resultant
+            argv = ["permtest", "--x", x, "--resultant", *components, "--n-perm", "200"]
+            assert main(argv) == 3
+            assert "different months" in capsys.readouterr().err
+
+    def test_columns_pair_by_position(self, tmp_path, capsys):
+        x = csv_file(tmp_path, "x.csv", 1950, seed=1)
+        y = gen_file(tmp_path, "y.txt", n=120, seed=2)
+        code, _ = run(capsys, "permtest", "--x", x, "--y", y, "--n-perm", "200")
+        assert code == 0
 
     def test_mismatched_resultant_lengths_exit_three(self, tmp_path, capsys):
         x = gen_file(tmp_path, "x.txt", n=100, seed=1)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longmem import (
     IngestOptions,
@@ -12,7 +14,7 @@ from longmem import (
     select_range,
     serialize_column,
 )
-from longmem.ingest import WARN_TRUNCATED_AT_GAP
+from longmem.ingest import WARN_RANGE_CLIPPED, WARN_TRUNCATED_AT_GAP
 
 ROW_2014 = "2014  0.1  0.2  0.3  0.4  0.5  0.6  0.7  0.8  0.9  1.0  1.1  1.2"
 ROW_2015 = "2015  1.3  1.4  1.5  1.6  1.7  1.8  1.9  2.0  -999.9 -999.9 -999.9 -999.9"
@@ -220,6 +222,28 @@ class TestRangeSelection:
         opts = IngestOptions(format="cpc_table", range=((1950, 1), (1953, 12)))
         assert len(parse(text, opts).series) == 36
 
+    @pytest.mark.parametrize(
+        "requested,delivered",
+        [
+            (((1940, 1), (1951, 12)), "1951-01:1951-12"),
+            (((1952, 6), (1960, 1)), "1952-06:1953-12"),
+            (((1950, 1), (1954, 12)), "1951-01:1953-12"),
+        ],
+    )
+    def test_clipped_range_warns(self, requested, delivered):
+        opts = IngestOptions(format="cpc_table", range=requested)
+        result = parse(self.table_1951_1953(), opts)
+        assert [w.code for w in result.warnings] == [WARN_RANGE_CLIPPED]
+        (y0, m0), (y1, m1) = requested
+        message = result.warnings[0].message
+        assert f"{y0:04d}-{m0:02d}:{y1:04d}-{m1:02d}" in message
+        assert f"delivered {delivered}" in message
+
+    def test_range_inside_data_does_not_warn(self):
+        for requested in (((1951, 1), (1953, 12)), ((1951, 6), (1952, 3))):
+            opts = IngestOptions(format="cpc_table", range=requested)
+            assert parse(self.table_1951_1953(), opts).warnings == ()
+
     def test_empty_selection_rejected(self):
         text = self.table_1951_1953()
         opts = IngestOptions(format="cpc_table", range=((1960, 1), (1960, 12)))
@@ -248,3 +272,56 @@ class TestOptionsValidation:
     def test_bad_range_month_rejected(self):
         with pytest.raises(ValidationError):
             IngestOptions(format="column", range=((1951, 0), (1951, 12)))
+
+
+# Finite floats that are never read as the missing sentinel.
+FINITE = st.floats(allow_nan=False, allow_infinity=False).filter(
+    lambda v: abs(v + 999.9) > 1e-3
+)
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(FINITE, min_size=1, max_size=50))
+    def test_serialize_then_parse_is_bit_exact(self, values):
+        ts = TimeSeries(values=np.array(values), label="drawn")
+        for fmt in ("column", "auto"):
+            back = parse(serialize_column(ts), IngestOptions(format=fmt)).series
+            assert back.values.tobytes() == ts.values.tobytes()
+            assert back.start is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1000, 2999),
+        st.integers(1, 12),
+        st.lists(FINITE, min_size=1, max_size=40),
+    )
+    def test_auto_reads_csv_pair(self, year, month, values):
+        first = year * 12 + month - 1
+        text = "".join(
+            f"{(first + i) // 12:04d}-{(first + i) % 12 + 1:02d},{v!r}\n"
+            for i, v in enumerate(values)
+        )
+        ts = parse(text, IngestOptions(format="auto")).series
+        assert ts.start == (year, month)
+        assert ts.values.tobytes() == np.array(values).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1000, 2999),
+        st.lists(
+            st.lists(st.floats(-50, 50), min_size=12, max_size=12),
+            min_size=1,
+            max_size=4,
+        ),
+        st.booleans(),
+    )
+    def test_auto_reads_cpc_table(self, year, rows, caption):
+        lines = ["INDEX (STANDARDIZED)", "", "YEAR JAN FEB MAR APR MAY JUN JUL AUG SEP OCT NOV DEC"]
+        lines = lines if caption else []
+        lines += [
+            " ".join([str(year + i), *(repr(v) for v in row)]) for i, row in enumerate(rows)
+        ]
+        ts = parse("\n".join(lines) + "\n", IngestOptions(format="auto")).series
+        assert ts.start == (year, 1)
+        assert ts.values.tobytes() == np.array(rows).ravel().tobytes()
