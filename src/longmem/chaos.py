@@ -31,6 +31,10 @@ from .errors import EpsTooSmallError, ValidationError
 
 __all__ = ["EmbeddingParams", "DivergenceCurve", "LyapunovFit", "embed", "lyap_k", "lyap_fit"]
 
+# Warning code of a ``--grid`` combination whose radius held too few
+# neighbours; the other combinations still report their curves.
+WARN_EPS_TOO_SMALL = "EPS_TOO_SMALL"
+
 
 @dataclass(frozen=True)
 class EmbeddingParams:

@@ -29,9 +29,10 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .acf import acf_direct, acf_fft, band_mean, first_zero_crossing
-from .chaos import EmbeddingParams, lyap_fit, lyap_k
+from .chaos import WARN_EPS_TOO_SMALL, EmbeddingParams, lyap_fit, lyap_k
 from .core import TimeSeries, summarize
 from .errors import (
+    EpsTooSmallError,
     NumericError,
     ParseError,
     ValidationError,
@@ -509,10 +510,9 @@ def _cmd_lyap(ns) -> _Report:
     base = {field: getattr(ns, name) for name, (field, _) in _GRID_FIELDS.items()}
     base.update(seed=ns.seed, random_sample=ns.random_refs)
     overrides = _parse_grid(ns.grid) if ns.grid else [{}]
-    payloads, lines, curve_lines = [], [], []
+    payloads, lines, curve_lines, failures = [], [], [], []
     for combo in overrides:
         params = EmbeddingParams(**{**base, **combo})
-        curve = lyap_k(series, params)
         payload = {
             "params": {
                 "m": params.m,
@@ -523,33 +523,49 @@ def _cmd_lyap(ns) -> _Report:
                 "steps": params.s,
                 "k_min": params.k_min,
             },
-            "s_values": curve.s_values,
-            "ref_counts": curve.ref_counts,
         }
         header = (
             f"# m={params.m} d={params.d} theiler={params.theiler} "
             f"eps={params.eps} refs={params.n_ref} steps={params.s}"
         )
-        rows = zip(itertools.count(), curve.s_values.tolist(), curve.ref_counts.tolist())
         lines.append(header)
-        lines.extend(_columns({"step": 5, "S": 12, "refs": 5}, rows))
-        if ns.fit is not None:
-            fit = lyap_fit(curve, ns.fit[0], ns.fit[1], dt=ns.dt)
-            payload["fit"] = {
-                "lambda1": fit.lambda1,
-                "fit_range": fit.fit_range,
-                "r_squared": fit.r_squared,
-                "dt": fit.dt,
-                "chaos_consistent": fit.chaos_consistent,
-            }
-            lines.append("")
-            lines.extend(_kv_lines(payload["fit"]))
         if len(overrides) > 1:
             curve_lines.append(header)
-        curve_lines.extend(f"{step} {float(s)!r}" for step, s in enumerate(curve.s_values))
+        try:
+            curve = lyap_k(series, params)
+        except EpsTooSmallError as exc:
+            # one radius too small for this combination spoils only its curve
+            failures.append(exc)
+            payload["error"] = str(exc)
+            warnings.append(
+                WarningRecord(code=WARN_EPS_TOO_SMALL, message=f"{header[2:]}: {exc}")
+            )
+            lines.append(f"error: {exc}")
+            curve_lines.append(f"# error: {exc}")
+        else:
+            payload["s_values"] = curve.s_values
+            payload["ref_counts"] = curve.ref_counts
+            rows = zip(itertools.count(), curve.s_values.tolist(), curve.ref_counts.tolist())
+            lines.extend(_columns({"step": 5, "S": 12, "refs": 5}, rows))
+            if ns.fit is not None:
+                fit = lyap_fit(curve, ns.fit[0], ns.fit[1], dt=ns.dt)
+                payload["fit"] = {
+                    "lambda1": fit.lambda1,
+                    "fit_range": fit.fit_range,
+                    "r_squared": fit.r_squared,
+                    "dt": fit.dt,
+                    "chaos_consistent": fit.chaos_consistent,
+                }
+                lines.append("")
+                lines.extend(_kv_lines(payload["fit"]))
+            curve_lines.extend(
+                f"{step} {float(s)!r}" for step, s in enumerate(curve.s_values)
+            )
         lines.append("")
         curve_lines.append("")
         payloads.append(payload)
+    if len(failures) == len(overrides):
+        raise failures[0]
     # a blank line separates the curves; none follows the last
     del lines[-1], curve_lines[-1]
     return _Report(inputs, {"curves": payloads}, warnings, lines, curve_lines)

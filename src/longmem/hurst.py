@@ -139,20 +139,44 @@ def rs_statistic(x: Sequence[float] | np.ndarray) -> float:
     return float(r / s)
 
 
-def _block_rs_values(x: np.ndarray, window: int) -> tuple[list[float], int]:
+def _block_rs_values(x: np.ndarray, window: int) -> tuple[np.ndarray, int]:
     """R/S of each full block of ``window`` samples; remainder discarded.
 
-    Returns the valid values and the count of skipped (constant) blocks.
+    One row-wise pass over the blocks laid out as the rows of a
+    (blocks, window) matrix. Each row goes through the same operations as
+    ``rs_statistic`` on that block, so the values are bit-identical to it.
+    Returns the values of the positive-variance blocks and the count of
+    skipped (constant) blocks.
     """
-    values: list[float] = []
-    skipped = 0
-    for b in range(x.size // window):
-        block = x[b * window : (b + 1) * window]
-        if np.std(block, ddof=1) == 0.0:
-            skipped += 1
+    nb = x.size // window
+    blocks = x[: nb * window].reshape(nb, window)
+    s = np.std(blocks, axis=1, ddof=1)
+    varying = s != 0.0
+    blocks, s = blocks[varying], s[varying]
+    deviations = np.cumsum(blocks - np.mean(blocks, axis=1, keepdims=True), axis=1)
+    r = np.max(deviations, axis=1) - np.min(deviations, axis=1)
+    return r / s, nb - s.size
+
+
+def _rs_points(x: np.ndarray, windows: Iterable[int]) -> tuple[list[RsPoint], int]:
+    """``RsPoint`` per window, in the given order, and the skipped-block total.
+
+    Windows with no positive-variance block are dropped. The order is kept
+    because a line fit over the points sums them in that order, and its
+    last bits depend on it.
+    """
+    points: list[RsPoint] = []
+    skipped_total = 0
+    for w in windows:
+        values, skipped = _block_rs_values(x, w)
+        skipped_total += skipped
+        if not values.size:
             continue
-        values.append(rs_statistic(block))
-    return values, skipped
+        std = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
+        points.append(
+            RsPoint(window=w, mean_rs=float(np.mean(values)), std_rs=std, blocks=values.size)
+        )
+    return points, skipped_total
 
 
 def default_window_ladder(n: int, min_window: int = 8) -> list[int]:
@@ -192,19 +216,7 @@ def rs_table(
         windows = sorted(set(int(w) for w in scheme))
         if any(w < 2 or w > n for w in windows):
             raise ValidationError("scheme windows must lie in [2, n]")
-    x = ts.values
-    points: list[RsPoint] = []
-    skipped_total = 0
-    for w in windows:
-        values, skipped = _block_rs_values(x, w)
-        skipped_total += skipped
-        if not values:
-            continue
-        arr = np.asarray(values)
-        std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-        points.append(
-            RsPoint(window=w, mean_rs=float(np.mean(arr)), std_rs=std, blocks=arr.size)
-        )
+    points, skipped_total = _rs_points(ts.values, windows)
     if not points:
         raise NumericError("no block had positive variance; series is constant")
     return RsTable(points=tuple(points), skipped_blocks=skipped_total)
@@ -305,18 +317,6 @@ def expected_rescaled_range(window: int) -> float:
     return prefactor * scaled / math.sqrt(math.pi)
 
 
-def _ladder_mean_rs(x: np.ndarray, windows: Sequence[int]) -> tuple[list[int], list[float]]:
-    """Mean block R/S per window, dropping windows with no valid block."""
-    kept: list[int] = []
-    means: list[float] = []
-    for w in windows:
-        values, _ = _block_rs_values(x, w)
-        if values:
-            kept.append(w)
-            means.append(float(np.mean(values)))
-    return kept, means
-
-
 def _log_slope(windows: Sequence[int], values: Sequence[float]) -> float:
     if len(windows) < 3:
         raise NumericError("fewer than 3 usable scales; series may be degenerate")
@@ -344,10 +344,18 @@ def _divisor_ladder(n: int, min_div: int) -> tuple[int, list[int]]:
     halving until at least 3 divisors exist so short series stay usable.
     """
     lo = int(math.floor(0.99 * n))
+    # Every divisor of a candidate pairs a d <= sqrt(candidate) with its
+    # cofactor; stepping through the multiples of each d up to sqrt(n)
+    # finds all pairs in O(0.01 n log n + sqrt(n)) steps.
+    divisors: dict[int, set[int]] = {cand: set() for cand in range(lo, n + 1)}
+    for d in range(1, math.isqrt(n) + 1):
+        for cand in range(max(d * d, -(-lo // d) * d), n + 1, d):
+            divisors[cand].update((d, cand // d))
+    ladders = [(cand, sorted(divs)) for cand, divs in divisors.items()]
     while True:
         best_len, best_divs = n, []
-        for cand in range(lo, n + 1):
-            divs = [d for d in range(min_div, cand // 2 + 1) if cand % d == 0]
+        for cand, all_divs in ladders:
+            divs = [d for d in all_divs if min_div <= d <= cand // 2]
             if len(divs) >= len(best_divs):
                 best_len, best_divs = cand, divs
         if len(best_divs) >= 3 or min_div <= 2:
@@ -375,16 +383,16 @@ def hurst_suite(ts: TimeSeries) -> HurstSuite:
         raise ValidationError(f"hurst_suite requires at least 32 samples, got {n}")
     x = ts.values
 
-    simple_windows, simple_means = _ladder_mean_rs(x, _halving_ladder(n))
-    h_simple = _log_slope(simple_windows, simple_means)
+    simple, _ = _rs_points(x, _halving_ladder(n))
+    h_simple = _log_slope([p.window for p in simple], [p.mean_rs for p in simple])
 
     opt_n, ladder = _divisor_ladder(n, min_div=min(50, n // 4))
-    tail = x[n - opt_n :]
-    windows, mean_rs = _ladder_mean_rs(tail, ladder)
-    if len(windows) < 3:
+    points, _ = _rs_points(x[n - opt_n :], ladder)
+    if len(points) < 3:
         raise NumericError("fewer than 3 usable scales; series may be degenerate")
+    windows = [p.window for p in points]
+    mean_arr = np.asarray([p.mean_rs for p in points])
     expected = np.asarray([expected_rescaled_range(w) for w in windows])
-    mean_arr = np.asarray(mean_rs)
     w_arr = np.asarray(windows, dtype=float)
 
     h_empirical = _log_slope(windows, mean_arr)

@@ -48,6 +48,7 @@ WARN_TRUNCATED_AT_GAP = "TRUNCATED_AT_GAP"
 
 _SENTINEL_TOL = 1e-6
 _DATE_RE = re.compile(r"^(\d{4})-(\d{1,2})$")
+_NUMBER_START_RE = re.compile(r"[+-]?\.?\d")
 
 
 @dataclass(frozen=True)
@@ -130,8 +131,15 @@ def _resolve_gaps(
 
 
 def _sniff_format(text: str) -> str:
-    """Guess the file layout from its first data-looking line."""
-    for raw in text.splitlines():
+    """Guess the file layout from its first data-looking line.
+
+    When no line matches a layout, the first line that starts like a
+    number decides: an integer year token leaves the file to the
+    ``cpc_table`` parser, which reports what is wrong with the row; any
+    other start is an unsupported layout.
+    """
+    first_data: tuple[int, str] | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -150,7 +158,21 @@ def _sniff_format(text: str) -> str:
                 float(tokens[0])
                 return "column"
             except ValueError:
-                continue  # caption line of a table
+                pass
+        if first_data is None and _NUMBER_START_RE.match(line):
+            first_data = lineno, tokens[0]
+    if first_data is None:
+        raise ParseError("no data rows found")
+    lineno, token = first_data
+    try:
+        int(token)
+    except ValueError:
+        raise ParseError(
+            f"unsupported layout starting {token!r}; expected cpc_table rows "
+            "'YEAR v1 .. v12', csv_pair rows 'YYYY-MM,value' or a column "
+            "of one value per line",
+            lineno,
+        ) from None
     return "cpc_table"
 
 

@@ -159,6 +159,12 @@ class TestExitCodes:
         assert main(["stats", "--input", path]) == 2
         capsys.readouterr()
 
+    def test_unsupported_layout_exits_two(self, tmp_path, capsys):
+        path = write(tmp_path, "slash.csv", "1951/01,1.0\n1951/02,2.0\n")
+        assert main(["stats", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: unsupported layout starting '1951/01,1.0'")
+
     def test_missing_file_exits_three(self, tmp_path, capsys):
         assert main(["stats", "--input", str(tmp_path / "nope.txt")]) == 3
         capsys.readouterr()
@@ -305,6 +311,47 @@ class TestCurveOutputs:
         text = out_path.read_text()
         assert text.count("# m=1") == 2  # one header per grid member
         assert "\n\n" in text  # blank line between blocks
+
+    def test_lyap_grid_keeps_curves_when_one_eps_fails(self, tmp_path, capsys):
+        path = gen_file(tmp_path, "white.txt", n=776, seed=3)
+        base = ["lyap", "--input", path, "--grid", "eps=0.01,0.5"]
+        message = (
+            "no reference point had 4 neighbors within eps=0.01; "
+            "largest neighborhood found held 1"
+        )
+        warning = f"m=2 d=1 theiler=12 eps=0.01 refs=200 steps=12: {message}"
+        out_path = tmp_path / "grid.txt"
+        code, as_json = run(capsys, *base, "--format", "json", "--out", str(out_path))
+        assert code == 0
+        envelope = json.loads(as_json)
+        failed, kept = envelope["results"]["curves"]
+        assert failed == {"params": failed["params"], "error": message}
+        assert failed["params"]["eps"] == 0.01
+        assert kept["params"]["eps"] == 0.5 and len(kept["s_values"]) == 12
+        assert envelope["warnings"] == [{"code": "EPS_TOO_SMALL", "message": warning}]
+        blocks = out_path.read_text().split("\n\n")
+        assert blocks[0].splitlines()[1] == f"# error: {message}"
+        assert len(blocks[1].splitlines()) == 13  # header and 12 steps
+        code, table = run(capsys, *base)
+        assert code == 0
+        assert f"error: {message}" in table
+        assert f"warning [EPS_TOO_SMALL]: {warning}" in table
+        assert table.count(" step ") == 1
+        code, as_csv = run(capsys, *base, "--format", "csv")
+        assert code == 0
+        assert f"curves.0.error,{message}" in as_csv
+        assert "curves.0.s_values" not in as_csv and "curves.1.s_values.11," in as_csv
+        assert f'warning.EPS_TOO_SMALL,"{warning}"' in as_csv
+
+    def test_lyap_grid_exits_four_when_every_eps_fails(self, tmp_path, capsys):
+        path = gen_file(tmp_path, "white.txt", n=776, seed=3)
+        out_path = tmp_path / "grid.txt"
+        argv = ["lyap", "--input", path, "--grid", "eps=1e-12,0.01", "--out", str(out_path)]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no reference point had 4 neighbors within eps=1e-12")
+        assert not out_path.exists()
 
     def test_bad_grid_axis_exits_three(self, tmp_path, capsys):
         path = gen_file(tmp_path, "w.txt", n=256, seed=0)

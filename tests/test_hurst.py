@@ -20,7 +20,12 @@ from longmem import (
     rs_statistic,
     rs_table,
 )
-from longmem.hurst import WARN_H_OUT_OF_RANGE, default_window_ladder
+from longmem.hurst import (
+    WARN_H_OUT_OF_RANGE,
+    _block_rs_values,
+    _divisor_ladder,
+    default_window_ladder,
+)
 
 
 def series(values):
@@ -111,6 +116,76 @@ class TestRsTable:
     def test_mean_rs_positive(self):
         ts = generate(GenSpec(kind="white", n=256, seed=9))
         assert all(p.mean_rs > 0 for p in rs_table(ts))
+
+
+def looped_block_rs(x, window):
+    """Per-block reference for the row-wise pass: ``rs_statistic`` on each
+    full block with positive variance, and the count of the others."""
+    values, skipped = [], 0
+    for b in range(x.size // window):
+        block = x[b * window : (b + 1) * window]
+        if np.std(block, ddof=1) == 0.0:
+            skipped += 1
+        else:
+            values.append(rs_statistic(block))
+    return values, skipped
+
+
+def trial_division_ladder(n, min_div):
+    """Reference for ``_divisor_ladder``: trial division of every candidate
+    length by every d in [min_div, length/2]."""
+    lo = int(math.floor(0.99 * n))
+    while True:
+        best_len, best_divs = n, []
+        for cand in range(lo, n + 1):
+            d = np.arange(min_div, cand // 2 + 1)
+            divs = d[cand % d == 0].tolist()
+            if len(divs) >= len(best_divs):
+                best_len, best_divs = cand, divs
+        if len(best_divs) >= 3 or min_div <= 2:
+            return best_len, best_divs
+        min_div = max(2, min_div // 2)
+
+
+class TestBlockPass:
+    @pytest.mark.parametrize("n", [776, 4096])
+    @pytest.mark.parametrize("h", [0.3, 0.7])
+    def test_equals_per_block_loop_on_both_ladders(self, n, h):
+        x = generate(GenSpec(kind="fgn", n=n, seed=n, h=h)).values
+        opt_n, ladder = _divisor_ladder(n, min_div=min(50, n // 4))
+        cases = [(x, w) for w in default_window_ladder(n)]
+        cases += [(x[n - opt_n :], w) for w in ladder]
+        for segment, w in cases:
+            values, skipped = _block_rs_values(segment, w)
+            assert (values.tolist(), skipped) == looped_block_rs(segment, w), w
+
+    def test_flat_blocks_skipped_like_the_loop(self):
+        # the reference raises NumericError if a flat block reaches rs_statistic
+        x = generate(GenSpec(kind="white", n=512, seed=4)).values.copy()
+        x[:24] = 0.25  # three flat blocks of 8, one of 16
+        x[200:264] = -1.0  # holds the flat block [200, 250) at window 50
+        flat_windows = []
+        for w in (2, 3, 8, 16, 50, 64, 256, 512):
+            values, skipped = _block_rs_values(x, w)
+            assert (values.tolist(), skipped) == looped_block_rs(x, w), w
+            assert np.all(np.isfinite(values))
+            if skipped:
+                flat_windows.append(w)
+        assert flat_windows == [2, 3, 8, 16, 50]
+        table = rs_table(series(x), scheme=[8, 16])
+        assert table.skipped_blocks == sum(looped_block_rs(x, w)[1] for w in (8, 16))
+
+
+class TestDivisorLadder:
+    def test_matches_trial_division_for_every_short_length(self):
+        # min_div = n // 4 is relaxed for 198 of these lengths
+        for n in range(32, 3001):
+            min_div = min(50, n // 4)
+            assert _divisor_ladder(n, min_div) == trial_division_ladder(n, min_div), n
+
+    @pytest.mark.parametrize("n", [99_991, 100_000, 100_003])
+    def test_matches_trial_division_near_daily_scale(self, n):
+        assert _divisor_ladder(n, 50) == trial_division_ladder(n, 50)
 
 
 class TestFitH:
@@ -262,6 +337,19 @@ class TestHurstSuite:
     def test_short_series_rejected(self):
         with pytest.raises(ValidationError):
             hurst_suite(series(np.arange(31.0)))
+
+    def test_daily_scale_series(self):
+        # One path of 100 000 samples holds more data than the 20-path,
+        # n = 2048 ensemble above (40 960 samples), so it is held to that
+        # test's +-0.08 rule.
+        ts = generate(GenSpec(kind="fgn", n=100_000, seed=7, h=0.7))
+        suite = hurst_suite(ts)
+        assert all(math.isfinite(v) for v in vars(suite).values())
+        assert suite.h_corrected_empirical == pytest.approx(0.7, abs=0.08)
+        table = rs_table(ts)
+        assert [p.window for p in table] == default_window_ladder(100_000)
+        assert all(math.isfinite(p.mean_rs) and math.isfinite(p.std_rs) for p in table)
+        assert math.isfinite(fit_h(table).h)
 
 
 class TestFractal:

@@ -260,6 +260,39 @@ class TestRangeSelection:
             IngestOptions(format="cpc_table", range=((1952, 1), (1951, 1)))
 
 
+def auto(text):
+    return parse(text, IngestOptions(format="auto"))
+
+
+class TestSniffing:
+    def test_unsupported_layout_names_line_and_layouts(self):
+        text = "# monthly index\n\n1951/01,1.0\n1951/02,2.0\n"
+        with pytest.raises(ParseError) as err:
+            auto(text)
+        assert err.value.line == 3
+        message = str(err.value)
+        assert message.startswith("line 3: unsupported layout starting '1951/01,1.0'")
+        for layout in ("cpc_table", "csv_pair", "column"):
+            assert layout in message
+
+    def test_unsupported_layout_after_caption_lines(self):
+        with pytest.raises(ParseError) as err:
+            auto("SOI (STANDARDIZED)\n1.0 2.0\n3.0 4.0\n")
+        assert err.value.line == 2
+
+    def test_integer_year_row_left_to_the_table_parser(self):
+        # a short year row is still read as cpc_table, whose parser names
+        # what is wrong with it
+        with pytest.raises(ParseError) as err:
+            auto("CAPTION\n2014 0.1 0.2 0.3\n")
+        assert str(err.value) == "line 2: expected 13 tokens (year + 12 values), got 4"
+
+    def test_text_without_data_rejected(self):
+        with pytest.raises(ParseError) as err:
+            auto("CAPTION\n(STANDARDIZED DATA)\n")
+        assert str(err.value) == "no data rows found"
+
+
 class TestOptionsValidation:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValidationError):
