@@ -2,11 +2,12 @@
 
 The observed Pearson correlation is compared against the distribution
 obtained by correlating one series with ``n_perm`` uniform random
-permutations of the other. Each permutation is drawn from its own
-counter-based substream keyed by ``(seed, index)``, so permutation ``k``
-is the same bit pattern no matter how many workers evaluate the batch or
-in what order — results are reproducible and order-independent by
-construction.
+permutations of the other. Permutation ``k`` is the shuffle drawn by a
+counter-based Philox generator keyed by ``(seed, k)``: the same bit
+pattern whether it is drawn inside ``perm_test``, alone by
+``nth_permutation``, or in any order. ``perm_test`` builds one generator
+per call and re-keys it for each permutation rather than building one
+generator per permutation, which would cost as much as the shuffle.
 
 Critical values follow the sorted-position convention: with the permuted
 correlations sorted ascending, the lower 5% critical value sits at
@@ -19,6 +20,8 @@ never exactly zero.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +76,13 @@ class PermutationResult:
         object.__setattr__(self, "r_sorted", arr)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int; bools and non-integral numbers are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _unit_residual(x: np.ndarray, name: str) -> np.ndarray:
     centered = x - x.mean()
     norm = float(np.linalg.norm(centered))
@@ -101,20 +111,52 @@ def pearson(p, j) -> float:
     return float(_unit_residual(p, "first input") @ _unit_residual(j, "second input"))
 
 
+def _permutations(seed: int, n: int, indices: Iterable[int]) -> Iterator[np.ndarray]:
+    """Permutation ``k`` of ``range(n)`` under ``seed``, for each ``k`` in ``indices``.
+
+    Permutation ``k`` is what a fresh
+    ``Generator(Philox(key=[seed mod 2**64, k mod 2**64])).permutation(n)``
+    returns. One Philox is built per call and, for each ``k``, set to the
+    state such a fresh generator starts in: counter 0, an empty output
+    buffer, no cached 32-bit half. Every permutation is shuffled into the
+    same buffer, so a caller that keeps one must copy it.
+    """
+    seed_key = seed & _MASK64
+    bitgen = np.random.Philox(0)  # its key is replaced before every draw
+    gen = np.random.Generator(bitgen)
+    base = np.arange(n)
+    perm = np.empty_like(base)
+    zeros = [0, 0, 0, 0]
+    for k in indices:
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": [seed_key, k & _MASK64]},
+            "buffer": zeros,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        np.copyto(perm, base)
+        gen.shuffle(perm)
+        yield perm
+
+
 def nth_permutation(seed: int, index: int, n: int) -> np.ndarray:
     """The ``index``-th permutation of ``range(n)`` under a master seed.
 
     Backed by a counter-based generator keyed on ``(seed, index)``, so any
     single permutation can be regenerated without drawing its
-    predecessors.
+    predecessors. It is bit-identical to permutation ``index`` of
+    ``perm_test`` with the same seed.
     """
+    seed = _integer(seed, "seed")
+    index = _integer(index, "permutation index")
+    n = _integer(n, "permutation length")
     if n <= 0:
         raise ValidationError("permutation length must be positive")
     if index < 0:
         raise ValidationError("permutation index must be non-negative")
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.permutation(n)
+    return next(_permutations(seed, n, (index,))).copy()
 
 
 def perm_test(
@@ -132,6 +174,8 @@ def perm_test(
     both tails (2.5% each).
     """
     p, j = _paired(p, j)
+    seed = _integer(seed, "seed")
+    n_perm = _integer(n_perm, "n_perm")
     if n_perm < 100:
         raise ValidationError("n_perm must be at least 100")
     if tail not in TAILS:
@@ -143,8 +187,9 @@ def perm_test(
 
     n = p.size
     r_perm = np.empty(n_perm)
-    for k in range(n_perm):
-        r_perm[k] = p_unit @ j_unit[nth_permutation(seed, k, n)]
+    # one 1-d dot per permutation: a 2-d product may round differently
+    for k, perm in enumerate(_permutations(seed, n, range(n_perm))):
+        r_perm[k] = p_unit @ j_unit[perm]
     r_sorted = np.sort(r_perm)
 
     # 1-indexed order statistics of the ascending sort.

@@ -13,6 +13,15 @@ from longmem import (
     perm_test,
 )
 
+SEEDS = [0, 1, -1, 2**63, 2**64 - 1, 2**64 + 7]
+_MASK64 = (1 << 64) - 1
+
+
+def fresh_philox_permutation(seed, index, n):
+    """Reference: a new generator keyed on (seed, index), both mod 2**64."""
+    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).permutation(n)
+
 
 class TestPearson:
     def test_hand_evaluated(self):
@@ -75,17 +84,82 @@ class TestNthPermutation:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("n", [1, 2, 776])
+    @pytest.mark.parametrize("index", [0, 1, 2**32 + 1])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_fresh_philox_keyed_on_seed_and_index(self, seed, index, n):
+        expected = fresh_philox_permutation(seed, index, n)
+        perm = nth_permutation(seed, index, n)
+        assert perm.dtype == expected.dtype
+        assert np.array_equal(perm, expected)
+
+    def test_interleaved_seeds_do_not_interfere(self):
+        a = nth_permutation(11, 3, 200)
+        b = nth_permutation(12, 3, 200)
+        assert np.array_equal(nth_permutation(11, 3, 200), a)
+        assert not np.array_equal(a, b)
+
+    def test_returned_array_is_the_callers(self):
+        first = nth_permutation(2, 5, 100)
+        expected = first.copy()
+        first[:] = 0
+        assert np.array_equal(nth_permutation(2, 5, 100), expected)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             nth_permutation(0, -1, 10)
         with pytest.raises(ValidationError):
             nth_permutation(0, 0, 0)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1.5, 0, 10),
+            (True, 0, 10),
+            ("0", 0, 10),
+            (0, 1.0, 10),
+            (0, False, 10),
+            (0, 0, 10.0),
+            (0, 0, True),
+            (0, 0, np.float64(10)),
+        ],
+    )
+    def test_non_integer_arguments_rejected(self, args):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            nth_permutation(*args)
+
+    def test_numpy_integers_accepted(self):
+        expected = nth_permutation(3, 4, 50)
+        assert np.array_equal(nth_permutation(np.int64(3), np.uint32(4), np.int16(50)), expected)
+        assert np.array_equal(nth_permutation(np.int64(-1), 0, 5), nth_permutation(-1, 0, 5))
+
 
 class TestPermTest:
     def gaussian_pair(self, n=120, data_seed=0):
         rng = np.random.default_rng(data_seed)
         return rng.standard_normal(n), rng.standard_normal(n)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_r_sorted_matches_fresh_generator_per_permutation(self, seed):
+        p, j = self.gaussian_pair(n=776, data_seed=4)
+        res = perm_test(p, j, n_perm=1000, seed=seed)
+        p_unit = (p - p.mean()) / np.linalg.norm(p - p.mean())
+        j_unit = (j - j.mean()) / np.linalg.norm(j - j.mean())
+        rebuilt = [p_unit @ j_unit[nth_permutation(seed, k, 776)] for k in range(1000)]
+        assert np.array_equal(np.sort(rebuilt), res.r_sorted)
+        first = p_unit @ j_unit[fresh_philox_permutation(seed, 0, 776)]
+        assert first in res.r_sorted
+
+    def test_interleaved_calls_agree(self):
+        p, j = self.gaussian_pair()
+        a = perm_test(p, j, n_perm=300, seed=21)
+        b = perm_test(p, j, n_perm=300, seed=22)
+        again = perm_test(p, j, n_perm=300, seed=21)
+        assert np.array_equal(a.r_sorted, again.r_sorted)
+        assert (a.p_lower, a.p_upper, a.p_two_sided) == (
+            again.p_lower, again.p_upper, again.p_two_sided,
+        )
+        assert not np.array_equal(a.r_sorted, b.r_sorted)
 
     def test_result_structure(self):
         p, j = self.gaussian_pair()
@@ -195,3 +269,25 @@ class TestPermTest:
             perm_test(p[:50], j, n_perm=500)
         with pytest.raises(NumericError):
             perm_test(np.zeros(120), j, n_perm=500)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"seed": 1.5},
+            {"seed": True},
+            {"seed": None},
+            {"n_perm": 1000.0},
+            {"n_perm": True},
+            {"n_perm": "1000"},
+        ],
+    )
+    def test_non_integer_arguments_rejected(self, kwargs):
+        p, j = self.gaussian_pair()
+        with pytest.raises(ValidationError, match="must be an integer"):
+            perm_test(p, j, **{"n_perm": 100, **kwargs})
+
+    def test_seed_is_recorded_as_int(self):
+        p, j = self.gaussian_pair()
+        res = perm_test(p, j, n_perm=100, seed=np.int64(4))
+        assert type(res.seed) is int
+        assert np.array_equal(res.r_sorted, perm_test(p, j, n_perm=100, seed=4).r_sorted)

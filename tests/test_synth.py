@@ -172,6 +172,18 @@ class TestFgn:
 
 
 class TestAr1:
+    @pytest.mark.parametrize("n", [2, 3, 1000, 100_000])
+    @pytest.mark.parametrize("phi", [-0.9, 0.0, 0.5, 0.99])
+    def test_matches_per_sample_recursion_bitwise(self, phi, n):
+        eps = np.random.default_rng(4).standard_normal(n)
+        expected = np.empty(n)
+        expected[0] = eps[0] / np.sqrt(1.0 - phi * phi)
+        for t in range(1, n):
+            expected[t] = phi * expected[t - 1] + eps[t]
+        values = generate(GenSpec(kind="ar1", n=n, seed=4, phi=phi)).values
+        assert values.dtype == np.float64
+        assert np.array_equal(values, expected)
+
     def test_lag_one_autocorrelation(self):
         for phi in (0.5, -0.4):
             ts = generate(GenSpec(kind="ar1", n=4096, seed=0, phi=phi))
