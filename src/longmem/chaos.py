@@ -13,6 +13,20 @@ divergence stage are between scalar future observations, not full state
 vectors, following the TISEAN-family convention; neighbor search uses the
 max norm in embedding space.
 
+Neighbor search is exact but does not scan every vector (Schreiber 1995,
+"Efficient neighbor searching in nonlinear time series analysis"). The
+embedded vectors are sorted once by their first coordinate, and each
+reference's candidates are the vectors whose first coordinate lies in
+its +/-eps window, found by binary search. Both ends of the window are
+inclusive, and since rounding is monotone no true neighbor falls
+outside. Every candidate then takes the unchanged test, max-norm
+distance < eps and index gap > theiler, and the hits are put back into
+ascending index order, so the neighbor sets and the order their gaps
+are summed in match a full scan bit for bit. References are processed in consecutive chunks whose windows
+together hold a bounded number of candidates, which bounds memory at
+any length; within a chunk the divergence stage is one vectorised pass
+per step, summing each reference's gaps with ``np.bincount``.
+
 Exact ties (zero future distance) occur in quantized data and would put
 minus infinity into the log; tied pairs are dropped at the affected step
 only, and a reference whose neighbors all tie at a step sits that step
@@ -34,6 +48,15 @@ __all__ = ["EmbeddingParams", "DivergenceCurve", "LyapunovFit", "embed", "lyap_k
 # Warning code of a ``--grid`` combination whose radius held too few
 # neighbours; the other combinations still report their curves.
 WARN_EPS_TOO_SMALL = "EPS_TOO_SMALL"
+
+# Candidate pairs tested at once by the neighbour search. References are
+# processed in consecutive chunks whose windows together hold at most this
+# many candidates; a reference whose window is wider is a chunk of its
+# own. Memory is then O(budget + widest window), never O(n_ref * n). The
+# value is small so that a ``lyap`` run at the paper's length allocates
+# no more than the per-reference scan it replaced; chunks cost one pass
+# of numpy calls each, which at most n_ref chunks keeps cheap.
+_CANDIDATE_BUDGET = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -139,6 +162,55 @@ def _reference_indices(n_valid: int, params: EmbeddingParams) -> np.ndarray:
     return np.unique(idx)
 
 
+def _neighbours(x, n_valid, refs, params):
+    """Yield the neighbours of consecutive chunks of references.
+
+    Each item is ``(chunk, owner, hits)``: ``hits`` are the indices of the
+    embedded vectors within ``eps`` (max norm) of the references in
+    ``chunk`` and outside their Theiler windows, and ``owner`` is the
+    position in ``chunk`` of each hit's reference. Hits are grouped by
+    reference and ascend in index within each group, the order a full scan
+    finds them. Coordinate c of embedded vector j is ``x[j + c*d]``.
+    """
+    eps = params.eps
+    first = x[:n_valid]
+    order = np.argsort(first, kind="stable")
+    keys = first[order]
+    centre = first[refs]
+    # The window needs no widening. Rounding is monotone and eps is a
+    # float, so a rounded |x_j - x_i| below eps means an exact gap below
+    # eps, and then fl(x_i - eps) <= x_j <= fl(x_i + eps): the inclusive
+    # window holds every true neighbour, rounded bounds and all.
+    lo = np.searchsorted(keys, centre - eps, side="left")
+    width = np.searchsorted(keys, centre + eps, side="right") - lo
+    ends = np.cumsum(width)
+    start = 0
+    while start < refs.size:
+        base = ends[start] - width[start]
+        stop = int(np.searchsorted(ends, base + _CANDIDATE_BUDGET, side="right"))
+        stop = max(stop, start + 1)
+        chunk, sizes = refs[start:stop], width[start:stop]
+        i = np.repeat(chunk, sizes)
+        # candidate k of the chunk is the t-th of its reference r, where t
+        # is k minus r's first k, and sits at sorted slot lo[r] + t
+        j = np.repeat(lo[start:stop] - (ends[start:stop] - sizes - base), sizes)
+        j += np.arange(j.size)
+        j = order[j]
+        dist = np.abs(x[j] - x[i])
+        for lag in range(params.d, params.m * params.d, params.d):
+            gap = x[lag:][j]
+            gap -= x[lag:][i]
+            np.maximum(dist, np.abs(gap, out=gap), out=dist)
+        near = dist < eps
+        sep = j - i
+        near &= np.abs(sep, out=sep) > params.theiler
+        # refs ascend, so one sort on (i, j) groups the hits by reference
+        # and orders each group by index
+        hit_ref, hits = np.divmod(np.sort(i[near] * n_valid + j[near]), n_valid)
+        yield chunk, np.searchsorted(chunk, hit_ref), hits
+        start = stop
+
+
 def lyap_k(ts: TimeSeries, params: EmbeddingParams) -> DivergenceCurve:
     """Compute the Kantz divergence curve of a series.
 
@@ -156,39 +228,46 @@ def lyap_k(ts: TimeSeries, params: EmbeddingParams) -> DivergenceCurve:
             f"series of length {n} too short for (m-1)*d + s = {offset + params.s}"
         )
     n_valid = n - offset - params.s + 1
-    vectors = embed(x, params.m, params.d)[:n_valid]
     refs = _reference_indices(n_valid, params)
-    steps = np.arange(params.s)
 
-    contributions = []
+    blocks = []
     max_neighbors = 0
-    for i in refs:
-        dist = np.max(np.abs(vectors - vectors[i]), axis=1)
-        mask = (dist < params.eps) & (np.abs(np.arange(n_valid) - i) > params.theiler)
-        neighbors = np.nonzero(mask)[0]
-        if neighbors.size > max_neighbors:
-            max_neighbors = int(neighbors.size)
-        if neighbors.size < params.k_min:
+    for chunk, owner, hits in _neighbours(x, n_valid, refs, params):
+        counts = np.bincount(owner, minlength=chunk.size)
+        max_neighbors = max(max_neighbors, int(counts.max()))
+        kept = counts >= params.k_min
+        if not kept.any():
             continue
-        future_i = x[i + offset + steps]
-        future_j = x[neighbors[:, None] + offset + steps]
-        gaps = np.abs(future_j - future_i)
-        live = np.count_nonzero(gaps, axis=0)
+        # bincount adds each reference's gaps in index order, the same
+        # order and so the same bits as a sum over its neighbour rows
+        sums = np.empty((chunk.size, params.s))
+        live = np.empty((chunk.size, params.s))
+        hit_ref = chunk[owner]
+        for step in range(params.s):
+            future = x[offset + step :]
+            gaps = future[hits]
+            gaps -= future[hit_ref]
+            np.abs(gaps, out=gaps)
+            sums[:, step] = np.bincount(owner, weights=gaps, minlength=chunk.size)
+            live[:, step] = np.bincount(owner, weights=gaps != 0, minlength=chunk.size)
         with np.errstate(divide="ignore", invalid="ignore"):
-            row = np.log(gaps.sum(axis=0) / live)
-        row[live == 0] = np.nan
-        contributions.append(row)
+            rows = np.log(sums / live)
+        rows[live == 0] = np.nan
+        blocks.append(rows[kept])
 
-    if not contributions:
+    if not blocks:
         raise EpsTooSmallError(
             f"no reference point had {params.k_min} neighbors within eps="
             f"{params.eps}; largest neighborhood found held {max_neighbors}",
             max_neighbors=max_neighbors,
         )
-    stacked = np.asarray(contributions)
-    ref_counts = np.count_nonzero(~np.isnan(stacked), axis=0)
+    stacked = np.concatenate(blocks)
+    counted = ~np.isnan(stacked)
+    ref_counts = np.count_nonzero(counted, axis=0)
+    # the arithmetic of np.nanmean, without its warning for a step that
+    # every reference sits out
     with np.errstate(invalid="ignore"):
-        s_values = np.nanmean(stacked, axis=0)
+        s_values = np.where(counted, stacked, 0.0).sum(axis=0) / ref_counts
     s_values[ref_counts == 0] = np.nan
     return DivergenceCurve(s_values=s_values, ref_counts=ref_counts, params=params)
 

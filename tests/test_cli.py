@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +343,19 @@ class TestCurveOutputs:
         assert f"curves.0.error,{message}" in as_csv
         assert "curves.0.s_values" not in as_csv and "curves.1.s_values.11," in as_csv
         assert f'warning.EPS_TOO_SMALL,"{warning}"' in as_csv
+
+    def test_lyap_on_tied_quantized_input_writes_no_warning(self, tmp_path, capsys):
+        # one decimal and eps below the quantum: every neighbour ties its
+        # reference, so no reference has a live gap at step 0
+        values = np.round(generate(GenSpec(kind="ar1", n=776, phi=0.7, seed=1)).values, 1)
+        path = write(tmp_path, "q.txt", "".join(f"{v!r}\n" for v in values.tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["lyap", "--input", path, "--m", "1", "--eps", "0.01"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert captured.out.splitlines()[2].split() == ["0", "nan", "0"]
 
     def test_lyap_grid_exits_four_when_every_eps_fails(self, tmp_path, capsys):
         path = gen_file(tmp_path, "white.txt", n=776, seed=3)
