@@ -7,97 +7,62 @@ chaotically (largest Lyapunov exponent from a divergence curve)? A
 seeded permutation test and exact synthetic generators round out the
 kit, and every analysis is exposed through the ``longmem`` command-line
 tool.
+
+Names load on first use: ``import longmem`` imports none of the
+submodules, and ``longmem.hurst_suite`` imports ``longmem.hurst`` the
+first time it is looked up. A command-line run so pays only for the
+modules its command calls.
 """
 
-from .acf import AcfResult, acf_direct, acf_fft, band_mean, first_zero_crossing
-from .chaos import (
-    DivergenceCurve,
-    EmbeddingParams,
-    LyapunovFit,
-    embed,
-    lyap_fit,
-    lyap_k,
-)
-from .core import SummaryStats, TimeSeries, standardize, summarize
-from .errors import (
-    EpsTooSmallError,
-    LongmemError,
-    NumericError,
-    ParseError,
-    ValidationError,
-    WarningRecord,
-)
-from .hurst import (
-    FractalSummary,
-    HurstEstimate,
-    HurstSuite,
-    RsPoint,
-    RsTable,
-    expected_rescaled_range,
-    fit_h,
-    fractal_correlation,
-    fractal_dimension,
-    hurst_suite,
-    rs_statistic,
-    rs_table,
-)
-from .ingest import (
-    IngestOptions,
-    ParseResult,
-    parse,
-    select_range,
-    serialize_column,
-)
-from .permtest import PermutationResult, nth_permutation, pearson, perm_test
-from .synth import GenSpec, fgn_autocovariance, generate
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AcfResult",
-    "DivergenceCurve",
-    "EmbeddingParams",
-    "EpsTooSmallError",
-    "FractalSummary",
-    "GenSpec",
-    "HurstEstimate",
-    "HurstSuite",
-    "IngestOptions",
-    "LongmemError",
-    "LyapunovFit",
-    "NumericError",
-    "ParseError",
-    "ParseResult",
-    "PermutationResult",
-    "RsPoint",
-    "RsTable",
-    "SummaryStats",
-    "TimeSeries",
-    "ValidationError",
-    "WarningRecord",
-    "acf_direct",
-    "acf_fft",
-    "band_mean",
-    "embed",
-    "expected_rescaled_range",
-    "fgn_autocovariance",
-    "first_zero_crossing",
-    "fit_h",
-    "fractal_correlation",
-    "fractal_dimension",
-    "generate",
-    "hurst_suite",
-    "lyap_fit",
-    "lyap_k",
-    "nth_permutation",
-    "parse",
-    "pearson",
-    "perm_test",
-    "rs_statistic",
-    "rs_table",
-    "select_range",
-    "serialize_column",
-    "standardize",
-    "summarize",
-    "__version__",
-]
+# The public names each submodule defines.
+_EXPORTS = {
+    "acf": ("AcfResult", "acf_direct", "acf_fft", "band_mean", "first_zero_crossing"),
+    "chaos": ("DivergenceCurve", "EmbeddingParams", "LyapunovFit", "embed", "lyap_fit", "lyap_k"),
+    "core": ("SummaryStats", "TimeSeries", "standardize", "summarize"),
+    "errors": (
+        "EpsTooSmallError",
+        "LongmemError",
+        "NumericError",
+        "ParseError",
+        "ValidationError",
+        "WarningRecord",
+    ),
+    "hurst": (
+        "FractalSummary",
+        "HurstEstimate",
+        "HurstSuite",
+        "RsPoint",
+        "RsTable",
+        "expected_rescaled_range",
+        "fit_h",
+        "fractal_correlation",
+        "fractal_dimension",
+        "hurst_suite",
+        "rs_statistic",
+        "rs_table",
+    ),
+    "ingest": ("IngestOptions", "ParseResult", "parse", "select_range", "serialize_column"),
+    "permtest": ("PermutationResult", "nth_permutation", "pearson", "perm_test"),
+    "synth": ("GenSpec", "fgn_autocovariance", "generate"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*sorted(_SOURCE), "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _SOURCE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return list(__all__)

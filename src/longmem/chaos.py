@@ -159,7 +159,9 @@ def _reference_indices(n_valid: int, params: EmbeddingParams) -> np.ndarray:
         idx = rng.choice(n_valid, size=count, replace=False)
     else:
         idx = np.round(np.linspace(0, n_valid - 1, num=count)).astype(np.int64)
-    return np.unique(idx)
+    # np.unique, without the numpy.ma import it makes on first use
+    idx = np.sort(idx)
+    return idx[np.diff(idx, prepend=-1) > 0]
 
 
 def _neighbours(x, n_valid, refs, params):

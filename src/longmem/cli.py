@@ -10,6 +10,8 @@ invocations on identical inputs produce byte-identical structured output
 
 Each subcommand returns a ``_Report`` and ``main`` renders it, so the
 envelope, the renderings and the ``--out`` file have one code path.
+Start-up follows the command: a run adds only its own subcommand's
+options to the parser and imports only the analysis module it calls.
 
 Exit codes: 0 success, 2 parse/usage error, 3 input validation error,
 4 numeric failure (zero variance, radius too small).
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import itertools
 import json
 import shlex
@@ -28,8 +31,6 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .acf import acf_direct, acf_fft, band_mean, first_zero_crossing
-from .chaos import WARN_EPS_TOO_SMALL, EmbeddingParams, lyap_fit, lyap_k
 from .core import TimeSeries, summarize
 from .errors import (
     EpsTooSmallError,
@@ -38,16 +39,7 @@ from .errors import (
     ValidationError,
     WarningRecord,
 )
-from .hurst import (
-    WARN_SKIPPED_BLOCKS,
-    fit_h,
-    fractal_correlation,
-    hurst_suite,
-    rs_table,
-)
 from .ingest import FORMATS, IngestOptions, parse, serialize_column
-from .permtest import TAILS, perm_test
-from .synth import GenSpec, KINDS, generate
 
 __all__ = ["main", "SCHEMA_VERSION"]
 
@@ -61,6 +53,18 @@ _GRID_FIELDS = {
     "eps": ("eps", float),
     "steps": ("s", int),
     "refs": ("n_ref", int),
+}
+
+# What the subcommands call from each analysis module. ``main`` binds the
+# names of the module its subcommand names (its ``library`` default) into
+# this module's globals, so a run imports only the module it uses; a name
+# already bound, such as a tracer's wrapper, stays.
+_LIBRARY = {
+    "acf": ("acf_direct", "acf_fft", "band_mean", "first_zero_crossing"),
+    "chaos": ("WARN_EPS_TOO_SMALL", "EmbeddingParams", "lyap_fit", "lyap_k"),
+    "hurst": ("WARN_SKIPPED_BLOCKS", "fit_h", "fractal_correlation", "hurst_suite", "rs_table"),
+    "permtest": ("perm_test",),
+    "synth": ("GenSpec", "generate"),
 }
 
 # Exit code of each error type, the most specific first.
@@ -155,23 +159,15 @@ def _add_output_options(sub: argparse.ArgumentParser, curve: bool = True) -> Non
         )
 
 
-def _add_analysis(subs, name: str, help: str, func, curve: bool = True):
-    """A subcommand that analyses one ``--input`` file."""
-    p = subs.add_parser(name, help=help)
+def _add_analysis_options(p, func, library=None, curve: bool = True) -> None:
+    """The options of a subcommand that analyses one ``--input`` file."""
     _add_input_options(p)
     _add_output_options(p, curve)
-    p.set_defaults(func=func)
-    return p
+    p.set_defaults(func=func, library=library)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="longmem",
-        description="Long-memory and chaos diagnostics for time series.",
-    )
-    subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = _add_analysis(subs, "stats", "descriptive summary statistics", _cmd_stats, curve=False)
+def _stats_options(p: argparse.ArgumentParser) -> None:
+    _add_analysis_options(p, _cmd_stats, curve=False)
     p.add_argument(
         "--resolution",
         type=float,
@@ -179,7 +175,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="rounding grid for the two modes (default 0.1)",
     )
 
-    p = _add_analysis(subs, "acf", "autocorrelation function", _cmd_acf)
+
+def _acf_options(p: argparse.ArgumentParser) -> None:
+    _add_analysis_options(p, _cmd_acf, "acf")
     p.add_argument("--max-lag", type=int, required=True)
     p.add_argument("--method", choices=("fft", "direct"), default="fft")
     p.add_argument(
@@ -190,7 +188,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also report the mean coefficient over this lag band",
     )
 
-    p = _add_analysis(subs, "hurst", "rescaled-range table and fitted exponent", _cmd_hurst)
+
+def _hurst_options(p: argparse.ArgumentParser) -> None:
+    _add_analysis_options(p, _cmd_hurst, "hurst")
     p.add_argument("--min-window", type=int, default=8)
     p.add_argument(
         "--weighted",
@@ -198,11 +198,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="weight the log-log fit by 1/std_rs^2, the block-to-block R/S scatter",
     )
 
-    _add_analysis(
-        subs, "suite", "five-variant rescaled-range estimator suite", _cmd_suite, curve=False
-    )
 
-    p = _add_analysis(subs, "lyap", "divergence curve and largest Lyapunov exponent", _cmd_lyap)
+def _suite_options(p: argparse.ArgumentParser) -> None:
+    _add_analysis_options(p, _cmd_suite, "hurst", curve=False)
+
+
+def _lyap_options(p: argparse.ArgumentParser) -> None:
+    _add_analysis_options(p, _cmd_lyap, "chaos")
     p.add_argument("--m", type=int, default=2, help="embedding dimension")
     p.add_argument("--d", type=int, default=1, help="embedding delay")
     p.add_argument("--theiler", type=int, default=12, help="temporal exclusion window")
@@ -230,7 +232,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="parameter family, e.g. 'm=2,3,4;eps=0.2,0.3'",
     )
 
-    p = subs.add_parser("permtest", help="seeded permutation test of a correlation")
+
+def _permtest_options(p: argparse.ArgumentParser) -> None:
+    from .permtest import TAILS
+
     p.add_argument("--x", required=True, help="first series file")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--y", help="second series file")
@@ -246,9 +251,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail", choices=TAILS, default="two")
     _add_output_options(p)
     # permtest reads whole files: no calendar slice, and gaps are errors
-    p.set_defaults(func=_cmd_permtest, range=None, on_gap="error")
+    p.set_defaults(func=_cmd_permtest, library="permtest", range=None, on_gap="error")
 
-    p = subs.add_parser("gen", help="synthetic series with known properties")
+
+def _gen_options(p: argparse.ArgumentParser) -> None:
+    from .synth import KINDS
+
     p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -258,8 +266,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float, default=None, help="logistic-map start value")
     p.add_argument("--period", type=float, default=None, help="sine period in samples")
     _add_output_options(p)
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=_cmd_gen, library="synth")
 
+
+# Each subcommand's help line and the function that adds its options.
+_SUBCOMMANDS = {
+    "stats": ("descriptive summary statistics", _stats_options),
+    "acf": ("autocorrelation function", _acf_options),
+    "hurst": ("rescaled-range table and fitted exponent", _hurst_options),
+    "suite": ("five-variant rescaled-range estimator suite", _suite_options),
+    "lyap": ("divergence curve and largest Lyapunov exponent", _lyap_options),
+    "permtest": ("seeded permutation test of a correlation", _permtest_options),
+    "gen": ("synthetic series with known properties", _gen_options),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser, with the options of ``command`` only, or of all when None.
+
+    Every subcommand is listed either way. Adding options is most of the
+    cost of building the parser, and ``permtest`` and ``gen`` import the
+    library module their ``choices`` come from, so a run adds its own only.
+    """
+    parser = argparse.ArgumentParser(
+        prog="longmem",
+        description="Long-memory and chaos diagnostics for time series.",
+    )
+    subs = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help, add_options) in _SUBCOMMANDS.items():
+        p = subs.add_parser(name, help=help)
+        if command in (None, name):
+            add_options(p)
     return parser
 
 
@@ -634,13 +671,33 @@ def _cmd_gen(ns) -> _Report | str:
 # entry point
 
 
+def _bind_library(module: str) -> None:
+    """Bind ``_LIBRARY[module]`` here, keeping any name already bound."""
+    lib = importlib.import_module(f".{module}", __package__)
+    for name in _LIBRARY[module]:
+        globals().setdefault(name, getattr(lib, name))
+
+
+def __getattr__(name: str):
+    """A library name looked up before ``main`` bound it, as by a tracer."""
+    for module, names in _LIBRARY.items():
+        if name in names:
+            _bind_library(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    # the top-level parser takes no option with a value, so a subcommand
+    # named first is the one that runs
+    parser = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    if ns.library is not None:
+        _bind_library(ns.library)
     try:
         report = ns.func(ns)
         if isinstance(report, str):  # gen without --out: the bare column

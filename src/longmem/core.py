@@ -106,6 +106,20 @@ def _modes(values: np.ndarray, resolution: float) -> tuple[float, float | None]:
     return float(mode_first), None if mode_second is None else float(mode_second)
 
 
+def _median(x: np.ndarray) -> float:
+    """Median of a 1-d array with the arithmetic of ``np.median``.
+
+    The middle element, or the two middle elements summed and halved.
+    ``np.median`` imports ``numpy.ma`` on first use, which costs a
+    command-line run more than all of ``summarize``.
+    """
+    k = x.size // 2
+    if x.size % 2:
+        return float(np.partition(x, k)[k])
+    part = np.partition(x, (k - 1, k))
+    return float((part[k - 1] + part[k]) / 2)
+
+
 def summarize(ts: TimeSeries, mode_resolution: float = 0.1) -> SummaryStats:
     """Descriptive statistics: count, center, modes, and dispersion.
 
@@ -131,7 +145,7 @@ def summarize(ts: TimeSeries, mode_resolution: float = 0.1) -> SummaryStats:
     return SummaryStats(
         n=len(ts),
         mean=mean,
-        median=float(np.median(x)),
+        median=_median(x),
         mode_first=mode_first,
         mode_second=mode_second,
         std_dev=std,

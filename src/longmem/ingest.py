@@ -65,6 +65,11 @@ class IngestOptions:
             raise ValidationError(f"unknown format {self.format!r}")
         if self.on_gap not in ON_GAP:
             raise ValidationError(f"unknown on_gap policy {self.on_gap!r}")
+        if not math.isfinite(self.missing_sentinel):
+            # no finite value is close to nan or inf: absences would read as data
+            raise ValidationError(
+                f"missing_sentinel must be finite, got {self.missing_sentinel!r}"
+            )
         if self.range is not None:
             (y0, m0), (y1, m1) = self.range
             if not (1 <= m0 <= 12 and 1 <= m1 <= 12):

@@ -252,6 +252,20 @@ class TestLyapK:
         assert np.all(curve.ref_counts[1:] > 0)
         assert_matches_full_scan(ts, params)
 
+    @pytest.mark.parametrize("random_sample", [False, True])
+    @pytest.mark.parametrize("n_ref, n_valid", [(200, 50), (200, 199), (200, 765), (7, 7)])
+    def test_reference_indices_are_unique_and_sorted(self, n_ref, n_valid, random_sample):
+        params = EmbeddingParams(n_ref=n_ref, random_sample=random_sample, seed=n_valid)
+        rng = np.random.default_rng(params.seed)
+        drawn = (
+            rng.choice(n_valid, size=min(n_ref, n_valid), replace=False)
+            if random_sample
+            else np.round(np.linspace(0, n_valid - 1, num=min(n_ref, n_valid)))
+        )
+        refs = chaos._reference_indices(n_valid, params)
+        assert refs.dtype == np.int64
+        assert np.array_equal(refs, np.unique(drawn.astype(np.int64)))
+
     def test_constant_series_rejected(self):
         with pytest.raises(NumericError):
             lyap_k(series(np.full(256, 2.5)), EmbeddingParams())

@@ -15,6 +15,8 @@ import pytest
 import longmem
 from longmem import GenSpec, IngestOptions, acf_fft, generate, parse, pearson
 from longmem.cli import main
+from longmem.permtest import TAILS
+from longmem.synth import KINDS
 
 SRC_DIR = str(Path(longmem.__file__).resolve().parents[1])
 
@@ -151,6 +153,15 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         capsys.readouterr()
 
+    def test_help_lists_every_subcommand_and_library_choice(self, capsys):
+        # a run adds only its own subcommand's options; help must not show it
+        assert main(["--help"]) == 0
+        assert "{stats,acf,hurst,suite,lyap,permtest,gen}" in capsys.readouterr().out
+        assert main(["gen", "--help"]) == 0
+        assert "--kind {" + ",".join(KINDS) + "}" in capsys.readouterr().out
+        assert main(["permtest", "--help"]) == 0
+        assert "--tail {" + ",".join(TAILS) + "}" in capsys.readouterr().out
+
     def test_malformed_table_exits_two(self, tmp_path, capsys):
         path = write(
             tmp_path, "bad.txt",
@@ -184,6 +195,85 @@ class TestExitCodes:
         path = gen_file(tmp_path, "w.txt", n=256, seed=0)
         assert main(["lyap", "--input", path, "--eps", "1e-12"]) == 4
         capsys.readouterr()
+
+    def test_non_finite_missing_sentinel_exits_three(self, tmp_path, capsys):
+        # with no usable sentinel the -999.9 pad months would be read as data
+        path = write(tmp_path, "soi.txt", CPC_TEXT)
+        assert main(["stats", "--input", path, "--missing-sentinel", "nan"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: missing_sentinel must be finite, got nan\n"
+
+
+# Each library name ``benchmarks/tracing.py`` wraps on ``longmem.cli``
+# (its LIBRARY_CALLS) and a command that calls it; the command's inputs
+# are made by ``traced_command``.
+TRACED_CALLS = {
+    "parse": "stats",
+    "summarize": "stats",
+    "acf_fft": "acf",
+    "first_zero_crossing": "acf",
+    "band_mean": "acf",
+    "rs_table": "hurst",
+    "fit_h": "hurst",
+    "fractal_correlation": "hurst",
+    "hurst_suite": "suite",
+    "lyap_k": "lyap",
+    "lyap_fit": "lyap",
+    "perm_test": "permtest",
+    "generate": "gen",
+    "serialize_column": "gen",
+}
+
+
+def traced_command(tmp_path, command):
+    white = gen_file(tmp_path, "w.txt", n=256, seed=0)
+    if command == "permtest":
+        other = gen_file(tmp_path, "w2.txt", n=256, seed=1)
+        return ["permtest", "--x", white, "--y", other, "--n-perm", "100"]
+    if command == "gen":
+        return ["gen", "--kind", "white", "--n", "8"]
+    if command == "lyap":
+        logistic = gen_file(tmp_path, "log.txt", kind="logistic", n=2000)
+        return ["lyap", "--input", logistic, "--m", "1", "--eps", "1e-3", "--fit", "0:4"]
+    extra = {"acf": ["--max-lag", "8", "--band", "1:4"]}.get(command, [])
+    return [command, "--input", white, *extra]
+
+
+class TestTracerContract:
+    """A tracer wraps library names on ``longmem.cli`` before ``main`` runs.
+
+    ``main`` binds a subcommand's library names only when it dispatches,
+    so each name must resolve before that, and a wrapper set in its place
+    must be the function the subcommand calls.
+    """
+
+    @pytest.mark.parametrize("name", sorted(TRACED_CALLS))
+    def test_wrapper_set_before_main_is_called(self, name, tmp_path, capsys, monkeypatch):
+        argv = traced_command(tmp_path, TRACED_CALLS[name])
+        import longmem.cli
+
+        # unbind every library name, as in a process that has not run main
+        for names in longmem.cli._LIBRARY.values():
+            for bound in names:
+                monkeypatch.delitem(vars(longmem.cli), bound, raising=False)
+        assert hasattr(longmem.cli, name)
+        real = getattr(longmem.cli, name)
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(longmem.cli, name, wrapper)
+        assert main(argv) == 0, capsys.readouterr().err
+        capsys.readouterr()
+        assert calls, f"{' '.join(argv[:1])} did not call the wrapped {name}"
+
+    def test_unknown_name_raises_attribute_error(self):
+        import longmem.cli
+
+        assert not hasattr(longmem.cli, "no_such_call")
 
 
 class TestWarnings:

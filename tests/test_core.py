@@ -125,6 +125,13 @@ class TestSummarize:
         assert summarize(series([3.0, 1.0, 2.0])).median == 2.0
         assert summarize(series([4.0, 1.0, 2.0, 3.0])).median == 2.5
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 11, 776, 777, 4096])
+    def test_median_bits_match_numpy(self, n):
+        rng = np.random.default_rng(n)
+        # values on the 0.1 grid repeat, so the middle pair is often a tie
+        for x in (rng.normal(size=n), np.round(rng.normal(size=n), 1)):
+            assert summarize(series(x)).median == float(np.median(x))
+
     def test_modes_on_grid_data(self):
         # already on the 0.1 grid: modes are exact frequency modes
         x = [0.2, 0.2, 0.2, -0.1, -0.1, 0.5]

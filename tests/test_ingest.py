@@ -306,6 +306,12 @@ class TestOptionsValidation:
         with pytest.raises(ValidationError):
             IngestOptions(format="column", range=((1951, 0), (1951, 12)))
 
+    @pytest.mark.parametrize("sentinel", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_sentinel_rejected(self, sentinel):
+        # nothing is close to a non-finite sentinel: absences would read as data
+        with pytest.raises(ValidationError, match="missing_sentinel must be finite"):
+            IngestOptions(format="cpc_table", missing_sentinel=sentinel)
+
 
 # Finite floats that are never read as the missing sentinel.
 FINITE = st.floats(allow_nan=False, allow_infinity=False).filter(
