@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries
+from .core import TimeSeries, frozen_copy
 from .errors import NumericError, ValidationError
 
 __all__ = ["AcfResult", "acf_direct", "acf_fft", "first_zero_crossing", "band_mean"]
@@ -31,10 +31,7 @@ class AcfResult:
     n: int
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        coeffs = coeffs.copy()
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "coefficients", frozen_copy(self.coefficients, dtype=float))
 
 
 def _check_input(ts: TimeSeries | np.ndarray, max_lag: int) -> np.ndarray:

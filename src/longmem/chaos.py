@@ -40,14 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries, standardize
+from .core import TimeSeries, _weighted_line_fit, frozen_copy, standardize
 from .errors import EpsTooSmallError, ValidationError
 
 __all__ = ["EmbeddingParams", "DivergenceCurve", "LyapunovFit", "embed", "lyap_k", "lyap_fit"]
-
-# Warning code of a ``--grid`` combination whose radius held too few
-# neighbours; the other combinations still report their curves.
-WARN_EPS_TOO_SMALL = "EPS_TOO_SMALL"
 
 # Candidate pairs tested at once by the neighbour search. References are
 # processed in consecutive chunks whose windows together hold at most this
@@ -110,10 +106,7 @@ class DivergenceCurve:
 
     def __post_init__(self):
         for name in ("s_values", "ref_counts"):
-            arr = np.asarray(getattr(self, name))
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_copy(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -290,14 +283,9 @@ def lyap_fit(curve: DivergenceCurve, start: int, end: int, dt: float = 1.0) -> L
     if np.any(curve.ref_counts[start : end + 1] == 0):
         raise ValidationError("fit range includes steps with no surviving reference")
     delta = np.arange(start, end + 1, dtype=float)
-    y = curve.s_values[start : end + 1]
-    slope, intercept = np.polyfit(delta, y, 1)
-    fitted = intercept + slope * delta
-    ssm = float(np.sum((y - np.mean(y)) ** 2))
-    sse = float(np.sum((y - fitted) ** 2))
-    r_squared = 1.0 - sse / ssm if ssm > 0.0 else 1.0
+    slope, _, _, r_squared = _weighted_line_fit(delta, curve.s_values[start : end + 1])
     return LyapunovFit(
-        lambda1=float(slope / dt),
+        lambda1=slope / dt,
         fit_range=(start, end),
         r_squared=r_squared,
         dt=dt,

@@ -31,40 +31,32 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from . import _EXPORTS, _SOURCE
 from .core import TimeSeries, summarize
 from .errors import (
+    WARN_EPS_TOO_SMALL,
+    WARN_SKIPPED_BLOCKS,
     EpsTooSmallError,
     NumericError,
     ParseError,
     ValidationError,
     WarningRecord,
 )
-from .ingest import FORMATS, IngestOptions, parse, serialize_column
+from .ingest import FORMATS, ON_GAP, IngestOptions, parse, serialize_column
 
 __all__ = ["main", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
 
-# lyap option -> (EmbeddingParams field, type); also the axes of --grid.
+# lyap option -> (EmbeddingParams field, type): the axes of --grid, in the
+# order of the curve header.
 _GRID_FIELDS = {
     "m": ("m", int),
     "d": ("d", int),
     "theiler": ("theiler", int),
     "eps": ("eps", float),
-    "steps": ("s", int),
     "refs": ("n_ref", int),
-}
-
-# What the subcommands call from each analysis module. ``main`` binds the
-# names of the module its subcommand names (its ``library`` default) into
-# this module's globals, so a run imports only the module it uses; a name
-# already bound, such as a tracer's wrapper, stays.
-_LIBRARY = {
-    "acf": ("acf_direct", "acf_fft", "band_mean", "first_zero_crossing"),
-    "chaos": ("WARN_EPS_TOO_SMALL", "EmbeddingParams", "lyap_fit", "lyap_k"),
-    "hurst": ("WARN_SKIPPED_BLOCKS", "fit_h", "fractal_correlation", "hurst_suite", "rs_table"),
-    "permtest": ("perm_test",),
-    "synth": ("GenSpec", "generate"),
+    "steps": ("s", int),
 }
 
 # Exit code of each error type, the most specific first.
@@ -138,7 +130,7 @@ def _add_input_options(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--on-gap",
-        choices=("error", "truncate_at_first_gap"),
+        choices=ON_GAP,
         default="error",
         help="policy for interior missing values",
     )
@@ -204,19 +196,22 @@ def _suite_options(p: argparse.ArgumentParser) -> None:
 
 
 def _lyap_options(p: argparse.ArgumentParser) -> None:
+    from .chaos import EmbeddingParams
+
+    default = EmbeddingParams()
     _add_analysis_options(p, _cmd_lyap, "chaos")
-    p.add_argument("--m", type=int, default=2, help="embedding dimension")
-    p.add_argument("--d", type=int, default=1, help="embedding delay")
-    p.add_argument("--theiler", type=int, default=12, help="temporal exclusion window")
-    p.add_argument("--eps", type=float, default=0.3, help="neighbourhood radius (standardized units)")
-    p.add_argument("--steps", type=int, default=12, help="forecast horizon")
-    p.add_argument("--refs", type=int, default=200, help="number of reference points")
+    p.add_argument("--m", type=int, default=default.m, help="embedding dimension")
+    p.add_argument("--d", type=int, default=default.d, help="embedding delay")
+    p.add_argument("--theiler", type=int, default=default.theiler, help="temporal exclusion window")
+    p.add_argument("--eps", type=float, default=default.eps, help="neighbourhood radius (standardized units)")
+    p.add_argument("--steps", type=int, default=default.s, help="forecast horizon")
+    p.add_argument("--refs", type=int, default=default.n_ref, help="number of reference points")
     p.add_argument(
         "--random-refs",
         action="store_true",
         help="sample reference points randomly (seeded) instead of evenly",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for --random-refs")
+    p.add_argument("--seed", type=int, default=default.seed, help="seed for --random-refs")
     p.add_argument(
         "--fit",
         type=_int_pair,
@@ -561,9 +556,8 @@ def _cmd_lyap(ns) -> _Report:
                 "k_min": params.k_min,
             },
         }
-        header = (
-            f"# m={params.m} d={params.d} theiler={params.theiler} "
-            f"eps={params.eps} refs={params.n_ref} steps={params.s}"
+        header = "# " + " ".join(
+            f"{name}={getattr(params, field)}" for name, (field, _) in _GRID_FIELDS.items()
         )
         lines.append(header)
         if len(overrides) > 1:
@@ -586,13 +580,7 @@ def _cmd_lyap(ns) -> _Report:
             lines.extend(_columns({"step": 5, "S": 12, "refs": 5}, rows))
             if ns.fit is not None:
                 fit = lyap_fit(curve, ns.fit[0], ns.fit[1], dt=ns.dt)
-                payload["fit"] = {
-                    "lambda1": fit.lambda1,
-                    "fit_range": fit.fit_range,
-                    "r_squared": fit.r_squared,
-                    "dt": fit.dt,
-                    "chaos_consistent": fit.chaos_consistent,
-                }
+                payload["fit"] = {**asdict(fit), "chaos_consistent": fit.chaos_consistent}
                 lines.append("")
                 lines.extend(_kv_lines(payload["fit"]))
             curve_lines.extend(
@@ -672,19 +660,23 @@ def _cmd_gen(ns) -> _Report | str:
 
 
 def _bind_library(module: str) -> None:
-    """Bind ``_LIBRARY[module]`` here, keeping any name already bound."""
+    """Bind the public names of ``module`` here, keeping any name already bound.
+
+    ``main`` binds those of the module its subcommand names (its ``library``
+    default), so a run imports only the analysis module it uses, and a
+    name bound before, such as a tracer's wrapper, is the one called.
+    """
     lib = importlib.import_module(f".{module}", __package__)
-    for name in _LIBRARY[module]:
+    for name in _EXPORTS[module]:
         globals().setdefault(name, getattr(lib, name))
 
 
 def __getattr__(name: str):
     """A library name looked up before ``main`` bound it, as by a tracer."""
-    for module, names in _LIBRARY.items():
-        if name in names:
-            _bind_library(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_library(_SOURCE[name])
+    return globals()[name]
 
 
 def main(argv=None) -> int:

@@ -8,6 +8,7 @@ modes, dispersion) used for a first look at an index series.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -16,6 +17,25 @@ import numpy as np
 from .errors import NumericError, ValidationError
 
 __all__ = ["TimeSeries", "SummaryStats", "summarize", "standardize"]
+
+
+def month_number(year_month: tuple[int, int]) -> int:
+    """Months from January of year 0 to ``(year, month)``."""
+    year, month = year_month
+    return year * 12 + month - 1
+
+
+def calendar_month(number: int) -> tuple[int, int]:
+    """The ``(year, month)`` of a month number; inverse of ``month_number``."""
+    year, month = divmod(number, 12)
+    return year, month + 1
+
+
+def frozen_copy(values, dtype=None) -> np.ndarray:
+    """A read-only copy of ``values``, so a result never shares the caller's array."""
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -41,7 +61,7 @@ class TimeSeries:
     label: str = ""
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        arr = frozen_copy(self.values, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValidationError("series must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(arr)):
@@ -52,8 +72,6 @@ class TimeSeries:
             year, month = self.start
             if not 1 <= month <= 12:
                 raise ValidationError(f"start month {month} outside 1..12")
-        arr = arr.copy()
-        arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
@@ -63,9 +81,7 @@ class TimeSeries:
         """Calendar (year, month) of sample ``i``. Requires an anchor."""
         if self.start is None:
             raise ValidationError("series has no calendar anchor")
-        year, month = self.start
-        total = (year * 12 + (month - 1)) + i * self.step_months
-        return total // 12, total % 12 + 1
+        return calendar_month(month_number(self.start) + i * self.step_months)
 
     def with_values(self, values: np.ndarray) -> "TimeSeries":
         """Copy of this series with new samples, same anchor and label."""
@@ -165,3 +181,29 @@ def standardize(ts: TimeSeries) -> TimeSeries:
     if std == 0.0:
         raise NumericError("cannot standardize a constant series")
     return ts.with_values((x - np.mean(x)) / std)
+
+
+def _weighted_line_fit(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None):
+    """Weighted least squares line fit; unit weights when none are given.
+
+    Returns (slope, intercept, slope standard error, r_squared) with
+    r_squared = 1 - SSE/SSM computed in the weighted norm. Weights are
+    treated as relative, so the slope standard error is invariant under
+    rescaling them.
+    """
+    w = np.ones(x.size) if weights is None else weights / np.mean(weights)
+    sw = np.sum(w)
+    x_bar = np.sum(w * x) / sw
+    y_bar = np.sum(w * y) / sw
+    sxx = np.sum(w * (x - x_bar) ** 2)
+    if sxx == 0.0:
+        raise ValidationError("all fit points share one window; slope undefined")
+    slope = np.sum(w * (x - x_bar) * (y - y_bar)) / sxx
+    intercept = y_bar - slope * x_bar
+    residuals = y - (intercept + slope * x)
+    sse = float(np.sum(w * residuals**2))
+    ssm = float(np.sum(w * (y - y_bar) ** 2))
+    dof = x.size - 2
+    std_err = math.sqrt((sse / dof) / sxx) if dof > 0 else 0.0
+    r_squared = 1.0 - sse / ssm if ssm > 0.0 else 1.0
+    return float(slope), float(intercept), std_err, r_squared

@@ -1,15 +1,27 @@
 """Exception hierarchy and warning records shared across the toolkit.
 
-The CLI maps the exceptions onto exit codes: validation problems (bad
-input shape, out-of-range parameters, malformed files) exit with 3,
-numeric failures (zero variance, empty neighborhoods) with 4.
+The CLI maps the exceptions onto exit codes: files that cannot be parsed
+(``ParseError``) exit with 2, other validation problems (bad input shape,
+out-of-range parameters, gaps, non-finite values) with 3, and numeric
+failures (zero variance, empty neighborhoods) with 4.
 
 Non-fatal conditions are reported as ``WarningRecord`` values with stable
 codes so that table output and structured output carry the same
-diagnostics.
+diagnostics. The codes are defined here, once.
 """
 
 from dataclasses import dataclass
+
+# A fitted Hurst exponent outside (0, 1.5).
+WARN_H_OUT_OF_RANGE = "H_OUT_OF_RANGE"
+# Zero-variance blocks left out of the R/S table.
+WARN_SKIPPED_BLOCKS = "SKIPPED_BLOCKS"
+# A ``lyap --grid`` combination with too few neighbours; the others still report.
+WARN_EPS_TOO_SMALL = "EPS_TOO_SMALL"
+# A calendar range that reaches past the data.
+WARN_RANGE_CLIPPED = "RANGE_CLIPPED"
+# A series cut at its first interior gap.
+WARN_TRUNCATED_AT_GAP = "TRUNCATED_AT_GAP"
 
 
 @dataclass(frozen=True)

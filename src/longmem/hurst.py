@@ -32,8 +32,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import TimeSeries
-from .errors import NumericError, ValidationError, WarningRecord
+from .core import TimeSeries, _weighted_line_fit
+from .errors import WARN_H_OUT_OF_RANGE, NumericError, ValidationError, WarningRecord
+from .errors import WARN_SKIPPED_BLOCKS  # noqa: F401  (still importable from here)
 
 __all__ = [
     "RsPoint",
@@ -49,9 +50,6 @@ __all__ = [
     "fractal_correlation",
     "fractal_dimension",
 ]
-
-WARN_H_OUT_OF_RANGE = "H_OUT_OF_RANGE"
-WARN_SKIPPED_BLOCKS = "SKIPPED_BLOCKS"
 
 # Above this window length the exact Gamma-ratio prefactor of the
 # Anis-Lloyd expectation is replaced by its asymptotic form (Weron 2002).
@@ -222,34 +220,6 @@ def rs_table(
     return RsTable(points=tuple(points), skipped_blocks=skipped_total)
 
 
-def _weighted_line_fit(
-    x: np.ndarray, y: np.ndarray, weights: np.ndarray
-) -> tuple[float, float, float, float]:
-    """Weighted least squares line fit.
-
-    Returns (slope, intercept, slope standard error, r_squared) with
-    r_squared = 1 - SSE/SSM computed in the weighted norm. Weights are
-    treated as relative, so the slope standard error is invariant under
-    rescaling them.
-    """
-    w = weights / np.mean(weights)
-    sw = np.sum(w)
-    x_bar = np.sum(w * x) / sw
-    y_bar = np.sum(w * y) / sw
-    sxx = np.sum(w * (x - x_bar) ** 2)
-    if sxx == 0.0:
-        raise ValidationError("all fit points share one window; slope undefined")
-    slope = np.sum(w * (x - x_bar) * (y - y_bar)) / sxx
-    intercept = y_bar - slope * x_bar
-    residuals = y - (intercept + slope * x)
-    sse = float(np.sum(w * residuals**2))
-    ssm = float(np.sum(w * (y - y_bar) ** 2))
-    dof = x.size - 2
-    std_err = math.sqrt((sse / dof) / sxx) if dof > 0 else 0.0
-    r_squared = 1.0 - sse / ssm if ssm > 0.0 else 1.0
-    return float(slope), float(intercept), std_err, r_squared
-
-
 def fit_h(points: RsTable | Iterable[RsPoint], weighted: bool = False) -> HurstEstimate:
     """Hurst exponent from log2(mean R/S) regressed on log2(window).
 
@@ -265,17 +235,14 @@ def fit_h(points: RsTable | Iterable[RsPoint], weighted: bool = False) -> HurstE
         raise ValidationError("fit requires at least 3 points with distinct windows")
     x = np.log2([p.window for p in pts])
     y = np.log2([p.mean_rs for p in pts])
+    weights = None  # unit weights, as when no scale has scatter
     if weighted:
         stds = np.asarray([p.std_rs for p in pts])
-        weights = np.full(len(pts), np.nan)
         nonzero = stds > 0.0
-        weights[nonzero] = 1.0 / stds[nonzero] ** 2
         if nonzero.any():
+            weights = np.empty(len(pts))
+            weights[nonzero] = 1.0 / stds[nonzero] ** 2
             weights[~nonzero] = np.max(weights[nonzero])
-        else:
-            weights[:] = 1.0
-    else:
-        weights = np.ones(len(pts))
     slope, _, std_err, r_squared = _weighted_line_fit(x, y, weights)
     warnings = []
     if not 0.0 < slope < 1.5:
@@ -322,8 +289,7 @@ def _log_slope(windows: Sequence[int], values: Sequence[float]) -> float:
         raise NumericError("fewer than 3 usable scales; series may be degenerate")
     x = np.log2(np.asarray(windows, dtype=float))
     y = np.log2(np.asarray(values, dtype=float))
-    slope, _, _, _ = _weighted_line_fit(x, y, np.ones(x.size))
-    return slope
+    return _weighted_line_fit(x, y)[0]
 
 
 def _halving_ladder(n: int, min_window: int = 8) -> list[int]:
@@ -388,8 +354,6 @@ def hurst_suite(ts: TimeSeries) -> HurstSuite:
 
     opt_n, ladder = _divisor_ladder(n, min_div=min(50, n // 4))
     points, _ = _rs_points(x[n - opt_n :], ladder)
-    if len(points) < 3:
-        raise NumericError("fewer than 3 usable scales; series may be degenerate")
     windows = [p.window for p in points]
     mean_arr = np.asarray([p.mean_rs for p in points])
     expected = np.asarray([expected_rescaled_range(w) for w in windows])

@@ -12,11 +12,13 @@ Three formats are understood:
 
 ``format="auto"`` picks one of the three from the first data-looking line.
 
-Values equal to the missing sentinel (default -999.9, compared with a
-small tolerance because files are decimal text) are treated as absent.
-Trailing absences are dropped; an interior absence is a gap, and gaps are
-never silently skipped: depending on ``on_gap`` they either raise or
-truncate the series at the gap with a warning record.
+Values within 1e-6 of the missing sentinel (default -999.9; a tolerance
+because files are decimal text) are absent, and so are the months a
+``csv_pair`` file skips. Leading and trailing absences are dropped; an
+interior absence is a gap, and gaps are never silently skipped: depending
+on ``on_gap`` they either raise or truncate the series at the gap with a
+warning record. A non-finite value is never absent, so it is refused as
+data.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries
+from .core import TimeSeries, calendar_month, month_number
 from .errors import ParseError, ValidationError, WarningRecord
+from .errors import WARN_RANGE_CLIPPED, WARN_TRUNCATED_AT_GAP
 
 __all__ = [
     "IngestOptions",
@@ -42,9 +45,6 @@ __all__ = [
 
 FORMATS = ("auto", "cpc_table", "csv_pair", "column")
 ON_GAP = ("error", "truncate_at_first_gap")
-
-WARN_RANGE_CLIPPED = "RANGE_CLIPPED"
-WARN_TRUNCATED_AT_GAP = "TRUNCATED_AT_GAP"
 
 _SENTINEL_TOL = 1e-6
 _DATE_RE = re.compile(r"^(\d{4})-(\d{1,2})$")
@@ -86,15 +86,11 @@ class ParseResult:
     warnings: tuple[WarningRecord, ...] = ()
 
 
-def _is_missing(value: float, sentinel: float) -> bool:
-    return math.isclose(value, sentinel, rel_tol=0.0, abs_tol=_SENTINEL_TOL)
-
-
 def _month_name(anchor: tuple[int, int] | None, index: int) -> str:
     if anchor is None:
         return f"index {index}"
-    total = anchor[0] * 12 + anchor[1] - 1 + index
-    return f"{total // 12:04d}-{total % 12 + 1:02d}"
+    year, month = calendar_month(month_number(anchor) + index)
+    return f"{year:04d}-{month:02d}"
 
 
 def _span_name(span: tuple[tuple[int, int], tuple[int, int]]) -> str:
@@ -102,37 +98,32 @@ def _span_name(span: tuple[tuple[int, int], tuple[int, int]]) -> str:
 
 
 def _resolve_gaps(
-    values: list[float | None],
+    values: np.ndarray,
+    absent: np.ndarray,
     anchor: tuple[int, int] | None,
     on_gap: str,
-) -> tuple[list[float], tuple[int, int] | None, list[WarningRecord]]:
+) -> tuple[np.ndarray, tuple[int, int] | None, list[WarningRecord]]:
     """Strip leading/trailing absences and apply the interior-gap policy."""
-    first = next((i for i, v in enumerate(values) if v is not None), None)
-    if first is None:
+    present = np.flatnonzero(~absent)
+    if not present.size:
         raise ValidationError("document contains no usable values")
-    last = max(i for i, v in enumerate(values) if v is not None)
-    if anchor is not None and first > 0:
-        total = anchor[0] * 12 + anchor[1] - 1 + first
-        anchor = (total // 12, total % 12 + 1)
-    trimmed = values[first : last + 1]
-    warnings: list[WarningRecord] = []
-    try:
-        gap = trimmed.index(None)
-    except ValueError:
-        gap = None
-    if gap is not None:
-        where = _month_name(anchor, gap)
-        if on_gap == "error":
-            raise ValidationError(f"interior gap at {where}")
-        trimmed = trimmed[:gap]
-        warnings.append(
-            WarningRecord(
-                code=WARN_TRUNCATED_AT_GAP,
-                message=f"series truncated at interior gap ({where}); "
-                f"{last + 1 - first - gap} later values dropped",
-            )
-        )
-    return trimmed, anchor, warnings  # type: ignore[return-value]
+    first, last = int(present[0]), int(present[-1])
+    if anchor is not None:
+        anchor = calendar_month(month_number(anchor) + first)
+    values = values[first : last + 1]
+    gaps = np.flatnonzero(absent[first : last + 1])
+    if not gaps.size:
+        return values, anchor, []
+    gap = int(gaps[0])
+    where = _month_name(anchor, gap)
+    if on_gap == "error":
+        raise ValidationError(f"interior gap at {where}")
+    truncated = WarningRecord(
+        code=WARN_TRUNCATED_AT_GAP,
+        message=f"series truncated at interior gap ({where}); "
+        f"{values.size - gap} later values dropped",
+    )
+    return values[:gap], anchor, [truncated]
 
 
 def _sniff_format(text: str) -> str:
@@ -181,8 +172,8 @@ def _sniff_format(text: str) -> str:
     return "cpc_table"
 
 
-def _parse_cpc_table(text: str, opts: IngestOptions) -> tuple[list[float | None], tuple[int, int]]:
-    values: list[float | None] = []
+def _parse_cpc_table(text: str) -> tuple[list[float], tuple[int, int]]:
+    values: list[float] = []
     start_year: int | None = None
     prev_year: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -211,14 +202,16 @@ def _parse_cpc_table(text: str, opts: IngestOptions) -> tuple[list[float | None]
         if start_year is None:
             start_year = year
         prev_year = year
-        values.extend(None if _is_missing(v, opts.missing_sentinel) else v for v in row)
+        values.extend(row)
     if start_year is None:
         raise ParseError("no data rows found")
     return values, (start_year, 1)
 
 
-def _parse_csv_pair(text: str, opts: IngestOptions) -> tuple[list[float | None], tuple[int, int]]:
-    entries: list[tuple[int, float | None]] = []
+def _parse_csv_pair(text: str) -> tuple[list[int], list[float]]:
+    """The month number and the value of each row."""
+    months: list[int] = []
+    values: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -233,25 +226,18 @@ def _parse_csv_pair(text: str, opts: IngestOptions) -> tuple[list[float | None],
             value = float(parts[1])
         except ValueError:
             raise ParseError(f"bad value {parts[1]!r}", lineno) from None
-        month_index = int(match.group(1)) * 12 + int(match.group(2)) - 1
-        if entries and month_index <= entries[-1][0]:
+        month = month_number((int(match.group(1)), int(match.group(2))))
+        if months and month <= months[-1]:
             raise ParseError("dates must be strictly increasing", lineno)
-        entries.append(
-            (month_index, None if _is_missing(value, opts.missing_sentinel) else value)
-        )
-    if not entries:
+        months.append(month)
+        values.append(value)
+    if not months:
         raise ParseError("no data rows found")
-    first_index = entries[0][0]
-    span = entries[-1][0] - first_index + 1
-    values: list[float | None] = [None] * span
-    for month_index, value in entries:
-        values[month_index - first_index] = value
-    return values, (first_index // 12, first_index % 12 + 1)
+    return months, values
 
 
-def _parse_column(text: str, opts: IngestOptions) -> list[float | None]:
-    values: list[float | None] = []
-    seen = False
+def _parse_column(text: str) -> list[float]:
+    values: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -260,9 +246,8 @@ def _parse_column(text: str, opts: IngestOptions) -> list[float | None]:
             value = float(line)
         except ValueError:
             raise ParseError(f"bad value {line!r}", lineno) from None
-        seen = True
-        values.append(None if _is_missing(value, opts.missing_sentinel) else value)
-    if not seen:
+        values.append(value)
+    if not values:
         raise ParseError("no data rows found")
     return values
 
@@ -273,17 +258,14 @@ def select_range(
     """Inclusive calendar slice of an anchored monthly series."""
     if ts.start is None:
         raise ValidationError("range selection requires a calendar anchor")
-    base = ts.start[0] * 12 + ts.start[1] - 1
-    lo = start[0] * 12 + start[1] - 1 - base
-    hi = end[0] * 12 + end[1] - 1 - base
-    lo_clipped = max(lo, 0)
-    hi_clipped = min(hi, len(ts) - 1)
-    if lo_clipped > hi_clipped:
+    base = month_number(ts.start)
+    lo = max(month_number(start) - base, 0)
+    hi = min(month_number(end) - base, len(ts) - 1)
+    if lo > hi:
         raise ValidationError("range selection leaves no samples")
-    anchor_total = base + lo_clipped
     return TimeSeries(
-        values=ts.values[lo_clipped : hi_clipped + 1],
-        start=(anchor_total // 12, anchor_total % 12 + 1),
+        values=ts.values[lo : hi + 1],
+        start=calendar_month(base + lo),
         step_months=ts.step_months,
         label=ts.label,
     )
@@ -300,16 +282,24 @@ def parse(text: str, opts: IngestOptions) -> ParseResult:
     if not text.strip():
         raise ValidationError("document is empty")
     fmt = _sniff_format(text) if opts.format == "auto" else opts.format
-    anchor: tuple[int, int] | None
+    anchor: tuple[int, int] | None = None
     if fmt == "cpc_table":
-        raw_values, anchor = _parse_cpc_table(text, opts)
+        raw, anchor = _parse_cpc_table(text)
     elif fmt == "csv_pair":
-        raw_values, anchor = _parse_csv_pair(text, opts)
+        months, rows = _parse_csv_pair(text)
+        anchor = calendar_month(months[0])
+        # a month the file skips holds the sentinel, so it is absent too
+        raw = np.full(months[-1] - months[0] + 1, opts.missing_sentinel, dtype=float)
+        raw[np.asarray(months) - months[0]] = rows
     else:
-        raw_values = _parse_column(text, opts)
-        anchor = None
-    values, anchor, warnings = _resolve_gaps(raw_values, anchor, opts.on_gap)
-    series = TimeSeries(values=np.asarray(values, dtype=float), start=anchor)
+        raw = _parse_column(text)
+    values = np.asarray(raw, dtype=float)
+    # the sentinel is finite, so nan and inf are never absent; a difference
+    # that overflows is inf and so not absent either
+    with np.errstate(over="ignore"):
+        absent = np.abs(values - opts.missing_sentinel) <= _SENTINEL_TOL
+    values, anchor, warnings = _resolve_gaps(values, absent, anchor, opts.on_gap)
+    series = TimeSeries(values=values, start=anchor)
     if opts.range is not None:
         series = select_range(series, *opts.range)
         delivered = (series.start, series.time_of(len(series) - 1))

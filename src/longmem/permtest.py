@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import frozen_copy
 from .errors import NumericError, ValidationError
 
 __all__ = [
@@ -71,9 +72,7 @@ class PermutationResult:
     decision_5pct: str
 
     def __post_init__(self):
-        arr = np.asarray(self.r_sorted, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "r_sorted", arr)
+        object.__setattr__(self, "r_sorted", frozen_copy(self.r_sorted, dtype=float))
 
 
 def _integer(value, name: str) -> int:
@@ -159,6 +158,21 @@ def nth_permutation(seed: int, index: int, n: int) -> np.ndarray:
     return next(_permutations(seed, n, (index,))).copy()
 
 
+def _sorted_quantile(ascending: np.ndarray, q: float) -> float:
+    """``np.quantile(ascending, q)`` of an ascending array, bit for bit.
+
+    Index (n-1)q = i + t, and numpy's linear rule: a + (b-a)t below t = 0.5,
+    b - (b-a)(1-t) from there, with a, b the values at i and i+1.
+    ``np.quantile`` would import ``numpy.ma``, costly at start-up.
+    """
+    v = (ascending.size - 1) * q
+    i = math.floor(v)
+    t = v - i
+    a = float(ascending[i])
+    b = float(ascending[min(i + 1, ascending.size - 1)])
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+
+
 def perm_test(
     p,
     j,
@@ -210,9 +224,7 @@ def perm_test(
         lo = float(r_sorted[math.ceil(0.025 * n_perm) - 1])
         hi = float(r_sorted[math.floor(0.975 * n_perm) - 1])
         reject = r_obs < lo or r_obs > hi
-    summary = {
-        name: float(np.quantile(r_sorted, q)) for name, q in _SUMMARY_QUANTILES
-    }
+    summary = {name: _sorted_quantile(r_sorted, q) for name, q in _SUMMARY_QUANTILES}
     return PermutationResult(
         r_obs=r_obs,
         n=n,

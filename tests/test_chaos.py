@@ -385,6 +385,32 @@ class TestLyapFit:
         # fitting beside the dead step is fine
         assert lyap_fit(curve, 5, 9).lambda1 == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_agrees_with_polyfit(self, seed):
+        rng = np.random.default_rng(seed)
+        s = int(rng.integers(5, 40))
+        curve = DivergenceCurve(
+            s_values=rng.normal(0.0, 3.0) + rng.normal(0.0, 2.0) * np.arange(s)
+            + rng.standard_normal(s),
+            ref_counts=np.full(s, 50),
+            params=EmbeddingParams(s=s),
+        )
+        start = int(rng.integers(0, s - 3))
+        end = int(rng.integers(start + 2, s))
+        dt = float(rng.uniform(0.1, 3.0))
+        fit = lyap_fit(curve, start, end, dt=dt)
+        steps = np.arange(start, end + 1, dtype=float)
+        y = curve.s_values[start : end + 1]
+        slope, intercept = np.polyfit(steps, y, 1)
+        assert abs(fit.lambda1 - slope / dt) <= 1e-12 * max(1.0, abs(fit.lambda1))
+        r_squared = 1.0 - np.sum((y - intercept - slope * steps) ** 2) / np.sum((y - y.mean()) ** 2)
+        assert abs(fit.r_squared - r_squared) <= 1e-12
+
+    def test_exact_dyadic_line_is_exact(self):
+        fit = lyap_fit(self.flat_curve(0.375, intercept=-1.5, s=8), 0, 7)
+        assert fit.lambda1 == 0.375
+        assert fit.r_squared == 1.0
+
     def test_chaos_consistent_property(self):
         assert LyapunovFit(0.5, (0, 4), 0.95, 1.0).chaos_consistent
         assert not LyapunovFit(-0.1, (0, 4), 0.95, 1.0).chaos_consistent

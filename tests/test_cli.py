@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import longmem
-from longmem import GenSpec, IngestOptions, acf_fft, generate, parse, pearson
+from longmem import EmbeddingParams, GenSpec, IngestOptions, acf_fft, generate, parse, pearson
 from longmem.cli import main
+from longmem.ingest import ON_GAP
 from longmem.permtest import TAILS
 from longmem.synth import KINDS
 
@@ -196,6 +197,25 @@ class TestExitCodes:
         assert main(["lyap", "--input", path, "--eps", "1e-12"]) == 4
         capsys.readouterr()
 
+    @pytest.mark.parametrize("layout", ["cpc_table", "csv_pair", "column"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("index", [3, 11])
+    def test_non_finite_value_exits_three(self, tmp_path, capsys, layout, token, index):
+        # last value included: a non-finite value is data, never a trailing absence
+        tokens = ["0.5", "0.25"] * 6
+        tokens[index] = token
+        if layout == "cpc_table":
+            text = "2014 " + " ".join(tokens) + "\n"
+        elif layout == "csv_pair":
+            text = "".join(f"2014-{i + 1:02d},{t}\n" for i, t in enumerate(tokens))
+        else:
+            text = "\n".join(tokens) + "\n"
+        path = write(tmp_path, "x.txt", text)
+        assert main(["stats", "--input", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: series contains non-finite values\n"
+
     def test_non_finite_missing_sentinel_exits_three(self, tmp_path, capsys):
         # with no usable sentinel the -999.9 pad months would be read as data
         path = write(tmp_path, "soi.txt", CPC_TEXT)
@@ -203,6 +223,29 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: missing_sentinel must be finite, got nan\n"
+
+
+class TestParserDefaults:
+    """Option defaults and choices come from the library, not copies."""
+
+    def test_lyap_defaults_are_embedding_params(self):
+        from longmem.cli import _GRID_FIELDS, _build_parser
+
+        ns = _build_parser("lyap").parse_args(["lyap", "--input", "x.txt"])
+        default = EmbeddingParams()
+        for name, (field, cast) in _GRID_FIELDS.items():
+            assert getattr(ns, name) == getattr(default, field)
+            assert type(getattr(ns, name)) is cast
+        assert ns.seed == default.seed
+        assert ns.random_refs == default.random_sample
+
+    def test_on_gap_choices_are_the_ingest_policies(self):
+        from longmem.cli import _build_parser
+
+        [subparsers] = _build_parser("stats")._subparsers._group_actions
+        [action] = [a for a in subparsers.choices["stats"]._actions if a.dest == "on_gap"]
+        assert tuple(action.choices) == ON_GAP
+        assert action.default == IngestOptions(format="auto").on_gap
 
 
 # Each library name ``benchmarks/tracing.py`` wraps on ``longmem.cli``
@@ -253,9 +296,9 @@ class TestTracerContract:
         argv = traced_command(tmp_path, TRACED_CALLS[name])
         import longmem.cli
 
-        # unbind every library name, as in a process that has not run main
-        for names in longmem.cli._LIBRARY.values():
-            for bound in names:
+        # unbind the analysis modules' names, as in a process that has not run main
+        for module in ("acf", "chaos", "hurst", "permtest", "synth"):
+            for bound in longmem._EXPORTS[module]:
                 monkeypatch.delitem(vars(longmem.cli), bound, raising=False)
         assert hasattr(longmem.cli, name)
         real = getattr(longmem.cli, name)

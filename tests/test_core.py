@@ -12,6 +12,7 @@ from longmem import (
     standardize,
     summarize,
 )
+from longmem.core import _weighted_line_fit, calendar_month, frozen_copy, month_number
 
 
 def series(values, **kwargs):
@@ -203,3 +204,58 @@ class TestStandardize:
     def test_constant_rejected(self):
         with pytest.raises(NumericError):
             standardize(series([2.0, 2.0, 2.0]))
+
+
+class TestCalendar:
+    @pytest.mark.parametrize(
+        "year_month, number",
+        [((0, 1), 0), ((0, 12), 11), ((1, 1), 12), ((1951, 1), 23412), ((2014, 12), 24179)],
+    )
+    def test_month_number(self, year_month, number):
+        assert month_number(year_month) == number
+        assert calendar_month(number) == year_month
+
+    def test_round_trip_across_year_ends(self):
+        for number in range(-30, 30000, 7):
+            year, month = calendar_month(number)
+            assert 1 <= month <= 12
+            assert month_number((year, month)) == number
+
+
+class TestFrozenCopy:
+    def test_copy_is_read_only_and_the_input_is_not(self):
+        values = np.arange(4.0)
+        frozen = frozen_copy(values)
+        assert not frozen.flags.writeable
+        assert values.flags.writeable
+        values[0] = 9.0
+        assert frozen[0] == 0.0
+
+    def test_dtype(self):
+        assert frozen_copy([1, 2], dtype=float).dtype == np.float64
+        assert frozen_copy(np.array([1, 2])).dtype.kind == "i"
+
+
+class TestLineFit:
+    def test_exact_line_gives_its_slope_and_unit_r_squared(self):
+        x = np.arange(10, dtype=float)
+        slope, intercept, std_err, r_squared = _weighted_line_fit(x, 3.0 + 0.5 * x)
+        assert (slope, intercept, std_err, r_squared) == (0.5, 3.0, 0.0, 1.0)
+
+    def test_weights_are_relative(self):
+        rng = np.random.default_rng(4)
+        x = np.log2(np.arange(8, 200, 17, dtype=float))
+        y = 0.7 * x + rng.normal(0.0, 0.05, x.size)
+        weights = rng.uniform(0.5, 2.0, x.size)
+        a = _weighted_line_fit(x, y, weights)
+        b = _weighted_line_fit(x, y, 1000.0 * weights)
+        assert a == pytest.approx(b, rel=1e-12)
+
+    def test_unit_weights_are_no_weights(self):
+        x = np.array([1.0, 2.0, 4.0, 5.0])
+        y = np.array([0.3, 0.1, 0.9, 1.2])
+        assert _weighted_line_fit(x, y) == _weighted_line_fit(x, y, np.full(4, 3.0))
+
+    def test_one_distinct_x_rejected(self):
+        with pytest.raises(ValidationError, match="slope undefined"):
+            _weighted_line_fit(np.ones(4), np.arange(4.0))

@@ -184,6 +184,106 @@ class TestColumn:
         assert np.array_equal(back.values, ts.values)
 
 
+# Twelve data values, January to December 2014 in the anchored formats.
+DATA = [f"{0.1 * k:.1f}" for k in range(1, 13)]
+FORMAT_NAMES = ("cpc_table", "csv_pair", "column")
+
+
+def document(fmt, tokens):
+    """The value ``tokens`` as a document of format ``fmt``."""
+    if fmt == "cpc_table":
+        return "2014 " + " ".join(tokens) + "\n"
+    if fmt == "csv_pair":
+        return "".join(f"2014-{i + 1:02d},{t}\n" for i, t in enumerate(tokens))
+    return "\n".join(tokens) + "\n"
+
+
+def with_token(index, token):
+    tokens = list(DATA)
+    tokens[index] = token
+    return tokens
+
+
+@pytest.mark.parametrize("fmt", FORMAT_NAMES)
+class TestMissingValues:
+    """The missing-value rules every format shares."""
+
+    def parse(self, fmt, tokens, **kwargs):
+        return parse(document(fmt, tokens), IngestOptions(format=fmt, **kwargs))
+
+    @pytest.mark.parametrize("token", ["-999.9", "-999.9000005", "-999.8999995"])
+    def test_value_within_tolerance_is_absent(self, fmt, token):
+        assert len(self.parse(fmt, with_token(11, token)).series) == 11
+        with pytest.raises(ValidationError, match="interior gap"):
+            self.parse(fmt, with_token(5, token))
+
+    @pytest.mark.parametrize("token", ["-999.900002", "-999.899998"])
+    def test_value_two_millionths_away_is_data(self, fmt, token):
+        for index in (5, 11):
+            values = self.parse(fmt, with_token(index, token)).series.values
+            assert values.size == 12
+            assert values[index] == float(token)
+
+    def test_tolerance_follows_the_sentinel(self, fmt):
+        series = self.parse(fmt, with_token(11, "7.0000005"), missing_sentinel=7).series
+        assert len(series) == 11
+        values = self.parse(fmt, with_token(11, "7.25"), missing_sentinel=7).series.values
+        assert values[1] == 0.2
+        assert values[11] == 7.25
+
+    def test_difference_that_overflows_is_data(self, fmt):
+        # |-1e308 - 1e308| overflows to inf, which is no absence and no warning
+        values = self.parse(fmt, with_token(11, "-1e308"), missing_sentinel=1e308).series.values
+        assert values[11] == -1e308
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("index", [0, 5, 11])
+    def test_non_finite_value_is_refused_not_absent(self, fmt, token, index):
+        with pytest.raises(ValidationError, match="non-finite"):
+            self.parse(fmt, with_token(index, token))
+
+    def test_all_sentinels_leave_no_usable_values(self, fmt):
+        with pytest.raises(ValidationError, match="no usable values"):
+            self.parse(fmt, ["-999.9"] * 12)
+
+
+class TestSkippedAndSentinelMonths:
+    """In csv_pair a skipped month and a sentinel month are both absences."""
+
+    def parse(self, text, **kwargs):
+        return parse(text, IngestOptions(format="csv_pair", **kwargs))
+
+    @pytest.mark.parametrize(
+        "rows, where, start, dropped",
+        [
+            (["2014-01,1.0", "2014-02,-999.9", "2014-04,2.0"], "2014-02", (2014, 1), 3),
+            (["2014-01,1.0", "2014-03,-999.9", "2014-04,2.0"], "2014-02", (2014, 1), 3),
+            (
+                ["2013-12,-999.9", "2014-02,1.0", "2014-03,-999.9", "2014-04,2.0"],
+                "2014-03",
+                (2014, 2),
+                2,
+            ),
+        ],
+    )
+    def test_first_absence_is_the_gap(self, rows, where, start, dropped):
+        text = "\n".join(rows) + "\n"
+        with pytest.raises(ValidationError, match=f"interior gap at {where}$"):
+            self.parse(text)
+        result = self.parse(text, on_gap="truncate_at_first_gap")
+        assert result.series.start == start
+        assert list(result.series.values) == [1.0]
+        assert [w.message for w in result.warnings] == [
+            f"series truncated at interior gap ({where}); {dropped} later values dropped"
+        ]
+
+    def test_leading_and_trailing_absences_trimmed(self):
+        text = "2013-11,-999.9\n2014-01,1.0\n2014-02,2.0\n2014-03,-999.9\n2014-05,-999.9\n"
+        series = self.parse(text).series
+        assert series.start == (2014, 1)
+        assert list(series.values) == [1.0, 2.0]
+
+
 class TestRangeSelection:
     def table_1951_1953(self):
         rows = []

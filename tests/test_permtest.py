@@ -1,5 +1,6 @@
 """Pearson correlation and the seeded permutation test."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from longmem import (
     pearson,
     perm_test,
 )
+from longmem.permtest import _SUMMARY_QUANTILES, _sorted_quantile
 
 SEEDS = [0, 1, -1, 2**63, 2**64 - 1, 2**64 + 7]
 _MASK64 = (1 << 64) - 1
@@ -177,6 +179,22 @@ class TestPermTest:
         assert res.r_sorted_summary["min"] == res.r_sorted[0]
         assert res.r_sorted_summary["max"] == res.r_sorted[-1]
 
+    def test_summary_is_numpys_quantiles(self):
+        p, j = self.gaussian_pair()
+        res = perm_test(p, j, n_perm=1234, seed=5)
+        assert res.r_sorted_summary == {
+            name: float(np.quantile(res.r_sorted, q)) for name, q in _SUMMARY_QUANTILES
+        }
+
+    def test_result_copies_the_callers_array(self):
+        p, j = self.gaussian_pair()
+        res = perm_test(p, j, n_perm=100, seed=0)
+        mine = np.array(res.r_sorted)
+        again = dataclasses.replace(res, r_sorted=mine)
+        assert mine.flags.writeable
+        assert not again.r_sorted.flags.writeable
+        assert np.array_equal(again.r_sorted, mine)
+
     def test_critical_values_are_order_statistics(self):
         # 1-indexed positions ceil(0.05 n) and floor(0.95 n): 5 and 95
         p, j = self.gaussian_pair()
@@ -291,3 +309,18 @@ class TestPermTest:
         res = perm_test(p, j, n_perm=100, seed=np.int64(4))
         assert type(res.seed) is int
         assert np.array_equal(res.r_sorted, perm_test(p, j, n_perm=100, seed=4).r_sorted)
+
+
+class TestSortedQuantile:
+    @pytest.mark.parametrize("n", [100, 101, 257, 776, 999, 1000, 1001, 9999, 10000, 10001])
+    def test_bits_match_numpy(self, n):
+        rng = np.random.default_rng(n)
+        values = np.sort(rng.standard_normal(n) * rng.uniform(0.01, 10.0))
+        for _, q in _SUMMARY_QUANTILES:
+            assert _sorted_quantile(values, q) == float(np.quantile(values, q))
+
+    def test_ties_and_single_value(self):
+        values = np.array([-0.5, -0.5, 0.25, 0.25, 0.25, 1.0])
+        for q in (0.0, 0.1, 0.3, 0.5, 0.9, 1.0):
+            assert _sorted_quantile(values, q) == float(np.quantile(values, q))
+        assert _sorted_quantile(np.array([0.3]), 0.5) == 0.3

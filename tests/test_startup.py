@@ -92,9 +92,8 @@ def test_command_loads_only_its_analysis_module(argv, module, tmp_path):
         tmp_path,
     )
     assert report["longmem"] & ANALYSIS == ({module} if module else set())
-    # np.median and np.unique import numpy.ma; permtest's np.quantile still does
-    if argv[0] != "permtest":
-        assert not report["numpy.ma"]
+    # np.median, np.unique and np.quantile import numpy.ma; no command uses them
+    assert not report["numpy.ma"]
 
 
 class TestPackageSurface:
