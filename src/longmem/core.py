@@ -78,9 +78,11 @@ class TimeSeries:
         return self.values.size
 
     def time_of(self, i: int) -> tuple[int, int]:
-        """Calendar (year, month) of sample ``i``. Requires an anchor."""
+        """Calendar (year, month) of sample ``i``, ``0 <= i < len``. Requires an anchor."""
         if self.start is None:
             raise ValidationError("series has no calendar anchor")
+        if not 0 <= i < len(self):
+            raise ValidationError(f"sample index {i} outside [0, {len(self)})")
         return calendar_month(month_number(self.start) + i * self.step_months)
 
     def with_values(self, values: np.ndarray) -> "TimeSeries":

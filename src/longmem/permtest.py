@@ -7,7 +7,12 @@ counter-based Philox generator keyed by ``(seed, k)``: the same bit
 pattern whether it is drawn inside ``perm_test``, alone by
 ``nth_permutation``, or in any order. ``perm_test`` builds one generator
 per call and re-keys it for each permutation rather than building one
-generator per permutation, which would cost as much as the shuffle.
+generator per permutation, which would cost as much as the shuffle. It
+shuffles a copy of the second series' unit residual in place of drawing
+an index permutation and gathering through it: the shuffle moves items
+without reading them, so the copy comes out as that gather, bit for bit,
+and no index array or gathered array is made per permutation. What is
+left per permutation is numpy's shuffle, a copy and one dot product.
 
 Critical values follow the sorted-position convention: with the permuted
 correlations sorted ascending, the lower 5% critical value sits at
@@ -19,6 +24,7 @@ never exactly zero.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Iterable, Iterator
@@ -110,34 +116,50 @@ def pearson(p, j) -> float:
     return float(_unit_residual(p, "first input") @ _unit_residual(j, "second input"))
 
 
-def _permutations(seed: int, n: int, indices: Iterable[int]) -> Iterator[np.ndarray]:
-    """Permutation ``k`` of ``range(n)`` under ``seed``, for each ``k`` in ``indices``.
+@functools.cache
+def _throwaway_seed() -> np.random.SeedSequence:
+    """Seed of the Philox that ``_shuffled`` re-keys, hashed once per process.
 
-    Permutation ``k`` is what a fresh
-    ``Generator(Philox(key=[seed mod 2**64, k mod 2**64])).permutation(n)``
-    returns. One Philox is built per call and, for each ``k``, set to the
-    state such a fresh generator starts in: counter 0, an empty output
-    buffer, no cached 32-bit half. Every permutation is shuffled into the
-    same buffer, so a caller that keeps one must copy it.
+    Its key is replaced before every draw, so the seed never reaches a
+    permutation; building the Philox from a fresh ``SeedSequence`` would
+    cost about as much as a short shuffle. Made on first use, so importing
+    this module does not import ``numpy.random``.
     """
-    seed_key = seed & _MASK64
-    bitgen = np.random.Philox(0)  # its key is replaced before every draw
+    return np.random.SeedSequence(0)
+
+
+def _shuffled(seed: int, values: np.ndarray, indices: Iterable[int]) -> Iterator[np.ndarray]:
+    """``values`` shuffled by permutation ``k`` under ``seed``, for each ``k`` in ``indices``.
+
+    Permutation ``k`` is the shuffle a fresh
+    ``Generator(Philox(key=[seed mod 2**64, k mod 2**64]))`` draws. The
+    shuffle's draws depend only on ``values.size``, and it moves items
+    without reading them, so the result is ``values[perm]``, bit for bit,
+    with ``perm`` that generator's ``permutation(values.size)``. One
+    Philox is built per call and, for each ``k``, set to the state such a
+    fresh generator starts in: counter 0, an empty output buffer, no
+    cached 32-bit half. Every permutation is shuffled into the same
+    buffer, so a caller that keeps one must copy it.
+    """
+    bitgen = np.random.Philox(_throwaway_seed())
     gen = np.random.Generator(bitgen)
-    base = np.arange(n)
-    perm = np.empty_like(base)
+    key = [seed & _MASK64, 0]
     zeros = [0, 0, 0, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": key},
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    buf = np.empty_like(values)
     for k in indices:
-        bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": zeros, "key": [seed_key, k & _MASK64]},
-            "buffer": zeros,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        np.copyto(perm, base)
-        gen.shuffle(perm)
-        yield perm
+        key[1] = k & _MASK64
+        bitgen.state = state
+        np.copyto(buf, values)
+        gen.shuffle(buf)
+        yield buf
 
 
 def nth_permutation(seed: int, index: int, n: int) -> np.ndarray:
@@ -155,7 +177,7 @@ def nth_permutation(seed: int, index: int, n: int) -> np.ndarray:
         raise ValidationError("permutation length must be positive")
     if index < 0:
         raise ValidationError("permutation index must be non-negative")
-    return next(_permutations(seed, n, (index,))).copy()
+    return next(_shuffled(seed, np.arange(n), (index,))).copy()
 
 
 def _sorted_quantile(ascending: np.ndarray, q: float) -> float:
@@ -202,8 +224,8 @@ def perm_test(
     n = p.size
     r_perm = np.empty(n_perm)
     # one 1-d dot per permutation: a 2-d product may round differently
-    for k, perm in enumerate(_permutations(seed, n, range(n_perm))):
-        r_perm[k] = p_unit @ j_unit[perm]
+    for k, shuffled in enumerate(_shuffled(seed, j_unit, range(n_perm))):
+        r_perm[k] = p_unit @ shuffled
     r_sorted = np.sort(r_perm)
 
     # 1-indexed order statistics of the ascending sort.

@@ -70,6 +70,19 @@ class TestTimeSeries:
         ts = series([0.0, 0.0, 0.0], start=(2000, 11), step_months=3)
         assert ts.time_of(1) == (2001, 2)
 
+    def test_time_of_rejects_index_outside_series(self):
+        ts = series([1.0], start=(2000, 1))
+        assert ts.time_of(0) == (2000, 1)
+        for i in (1, 5, -1, -3):
+            with pytest.raises(ValidationError, match="outside"):
+                ts.time_of(i)
+
+    def test_time_of_last_valid_index(self):
+        ts = series([0.0] * 20, start=(2014, 1))
+        assert ts.time_of(len(ts) - 1) == (2015, 8)
+        with pytest.raises(ValidationError):
+            ts.time_of(len(ts))
+
     def test_time_of_without_anchor_rejected(self):
         with pytest.raises(ValidationError):
             series([1.0, 2.0]).time_of(1)

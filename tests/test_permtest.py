@@ -1,10 +1,13 @@
 """Pearson correlation and the seeded permutation test."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from longmem import (
     NumericError,
@@ -13,7 +16,7 @@ from longmem import (
     pearson,
     perm_test,
 )
-from longmem.permtest import _SUMMARY_QUANTILES, _sorted_quantile
+from longmem.permtest import _SUMMARY_QUANTILES, _shuffled, _sorted_quantile
 
 SEEDS = [0, 1, -1, 2**63, 2**64 - 1, 2**64 + 7]
 _MASK64 = (1 << 64) - 1
@@ -23,6 +26,66 @@ def fresh_philox_permutation(seed, index, n):
     """Reference: a new generator keyed on (seed, index), both mod 2**64."""
     key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key)).permutation(n)
+
+
+def full_index_perm_test(p, j, n_perm, seed, tail):
+    """Reference: the permutation test as an index permutation and a gather.
+
+    Permutation ``k`` of ``range(n)`` is drawn by one Philox re-keyed to
+    ``(seed, k)``, and each permuted correlation is ``p_unit @
+    j_unit[perm]``, one 1-d dot. ``perm_test`` shuffles a copy of
+    ``j_unit`` instead, which must give the same bits. Returns the fields
+    that depend on the permuted correlations.
+    """
+    p_unit = (p - p.mean()) / np.linalg.norm(p - p.mean())
+    j_unit = (j - j.mean()) / np.linalg.norm(j - j.mean())
+    r_obs = float(p_unit @ j_unit)
+    n = p.size
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    base = np.arange(n)
+    perm = np.empty_like(base)
+    zeros = [0, 0, 0, 0]
+    r_perm = np.empty(n_perm)
+    for k in range(n_perm):
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": [seed & _MASK64, k & _MASK64]},
+            "buffer": zeros,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        np.copyto(perm, base)
+        gen.shuffle(perm)
+        r_perm[k] = p_unit @ j_unit[perm]
+    r_sorted = np.sort(r_perm)
+    if tail == "lower":
+        reject = r_obs < r_sorted[math.ceil(0.05 * n_perm) - 1]
+    elif tail == "upper":
+        reject = r_obs > r_sorted[math.floor(0.95 * n_perm) - 1]
+    else:
+        lo = r_sorted[math.ceil(0.025 * n_perm) - 1]
+        hi = r_sorted[math.floor(0.975 * n_perm) - 1]
+        reject = r_obs < lo or r_obs > hi
+    return {
+        "r_sorted": [float(r).hex() for r in r_sorted],
+        "r_crit_lower": float(r_sorted[math.ceil(0.05 * n_perm) - 1]).hex(),
+        "r_crit_upper": float(r_sorted[math.floor(0.95 * n_perm) - 1]).hex(),
+        "p_lower": (int(np.count_nonzero(r_perm <= r_obs)) + 1) / (n_perm + 1),
+        "p_upper": (int(np.count_nonzero(r_perm >= r_obs)) + 1) / (n_perm + 1),
+        "p_two_sided": (int(np.count_nonzero(np.abs(r_perm) >= abs(r_obs))) + 1) / (n_perm + 1),
+        "decision_5pct": "reject" if reject else "fail-to-reject",
+    }
+
+
+# n x n_perm x tail, with the edge seeds cycled over the cells
+PARITY_GRID = [
+    (n, n_perm, tail, SEEDS[i % len(SEEDS)])
+    for i, (n, n_perm, tail) in enumerate(
+        itertools.product((3, 776, 4097), (100, 1000), ("lower", "upper", "two"))
+    )
+]
 
 
 class TestPearson:
@@ -107,6 +170,16 @@ class TestNthPermutation:
         first[:] = 0
         assert np.array_equal(nth_permutation(2, 5, 100), expected)
 
+    def test_consecutive_results_do_not_alias(self):
+        first = nth_permutation(2, 5, 100)
+        second = nth_permutation(2, 6, 100)
+        assert not np.shares_memory(first, second)
+        kept = second.copy()
+        first[:] = 0
+        assert np.array_equal(second, kept)
+        assert np.array_equal(nth_permutation(2, 6, 100), kept)
+        assert np.array_equal(nth_permutation(2, 5, 100), fresh_philox_permutation(2, 5, 100))
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             nth_permutation(0, -1, 10)
@@ -134,6 +207,53 @@ class TestNthPermutation:
         expected = nth_permutation(3, 4, 50)
         assert np.array_equal(nth_permutation(np.int64(3), np.uint32(4), np.int16(50)), expected)
         assert np.array_equal(nth_permutation(np.int64(-1), 0, 5), nth_permutation(-1, 0, 5))
+
+
+class TestShuffledCopy:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.one_of(
+            st.sampled_from([-1, 2**64 - 1, 2**64 + 7]),
+            st.integers(min_value=-(2**70), max_value=2**70),
+        ),
+        k=st.integers(min_value=0, max_value=2**70),
+        n=st.integers(min_value=1, max_value=5000),
+        data_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(seed=-1, k=0, n=1, data_seed=0)
+    @example(seed=2**64 - 1, k=2**64 - 1, n=776, data_seed=1)
+    @example(seed=2**64 + 7, k=2**64 + 3, n=5000, data_seed=2)
+    def test_shuffled_copy_is_the_gather(self, seed, k, n, data_seed):
+        # any 64-bit pattern, nan payloads and signed zeros included, is
+        # moved as it is: the shuffle never reads the items
+        values = np.frombuffer(np.random.default_rng(data_seed).bytes(8 * n), dtype=np.float64)
+        shuffled = next(_shuffled(seed, values, (k,)))
+        assert shuffled.dtype == np.float64
+        assert shuffled.tobytes() == values[nth_permutation(seed, k, n)].tobytes()
+        assert shuffled.tobytes() == values[fresh_philox_permutation(seed, k, n)].tobytes()
+
+    @pytest.mark.parametrize("n, n_perm, tail, seed", PARITY_GRID)
+    def test_perm_test_matches_full_index_loop(self, n, n_perm, tail, seed):
+        rng = np.random.default_rng(n + n_perm)
+        p, j = rng.standard_normal((2, n))
+        res = perm_test(p, j, n_perm=n_perm, seed=seed, tail=tail)
+        got = {
+            "r_sorted": [float(r).hex() for r in res.r_sorted],
+            "r_crit_lower": res.r_crit_lower.hex(),
+            "r_crit_upper": res.r_crit_upper.hex(),
+            "p_lower": res.p_lower,
+            "p_upper": res.p_upper,
+            "p_two_sided": res.p_two_sided,
+            "decision_5pct": res.decision_5pct,
+        }
+        assert got == full_index_perm_test(p, j, n_perm, seed, tail)
+
+    def test_perm_test_leaves_inputs_unchanged(self):
+        rng = np.random.default_rng(3)
+        p, j = rng.standard_normal((2, 200))
+        kept = p.tobytes(), j.tobytes()
+        perm_test(p, j, n_perm=100, seed=0)
+        assert (p.tobytes(), j.tobytes()) == kept
 
 
 class TestPermTest:
