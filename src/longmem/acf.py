@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries, frozen_copy
+from .core import TimeSeries, frozen_copy, sample_values
 from .errors import NumericError, ValidationError
 
 __all__ = ["AcfResult", "acf_direct", "acf_fft", "first_zero_crossing", "band_mean"]
@@ -35,9 +35,7 @@ class AcfResult:
 
 
 def _check_input(ts: TimeSeries | np.ndarray, max_lag: int) -> np.ndarray:
-    values = ts.values if isinstance(ts, TimeSeries) else np.asarray(ts, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValidationError("input must be a non-empty 1-d series")
+    values = sample_values(ts)
     n = values.size
     if not 1 <= max_lag < n:
         raise ValidationError(f"max_lag must be in [1, {n - 1}], got {max_lag}")

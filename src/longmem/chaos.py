@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries, _weighted_line_fit, frozen_copy, standardize
+from .core import TimeSeries, _weighted_line_fit, frozen_copy, sample_values, standardize
 from .errors import EpsTooSmallError, ValidationError
 
 __all__ = ["EmbeddingParams", "DivergenceCurve", "LyapunovFit", "embed", "lyap_k", "lyap_fit"]
@@ -134,7 +134,7 @@ def embed(x, m: int, d: int) -> np.ndarray:
     Vector i is (x[i], x[i+d], ..., x[i+(m-1)d]); the result has
     n - (m-1)*d rows.
     """
-    arr = np.asarray(x, dtype=float)
+    arr = sample_values(x)
     if m < 1 or d < 1:
         raise ValidationError("embedding requires m >= 1 and d >= 1")
     count = arr.size - (m - 1) * d

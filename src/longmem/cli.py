@@ -24,6 +24,7 @@ import hashlib
 import importlib
 import itertools
 import json
+import math
 import shlex
 import sys
 from collections.abc import Iterable
@@ -32,7 +33,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import _EXPORTS, _SOURCE
-from .core import TimeSeries, summarize
+from .core import TimeSeries, format_month, summarize
 from .errors import (
     WARN_EPS_TOO_SMALL,
     WARN_SKIPPED_BLOCKS,
@@ -354,6 +355,17 @@ def _jsonable(value):
     return value
 
 
+def _null_non_finite(value):
+    """``value`` with each nan or infinite float as None, for strict JSON."""
+    if isinstance(value, dict):
+        return {k: _null_non_finite(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_null_non_finite(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _envelope(argv, inputs, results, warnings) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -391,7 +403,8 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
 def _emit(ns, envelope: dict, table_lines: list[str]) -> None:
     warnings = envelope["warnings"]
     if ns.format == "json":
-        sys.stdout.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+        strict = _null_non_finite(envelope)
+        sys.stdout.write(json.dumps(strict, indent=2, sort_keys=True, allow_nan=False) + "\n")
         return
     if ns.format == "csv":
         rows: list[tuple[str, str]] = []
@@ -447,7 +460,7 @@ def _cmd_stats(ns) -> _Report:
 def _cmd_acf(ns) -> _Report:
     [series], inputs, warnings = _load_series(ns, ns.input)
     compute = acf_fft if ns.method == "fft" else acf_direct
-    result = compute(series.values, ns.max_lag)
+    result = compute(series, ns.max_lag)
     results = {
         "n": result.n,
         "max_lag": result.max_lag,
@@ -504,12 +517,8 @@ def _cmd_hurst(ns) -> _Report:
 def _cmd_suite(ns) -> _Report:
     [series], inputs, warnings = _load_series(ns, ns.input)
     results = asdict(hurst_suite(series))
-    width = max(len(label) for label in _SUITE_LABELS) + 1
-    lines = [
-        f"{label + ':':<{width}}  {_fmt_value(value)}"
-        for label, value in zip(_SUITE_LABELS, results.values())
-    ]
-    return _Report(inputs, results, warnings, lines)
+    labelled = {f"{label}:": value for label, value in zip(_SUITE_LABELS, results.values())}
+    return _Report(inputs, results, warnings, _kv_lines(labelled))
 
 
 def _parse_grid(spec: str) -> list[dict]:
@@ -600,7 +609,7 @@ def _check_calendars(paths: list[str], series: list[TimeSeries]) -> None:
     """Refuse to pair anchored inputs that start in different months."""
     anchored = [(p, s.start) for p, s in zip(paths, series) if s.start is not None]
     if len({start for _, start in anchored}) > 1:
-        starts = ", ".join(f"{p} starts {y:04d}-{m:02d}" for p, (y, m) in anchored)
+        starts = ", ".join(f"{p} starts {format_month(start)}" for p, start in anchored)
         raise ValidationError(
             f"inputs start in different months ({starts}); permtest pairs "
             "samples by position, so anchored inputs must share a start"
@@ -612,7 +621,7 @@ def _cmd_permtest(ns) -> _Report:
     series, inputs, warnings = _load_series(ns, *paths)
     _check_calendars(paths, series)
     if ns.y is not None:
-        y_values = series[1].values
+        y = series[1]
     else:
         u_series, v_series = series[1:]
         if len(u_series) != len(v_series):
@@ -620,11 +629,11 @@ def _cmd_permtest(ns) -> _Report:
                 "resultant component files must have equal length "
                 f"({len(u_series)} vs {len(v_series)})"
             )
-        y_values = np.hypot(u_series.values, v_series.values)
+        y = np.hypot(u_series.values, v_series.values)
 
     result = perm_test(
-        series[0].values,
-        y_values,
+        series[0],
+        y,
         n_perm=ns.n_perm,
         seed=ns.seed,
         tail=ns.tail,

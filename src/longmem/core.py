@@ -31,6 +31,12 @@ def calendar_month(number: int) -> tuple[int, int]:
     return year, month + 1
 
 
+def format_month(year_month: tuple[int, int]) -> str:
+    """``(year, month)`` written as ``YYYY-MM``."""
+    year, month = year_month
+    return f"{year:04d}-{month:02d}"
+
+
 def frozen_copy(values, dtype=None) -> np.ndarray:
     """A read-only copy of ``values``, so a result never shares the caller's array."""
     arr = np.array(values, dtype=dtype)
@@ -40,24 +46,24 @@ def frozen_copy(values, dtype=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Ordered finite real samples with optional monthly calendar anchoring.
+    """Ordered finite real samples, one a month, with an optional calendar anchor.
+
+    This is the one definition of valid samples: every analysis checks a
+    raw array by building a ``TimeSeries`` of it (``sample_values``).
 
     Parameters
     ----------
     values : array-like of float
-        The samples. Must be non-empty and finite.
+        The samples. Must be a non-empty 1-d sequence of finite values.
     start : (year, month) tuple, optional
         Calendar anchor of the first sample. When present, sample ``i``
-        falls at ``start + i * step_months`` months.
-    step_months : int
-        Sampling interval in months (default 1).
+        falls ``i`` months after ``start``.
     label : str
         Free-text description carried through analyses.
     """
 
     values: np.ndarray
     start: tuple[int, int] | None = None
-    step_months: int = 1
     label: str = ""
 
     def __post_init__(self):
@@ -66,8 +72,6 @@ class TimeSeries:
             raise ValidationError("series must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("series contains non-finite values")
-        if self.step_months <= 0:
-            raise ValidationError("step_months must be positive")
         if self.start is not None:
             year, month = self.start
             if not 1 <= month <= 12:
@@ -83,11 +87,16 @@ class TimeSeries:
             raise ValidationError("series has no calendar anchor")
         if not 0 <= i < len(self):
             raise ValidationError(f"sample index {i} outside [0, {len(self)})")
-        return calendar_month(month_number(self.start) + i * self.step_months)
+        return calendar_month(month_number(self.start) + i)
 
     def with_values(self, values: np.ndarray) -> "TimeSeries":
         """Copy of this series with new samples, same anchor and label."""
         return replace(self, values=values)
+
+
+def sample_values(x: TimeSeries | np.ndarray) -> np.ndarray:
+    """The samples of ``x``, checked as a ``TimeSeries`` unless it is one."""
+    return x.values if isinstance(x, TimeSeries) else TimeSeries(x).values
 
 
 @dataclass(frozen=True)

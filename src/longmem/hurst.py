@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import TimeSeries, _weighted_line_fit
+from .core import TimeSeries, _weighted_line_fit, sample_values
 from .errors import WARN_H_OUT_OF_RANGE, NumericError, ValidationError, WarningRecord
 from .errors import WARN_SKIPPED_BLOCKS  # noqa: F401  (still importable from here)
 
@@ -119,16 +119,16 @@ class FractalSummary:
     rho: float
 
 
-def rs_statistic(x: Sequence[float] | np.ndarray) -> float:
+def rs_statistic(x: TimeSeries | Sequence[float] | np.ndarray) -> float:
     """Rescaled adjusted range R/S of one block.
 
     R is the range of the mean-adjusted partial sums, S the sample
     standard deviation (n-1 divisor). Raises ``NumericError`` on a
     constant block, where S vanishes.
     """
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValidationError("rs_statistic requires a 1-d block of length >= 2")
+    arr = sample_values(x)
+    if arr.size < 2:
+        raise ValidationError("rs_statistic requires a block of length >= 2")
     s = np.std(arr, ddof=1)
     if s == 0.0:
         raise NumericError("rescaled range undefined for a constant block")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries, calendar_month, month_number
+from .core import TimeSeries, calendar_month, format_month, month_number
 from .errors import ParseError, ValidationError, WarningRecord
 from .errors import WARN_RANGE_CLIPPED, WARN_TRUNCATED_AT_GAP
 
@@ -89,12 +89,11 @@ class ParseResult:
 def _month_name(anchor: tuple[int, int] | None, index: int) -> str:
     if anchor is None:
         return f"index {index}"
-    year, month = calendar_month(month_number(anchor) + index)
-    return f"{year:04d}-{month:02d}"
+    return format_month(calendar_month(month_number(anchor) + index))
 
 
 def _span_name(span: tuple[tuple[int, int], tuple[int, int]]) -> str:
-    return f"{_month_name(span[0], 0)}:{_month_name(span[1], 0)}"
+    return f"{format_month(span[0])}:{format_month(span[1])}"
 
 
 def _resolve_gaps(
@@ -266,7 +265,6 @@ def select_range(
     return TimeSeries(
         values=ts.values[lo : hi + 1],
         start=calendar_month(base + lo),
-        step_months=ts.step_months,
         label=ts.label,
     )
 
@@ -320,6 +318,6 @@ def serialize_column(ts: TimeSeries) -> str:
     if ts.label:
         lines.append(f"# {ts.label}")
     if ts.start is not None:
-        lines.append(f"# start {ts.start[0]:04d}-{ts.start[1]:02d}")
+        lines.append(f"# start {format_month(ts.start)}")
     lines.extend(repr(float(v)) for v in ts.values)
     return "\n".join(lines) + "\n"

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import frozen_copy
+from .core import frozen_copy, sample_values
 from .errors import NumericError, ValidationError
 
 __all__ = [
@@ -97,21 +97,16 @@ def _unit_residual(x: np.ndarray, name: str) -> np.ndarray:
 
 
 def _paired(p, j) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(p, dtype=float)
-    j = np.asarray(j, dtype=float)
-    if p.ndim != 1 or j.ndim != 1:
-        raise ValidationError("inputs must be one-dimensional")
-    if p.shape != j.shape:
+    p, j = sample_values(p), sample_values(j)
+    if p.size != j.size:
         raise ValidationError(f"length mismatch: {p.size} vs {j.size}")
     if p.size < 3:
         raise ValidationError("need at least 3 paired samples")
-    if not (np.isfinite(p).all() and np.isfinite(j).all()):
-        raise ValidationError("inputs must be finite")
     return p, j
 
 
 def pearson(p, j) -> float:
-    """Pearson correlation of two equal-length 1-d arrays."""
+    """Pearson correlation of two equal-length series or 1-d arrays."""
     p, j = _paired(p, j)
     return float(_unit_residual(p, "first input") @ _unit_residual(j, "second input"))
 

@@ -22,16 +22,27 @@ from .errors import NumericError, ValidationError
 
 __all__ = ["GenSpec", "generate", "fgn_autocovariance"]
 
-KINDS = ("white", "walk", "fgn", "ar1", "logistic", "sine")
+# The parameters each kind reads, with the default of an optional one
+# (None where the parameter is required).
+_KIND_PARAMS = {
+    "white": {},
+    "walk": {},
+    "fgn": {"h": None},
+    "ar1": {"phi": None},
+    "logistic": {"r": 4.0, "x0": 0.2},
+    "sine": {"period": None},
+}
+KINDS = tuple(_KIND_PARAMS)
 
 
 @dataclass(frozen=True)
 class GenSpec:
     """Recipe for one synthetic series.
 
-    ``kind`` selects the generator; the kind-specific parameter fields are
-    ignored by the other kinds. ``seed`` pins the stochastic kinds and is
-    ignored by the deterministic ones (logistic, sine).
+    ``kind`` selects the generator. A kind-specific parameter given to a
+    kind that does not read it is refused, and logistic's unset ``r`` and
+    ``x0`` take their defaults (4.0 and 0.2). ``seed`` pins the stochastic
+    kinds and is ignored by the deterministic ones (logistic, sine).
     """
 
     kind: str
@@ -48,6 +59,17 @@ class GenSpec:
             raise ValidationError(f"unknown generator kind {self.kind!r}")
         if self.n < 2:
             raise ValidationError("n must be at least 2")
+        params = _KIND_PARAMS[self.kind]
+        unused = [
+            name
+            for name in ("h", "phi", "r", "x0", "period")
+            if getattr(self, name) is not None and name not in params
+        ]
+        if unused:
+            raise ValidationError(f"{self.kind} takes no {', '.join(unused)}")
+        for name, default in params.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         if self.kind == "fgn":
             if self.h is None or not np.isfinite(self.h) or not 0.0 < self.h < 1.0:
                 raise ValidationError("fgn requires target h in (0, 1)")
@@ -55,11 +77,9 @@ class GenSpec:
             if self.phi is None or not np.isfinite(self.phi) or not -1.0 < self.phi < 1.0:
                 raise ValidationError("ar1 requires phi in (-1, 1)")
         elif self.kind == "logistic":
-            r = 4.0 if self.r is None else self.r
-            x0 = 0.2 if self.x0 is None else self.x0
-            if not np.isfinite(r) or not 0.0 < r <= 4.0:
+            if not np.isfinite(self.r) or not 0.0 < self.r <= 4.0:
                 raise ValidationError("logistic requires r in (0, 4]")
-            if not np.isfinite(x0) or not 0.0 < x0 < 1.0:
+            if not np.isfinite(self.x0) or not 0.0 < self.x0 < 1.0:
                 raise ValidationError("logistic requires x0 in (0, 1)")
         elif self.kind == "sine":
             if self.period is None or not np.isfinite(self.period) or self.period <= 0:
@@ -164,8 +184,7 @@ def generate(spec: GenSpec) -> TimeSeries:
         steps = itertools.accumulate(eps[1:].tolist(), lambda v, e: phi * v + e, initial=x0)
         values = np.fromiter(steps, dtype=float, count=n)
     elif kind == "logistic":
-        r = 4.0 if spec.r is None else spec.r
-        x = 0.2 if spec.x0 is None else spec.x0
+        r, x = spec.r, spec.x0
         values = np.empty(n)
         for t in range(n):
             x = r * x * (1.0 - x)

@@ -105,6 +105,25 @@ class TestEnvelope:
         expected = acf_fft(generate(GenSpec(kind="white", n=128, seed=3)), 20)
         assert coeffs == list(expected.coefficients)
 
+    def test_json_writes_non_finite_as_null(self, tmp_path, capsys):
+        # quantized AR(1) at a tiny radius: step 0 of the curve has no
+        # non-tied neighbour, so its S is nan
+        values = np.round(generate(GenSpec(kind="ar1", n=776, seed=1, phi=0.7)).values, 1)
+        path = write(tmp_path, "ar.txt", "".join(f"{v!r}\n" for v in values.tolist()))
+        argv = ["lyap", "--input", path, "--m", "1", "--eps", "0.01"]
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 0
+
+        def refuse(token):
+            raise AssertionError(f"non-JSON token {token}")
+
+        s_values = json.loads(out, parse_constant=refuse)["results"]["curves"][0]["s_values"]
+        assert s_values[0] is None
+        assert all(isinstance(s, float) for s in s_values[1:])
+        code, out = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert "curves.0.s_values.0,nan" in out.splitlines()
+
     def test_csv_format(self, tmp_path, capsys):
         path = write(tmp_path, "soi.txt", CPC_TEXT)
         code, out = run(capsys, "stats", "--input", path, "--format", "csv")
@@ -652,6 +671,13 @@ class TestGenCommand:
         capsys.readouterr()
         assert main(["gen", "--kind", "fgn", "--n", "5000", "--h", "0.7"]) == 0
         capsys.readouterr()
+
+    def test_parameters_the_kind_ignores_exit_three(self, tmp_path, capsys):
+        out_path = tmp_path / "w.txt"
+        argv = ["gen", "--kind", "white", "--n", "4", "--h", "0.7", "--phi", "0.3"]
+        assert main([*argv, "--out", str(out_path), "--format", "json"]) == 3
+        assert capsys.readouterr().out == ""
+        assert not out_path.exists()
 
 
 class TestModuleEntryPoint:

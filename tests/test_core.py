@@ -1,5 +1,6 @@
 """Container validation and descriptive statistics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,10 +10,23 @@ from longmem import (
     NumericError,
     TimeSeries,
     ValidationError,
+    acf_direct,
+    acf_fft,
+    embed,
+    pearson,
+    perm_test,
+    rs_statistic,
     standardize,
     summarize,
 )
-from longmem.core import _weighted_line_fit, calendar_month, frozen_copy, month_number
+from longmem.core import (
+    _weighted_line_fit,
+    calendar_month,
+    format_month,
+    frozen_copy,
+    month_number,
+    sample_values,
+)
 
 
 def series(values, **kwargs):
@@ -24,8 +38,11 @@ class TestTimeSeries:
         ts = series([1.0, 2.0, 3.0], start=(1951, 1), label="demo")
         assert len(ts) == 3
         assert ts.start == (1951, 1)
-        assert ts.step_months == 1
         assert ts.label == "demo"
+
+    def test_fields_are_values_start_label(self):
+        assert [f.name for f in dataclasses.fields(TimeSeries)] == ["values", "start", "label"]
+        assert TimeSeries([1.0], (1951, 1), "demo").label == "demo"
 
     def test_values_are_copied_and_immutable(self):
         raw = np.array([1.0, 2.0, 3.0])
@@ -55,20 +72,12 @@ class TestTimeSeries:
         with pytest.raises(ValidationError):
             series([1.0], start=(1951, 0))
 
-    def test_bad_step_rejected(self):
-        with pytest.raises(ValidationError):
-            series([1.0], step_months=0)
-
     def test_time_of_maps_index_to_calendar(self):
         ts = series([0.0] * 30, start=(2014, 1))
         assert ts.time_of(0) == (2014, 1)
         assert ts.time_of(11) == (2014, 12)
         assert ts.time_of(12) == (2015, 1)
         assert ts.time_of(19) == (2015, 8)
-
-    def test_time_of_respects_step(self):
-        ts = series([0.0, 0.0, 0.0], start=(2000, 11), step_months=3)
-        assert ts.time_of(1) == (2001, 2)
 
     def test_time_of_rejects_index_outside_series(self):
         ts = series([1.0], start=(2000, 1))
@@ -233,6 +242,66 @@ class TestCalendar:
             year, month = calendar_month(number)
             assert 1 <= month <= 12
             assert month_number((year, month)) == number
+
+    @pytest.mark.parametrize(
+        "year_month, text",
+        [((1951, 1), "1951-01"), ((2015, 12), "2015-12"), ((800, 7), "0800-07")],
+    )
+    def test_format_month(self, year_month, text):
+        assert format_month(year_month) == text
+
+
+GOOD = [1.0, 3.0, 2.0, 5.0, 4.0]
+
+# Every analysis that takes raw samples, called with ``x`` in one slot and
+# good samples in the others.
+RAW_SAMPLE_CALLS = {
+    "acf_fft": lambda x: acf_fft(x, 1),
+    "acf_direct": lambda x: acf_direct(x, 1),
+    "perm_test first": lambda x: perm_test(x, GOOD, n_perm=100),
+    "perm_test second": lambda x: perm_test(GOOD, x, n_perm=100),
+    "pearson first": lambda x: pearson(x, GOOD),
+    "pearson second": lambda x: pearson(GOOD, x),
+    "rs_statistic": rs_statistic,
+    "embed": lambda x: embed(x, 1, 1),
+}
+
+BAD_SAMPLES = {
+    "nan": [1.0, np.nan, 3.0, 2.0, 4.0],
+    "inf": [1.0, np.inf, 3.0, 2.0, 4.0],
+    "2-d": np.arange(10.0).reshape(5, 2),
+    "empty": [],
+}
+
+
+class TestSeriesContract:
+    """Raw samples are valid exactly when they make a ``TimeSeries``."""
+
+    @pytest.mark.parametrize("bad", BAD_SAMPLES)
+    @pytest.mark.parametrize("call", RAW_SAMPLE_CALLS)
+    def test_invalid_samples_rejected(self, call, bad):
+        with pytest.raises(ValidationError):
+            TimeSeries(BAD_SAMPLES[bad])
+        with pytest.raises(ValidationError):
+            RAW_SAMPLE_CALLS[call](BAD_SAMPLES[bad])
+
+    @pytest.mark.parametrize("call", RAW_SAMPLE_CALLS)
+    def test_series_and_its_samples_agree(self, call):
+        def exact(result):
+            if dataclasses.is_dataclass(result):
+                return [np.asarray(v).tolist() for v in dataclasses.astuple(result)]
+            return np.asarray(result).tolist()
+
+        ts = series(GOOD)
+        assert exact(RAW_SAMPLE_CALLS[call](ts)) == exact(RAW_SAMPLE_CALLS[call](ts.values))
+
+    def test_sample_values_of_a_series_is_its_array(self):
+        ts = series(GOOD)
+        assert sample_values(ts) is ts.values
+        raw = np.array(GOOD)
+        checked = sample_values(raw)
+        assert np.array_equal(checked, raw) and checked is not raw
+        assert not checked.flags.writeable
 
 
 class TestFrozenCopy:

@@ -33,6 +33,27 @@ class TestGenSpec:
             with pytest.raises(ValidationError):
                 GenSpec(kind="ar1", n=256, phi=bad)
 
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [
+            ("white", {"h": 0.7}),
+            ("walk", {"period": 12.0}),
+            ("fgn", {"h": 0.7, "phi": 0.3}),
+            ("ar1", {"phi": 0.3, "r": 3.9}),
+            ("logistic", {"x0": 0.3, "h": 0.7}),
+            ("sine", {"period": 12.0, "x0": 0.3}),
+        ],
+    )
+    def test_parameters_the_kind_ignores_rejected(self, kind, extra):
+        with pytest.raises(ValidationError, match="takes no"):
+            GenSpec(kind=kind, n=16, **extra)
+
+    def test_logistic_defaults_are_filled_in(self):
+        spec = GenSpec(kind="logistic", n=16)
+        assert (spec.r, spec.x0) == (4.0, 0.2)
+        explicit = GenSpec(kind="logistic", n=16, r=4.0, x0=0.2)
+        assert np.array_equal(generate(spec).values, generate(explicit).values)
+
     def test_logistic_parameter_ranges(self):
         GenSpec(kind="logistic", n=16)  # defaults r=4, x0=0.2
         with pytest.raises(ValidationError):
