@@ -206,7 +206,7 @@ def _neighbours(x, n_valid, refs, params):
         start = stop
 
 
-def lyap_k(ts: TimeSeries, params: EmbeddingParams) -> DivergenceCurve:
+def lyap_k(ts: TimeSeries | np.ndarray, params: EmbeddingParams) -> DivergenceCurve:
     """Compute the Kantz divergence curve of a series.
 
     The input is standardized internally, so ``eps`` is always in units

@@ -9,6 +9,7 @@ modes, dispersion) used for a first look at an index series.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -55,9 +56,10 @@ class TimeSeries:
     ----------
     values : array-like of float
         The samples. Must be a non-empty 1-d sequence of finite values.
-    start : (year, month) tuple, optional
-        Calendar anchor of the first sample. When present, sample ``i``
-        falls ``i`` months after ``start``.
+    start : (year, month) pair of integers, optional
+        Calendar anchor of the first sample, month in 1..12, kept as a
+        tuple of ints. When present, sample ``i`` falls ``i`` months after
+        ``start``.
     label : str
         Free-text description carried through analyses.
     """
@@ -73,9 +75,7 @@ class TimeSeries:
         if not np.all(np.isfinite(arr)):
             raise ValidationError("series contains non-finite values")
         if self.start is not None:
-            year, month = self.start
-            if not 1 <= month <= 12:
-                raise ValidationError(f"start month {month} outside 1..12")
+            object.__setattr__(self, "start", _checked_start(self.start))
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
@@ -94,9 +94,28 @@ class TimeSeries:
         return replace(self, values=values)
 
 
+def _checked_start(start) -> tuple[int, int]:
+    """``start`` as a ``(year, month)`` tuple of ints; bools are not integers."""
+    if (
+        not isinstance(start, (tuple, list))
+        or len(start) != 2
+        or not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in start)
+    ):
+        raise ValidationError(f"start must be a (year, month) pair of integers, got {start!r}")
+    year, month = int(start[0]), int(start[1])
+    if not 1 <= month <= 12:
+        raise ValidationError(f"start month {month} outside 1..12")
+    return year, month
+
+
+def _as_series(x: TimeSeries | np.ndarray) -> TimeSeries:
+    """``x`` itself if it is a ``TimeSeries``, else a checked ``TimeSeries(x)``."""
+    return x if isinstance(x, TimeSeries) else TimeSeries(x)
+
+
 def sample_values(x: TimeSeries | np.ndarray) -> np.ndarray:
     """The samples of ``x``, checked as a ``TimeSeries`` unless it is one."""
-    return x.values if isinstance(x, TimeSeries) else TimeSeries(x).values
+    return _as_series(x).values
 
 
 @dataclass(frozen=True)
@@ -147,7 +166,7 @@ def _median(x: np.ndarray) -> float:
     return float((part[k - 1] + part[k]) / 2)
 
 
-def summarize(ts: TimeSeries, mode_resolution: float = 0.1) -> SummaryStats:
+def summarize(ts: TimeSeries | np.ndarray, mode_resolution: float = 0.1) -> SummaryStats:
     """Descriptive statistics: count, center, modes, and dispersion.
 
     Uses the sample (n-1 divisor) convention for variance and standard
@@ -156,11 +175,11 @@ def summarize(ts: TimeSeries, mode_resolution: float = 0.1) -> SummaryStats:
     to the nearest multiple of ``mode_resolution`` (default 0.1, matching
     the precision of published monthly climate indices).
     """
-    if len(ts) < 2:
+    x = sample_values(ts)
+    if x.size < 2:
         raise ValidationError("summarize requires at least 2 samples")
     if not (mode_resolution > 0):
         raise ValidationError("mode_resolution must be positive")
-    x = ts.values
     mean = float(np.mean(x))
     std = float(np.std(x, ddof=1))
     variance = float(np.var(x, ddof=1))
@@ -170,7 +189,7 @@ def summarize(ts: TimeSeries, mode_resolution: float = 0.1) -> SummaryStats:
     else:
         cv = 100.0 * std / abs(mean)
     return SummaryStats(
-        n=len(ts),
+        n=x.size,
         mean=mean,
         median=_median(x),
         mode_first=mode_first,
@@ -182,11 +201,13 @@ def summarize(ts: TimeSeries, mode_resolution: float = 0.1) -> SummaryStats:
     )
 
 
-def standardize(ts: TimeSeries) -> TimeSeries:
+def standardize(ts: TimeSeries | np.ndarray) -> TimeSeries:
     """Shift and scale to sample mean 0 and sample std 1.
 
-    Raises ``NumericError`` on a constant series.
+    Raw samples come back as a ``TimeSeries``. Raises ``NumericError`` on
+    a constant series.
     """
+    ts = _as_series(ts)
     x = ts.values
     std = np.std(x, ddof=1) if x.size > 1 else 0.0
     if std == 0.0:

@@ -190,7 +190,7 @@ def default_window_ladder(n: int, min_window: int = 8) -> list[int]:
 
 
 def rs_table(
-    ts: TimeSeries,
+    ts: TimeSeries | np.ndarray,
     min_window: int = 8,
     scheme: Iterable[int] | None = None,
 ) -> RsTable:
@@ -201,7 +201,8 @@ def rs_table(
     consecutive and non-overlapping; the tail remainder at each scale is
     discarded. Zero-variance blocks are skipped and counted.
     """
-    n = len(ts)
+    x = sample_values(ts)
+    n = x.size
     if min_window < 2:
         raise ValidationError("min_window must be at least 2")
     if n < 2 * min_window:
@@ -214,7 +215,7 @@ def rs_table(
         windows = sorted(set(int(w) for w in scheme))
         if any(w < 2 or w > n for w in windows):
             raise ValidationError("scheme windows must lie in [2, n]")
-    points, skipped_total = _rs_points(ts.values, windows)
+    points, skipped_total = _rs_points(x, windows)
     if not points:
         raise NumericError("no block had positive variance; series is constant")
     return RsTable(points=tuple(points), skipped_blocks=skipped_total)
@@ -329,7 +330,7 @@ def _divisor_ladder(n: int, min_div: int) -> tuple[int, list[int]]:
         min_div = max(2, min_div // 2)
 
 
-def hurst_suite(ts: TimeSeries) -> HurstSuite:
+def hurst_suite(ts: TimeSeries | np.ndarray) -> HurstSuite:
     """The five classical Hurst estimates of one series.
 
     * ``h_simple``: raw mean R/S fitted on the halving ladder n, n/2, ...
@@ -344,10 +345,10 @@ def hurst_suite(ts: TimeSeries) -> HurstSuite:
       sqrt-law so that a memoryless series comes out near 0.5.
     * ``h_corrected_empirical``: 0.5 + h_empirical - h_theoretical.
     """
-    n = len(ts)
+    x = sample_values(ts)
+    n = x.size
     if n < 32:
         raise ValidationError(f"hurst_suite requires at least 32 samples, got {n}")
-    x = ts.values
 
     simple, _ = _rs_points(x, _halving_ladder(n))
     h_simple = _log_slope([p.window for p in simple], [p.mean_rs for p in simple])

@@ -4,7 +4,8 @@ Every subcommand runs in table, json and csv format from a temporary
 working directory with relative file names, so the echoed ``command`` and
 ``inputs.path`` do not depend on where the suite runs. Stdout, every
 ``--out`` file, and the stderr of the error exits must match the stored
-files byte for byte.
+files byte for byte. One case per command also runs as the program,
+``python -m longmem`` in a subprocess, and must match the same files.
 
 To rewrite the stored files after a deliberate output change, run
 ``LONGMEM_UPDATE_GOLDEN=1 python -m pytest tests/test_cli_golden.py`` and
@@ -12,10 +13,13 @@ review the diff.
 """
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import longmem
 from longmem import GenSpec, TimeSeries, generate, serialize_column
 from longmem.cli import main
 
@@ -161,12 +165,20 @@ def _check(name: str, actual: str) -> None:
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("case,argv,writes_curve", CASES, ids=[c[0] for c in CASES])
 def test_output_matches_golden(workdir, capsys, case, argv, writes_curve, fmt):
-    extra = ["--out", "curve.txt"] if writes_curve else []
-    code = main([*argv, *extra, "--format", fmt])
+    code = main(_with_out(argv, writes_curve, fmt))
     captured = capsys.readouterr()
-    assert code == 0, captured.err
-    assert captured.err == ""
-    _check(f"{case}.{fmt}", captured.out)
+    _check_success(workdir, case, writes_curve, fmt, code, captured.out, captured.err)
+
+
+def _with_out(argv, writes_curve, fmt):
+    extra = ["--out", "curve.txt"] if writes_curve else []
+    return [*argv, *extra, "--format", fmt]
+
+
+def _check_success(workdir, case, writes_curve, fmt, code, out, err):
+    assert code == 0, err
+    assert err == ""
+    _check(f"{case}.{fmt}", out)
     if writes_curve:
         _check(f"{case}.curve.txt", (workdir / "curve.txt").read_text(encoding="utf-8"))
 
@@ -186,6 +198,49 @@ def test_error_exit_matches_golden(workdir, capsys, case, argv, exit_code):
     captured = capsys.readouterr()
     assert captured.out == ""
     _check(f"{case}.stderr", captured.err)
+
+
+SRC_DIR = str(Path(longmem.__file__).resolve().parents[1])
+
+# (case, format) run as the program: one per command, gen with and without --out
+PROGRAM_CASES = [
+    ("stats_cpc", "table"),
+    ("acf_fft", "json"),
+    ("hurst", "csv"),
+    ("suite", "table"),
+    ("lyap_grid", "json"),
+    ("permtest_resultant", "csv"),
+    ("gen_stdout", "table"),
+    ("gen_out", "json"),
+]
+
+
+def _run_program(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """``python -m longmem *argv`` in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "longmem", *argv],
+        capture_output=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        encoding="utf-8",
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("case,fmt", PROGRAM_CASES, ids=[c for c, _ in PROGRAM_CASES])
+def test_program_output_matches_golden(workdir, case, fmt):
+    _, argv, writes_curve = next(c for c in CASES if c[0] == case)
+    proc = _run_program(_with_out(argv, writes_curve, fmt), workdir)
+    _check_success(workdir, case, writes_curve, fmt, proc.returncode, proc.stdout, proc.stderr)
+
+
+def test_program_error_exit_matches_golden(workdir):
+    case, argv, exit_code = next(c for c in ERROR_CASES if c[0] == "err_missing_file")
+    proc = _run_program(argv, workdir)
+    assert proc.returncode == exit_code == 3
+    assert proc.stdout == ""
+    _check(f"{case}.stderr", proc.stderr)
 
 
 def test_flat_case_exercises_skipped_blocks():

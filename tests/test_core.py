@@ -7,15 +7,19 @@ import numpy as np
 import pytest
 
 from longmem import (
+    EmbeddingParams,
     NumericError,
     TimeSeries,
     ValidationError,
     acf_direct,
     acf_fft,
     embed,
+    hurst_suite,
+    lyap_k,
     pearson,
     perm_test,
     rs_statistic,
+    rs_table,
     standardize,
     summarize,
 )
@@ -71,6 +75,22 @@ class TestTimeSeries:
             series([1.0], start=(1951, 13))
         with pytest.raises(ValidationError):
             series([1.0], start=(1951, 0))
+
+    @pytest.mark.parametrize(
+        "start",
+        [(2000, 1.5), (2000, True), (True, 1), (2000,), (2000, 1, 1), ("2000", 1), "2000-01", 2000],
+        ids=["float month", "bool month", "bool year", "one item", "three items", "str year",
+             "string", "int"],
+    )
+    def test_start_must_be_a_pair_of_integers(self, start):
+        with pytest.raises(ValidationError, match="pair of integers"):
+            series([1.0, 2.0], start=start)
+
+    def test_start_is_kept_as_a_tuple_of_ints(self):
+        ts = series([1.0, 2.0], start=[np.int64(2000), np.int64(3)])
+        assert ts.start == (2000, 3)
+        assert all(type(v) is int for v in ts.start)
+        assert ts.time_of(1) == (2000, 4)
 
     def test_time_of_maps_index_to_calendar(self):
         ts = series([0.0] * 30, start=(2014, 1))
@@ -251,7 +271,9 @@ class TestCalendar:
         assert format_month(year_month) == text
 
 
-GOOD = [1.0, 3.0, 2.0, 5.0, 4.0]
+# long enough for ``hurst_suite`` (32) and a short ``lyap_k`` curve
+GOOD = [float(v) for v in np.arange(40) * 7 % 11]
+SMALL_EMBEDDING = EmbeddingParams(m=1, theiler=0, eps=2.0, n_ref=10, s=2, k_min=1)
 
 # Every analysis that takes raw samples, called with ``x`` in one slot and
 # good samples in the others.
@@ -264,6 +286,11 @@ RAW_SAMPLE_CALLS = {
     "pearson second": lambda x: pearson(GOOD, x),
     "rs_statistic": rs_statistic,
     "embed": lambda x: embed(x, 1, 1),
+    "rs_table": lambda x: rs_table(x, min_window=2),
+    "hurst_suite": hurst_suite,
+    "lyap_k": lambda x: lyap_k(x, SMALL_EMBEDDING),
+    "summarize": summarize,
+    "standardize": lambda x: standardize(x).values,
 }
 
 BAD_SAMPLES = {
@@ -280,9 +307,10 @@ class TestSeriesContract:
     @pytest.mark.parametrize("bad", BAD_SAMPLES)
     @pytest.mark.parametrize("call", RAW_SAMPLE_CALLS)
     def test_invalid_samples_rejected(self, call, bad):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as by_series:
             TimeSeries(BAD_SAMPLES[bad])
-        with pytest.raises(ValidationError):
+        # the series check fires, not a later rule such as a minimum length
+        with pytest.raises(ValidationError, match=f"^{by_series.value}$"):
             RAW_SAMPLE_CALLS[call](BAD_SAMPLES[bad])
 
     @pytest.mark.parametrize("call", RAW_SAMPLE_CALLS)
@@ -294,6 +322,11 @@ class TestSeriesContract:
 
         ts = series(GOOD)
         assert exact(RAW_SAMPLE_CALLS[call](ts)) == exact(RAW_SAMPLE_CALLS[call](ts.values))
+
+    def test_standardize_returns_a_series_for_raw_samples(self):
+        out = standardize(np.array(GOOD))
+        assert isinstance(out, TimeSeries)
+        assert out.start is None and out.label == ""
 
     def test_sample_values_of_a_series_is_its_array(self):
         ts = series(GOOD)

@@ -1,9 +1,11 @@
-"""Start-up contract: a command imports only the modules it runs.
+"""Start-up and exit contract: a command imports only the modules it runs,
+and the program freezes its heap before it exits.
 
 Each check runs in a fresh interpreter, because this test process has
 long since imported every module.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import longmem
+from longmem.cli import main
 
 SRC_DIR = str(Path(longmem.__file__).resolve().parents[1])
 ANALYSIS = {"acf", "chaos", "hurst", "permtest", "synth"}
@@ -40,11 +43,11 @@ print(json.dumps({
 """
 
 
-def loaded_after(code: str, cwd: Path) -> dict:
-    """Which ``longmem`` submodules a fresh interpreter holds after ``code``."""
+def run_fresh(code: str, cwd: Path) -> str:
+    """The stdout of ``code`` run in a fresh interpreter, which must succeed."""
     path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code + REPORT],
+        [sys.executable, "-c", code],
         capture_output=True,
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
@@ -52,7 +55,12 @@ def loaded_after(code: str, cwd: Path) -> dict:
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
+    return proc.stdout
+
+
+def loaded_after(code: str, cwd: Path) -> dict:
+    """Which ``longmem`` submodules a fresh interpreter holds after ``code``."""
+    report = json.loads(run_fresh(code + REPORT, cwd).splitlines()[-1])
     report["longmem"] = set(report["longmem"])
     return report
 
@@ -94,6 +102,42 @@ def test_command_loads_only_its_analysis_module(argv, module, tmp_path):
     assert report["longmem"] & ANALYSIS == ({module} if module else set())
     # np.median, np.unique and np.quantile import numpy.ma; no command uses them
     assert not report["numpy.ma"]
+
+
+# The heap is frozen when ``main`` runs as the program, so the interpreter's
+# final collections skip it; ``main(argv)`` leaves a caller's collector alone.
+FREEZE_REPORT = """
+import contextlib, gc, io, sys
+from longmem.cli import main
+assert gc.get_freeze_count() == 0
+sys.argv = ["longmem", *{argv!r}]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main()
+print(code, gc.get_freeze_count())
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["gen", "--kind", "white", "--n", "8"], 0),
+        (["stats", "--input", "missing.txt"], 3),
+        (["stats", "--no-such-option"], 2),
+    ],
+    ids=["success", "validation error", "usage error"],
+)
+def test_program_run_freezes_the_heap_on_every_exit(argv, code, tmp_path):
+    returned, frozen = map(int, run_fresh(FREEZE_REPORT.format(argv=argv), tmp_path).split())
+    assert returned == code
+    assert frozen > 0
+
+
+def test_library_call_leaves_the_collector_alone(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    before = gc.get_freeze_count()
+    assert main(["gen", "--kind", "white", "--n", "8"]) == 0
+    assert main(["stats", "--input", "missing.txt"]) == 3
+    assert gc.get_freeze_count() == before
 
 
 class TestPackageSurface:
