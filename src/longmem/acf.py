@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries, frozen_copy, sample_values
+from .core import TimeSeries, _integer, frozen_copy, sample_values
 from .errors import NumericError, ValidationError
 
 __all__ = ["AcfResult", "acf_direct", "acf_fft", "first_zero_crossing", "band_mean"]
@@ -34,20 +34,22 @@ class AcfResult:
         object.__setattr__(self, "coefficients", frozen_copy(self.coefficients, dtype=float))
 
 
-def _check_input(ts: TimeSeries | np.ndarray, max_lag: int) -> np.ndarray:
+def _check_input(ts: TimeSeries | np.ndarray, max_lag: int) -> tuple[np.ndarray, int]:
+    """The demeaned samples of a non-constant series, and ``max_lag`` as a checked int."""
     values = sample_values(ts)
     n = values.size
+    max_lag = _integer(max_lag, "max_lag")
     if not 1 <= max_lag < n:
         raise ValidationError(f"max_lag must be in [1, {n - 1}], got {max_lag}")
     demeaned = values - np.mean(values)
     if not np.any(demeaned):
         raise NumericError("autocorrelation undefined for a constant series")
-    return demeaned
+    return demeaned, max_lag
 
 
 def acf_direct(ts: TimeSeries | np.ndarray, max_lag: int) -> AcfResult:
     """Autocorrelation by direct summation."""
-    d = _check_input(ts, max_lag)
+    d, max_lag = _check_input(ts, max_lag)
     denom = float(np.dot(d, d))
     coeffs = np.empty(max_lag + 1)
     coeffs[0] = 1.0
@@ -64,7 +66,7 @@ def acf_fft(ts: TimeSeries | np.ndarray, max_lag: int) -> AcfResult:
     autocovariance off the inverse transform of the power spectrum.
     Contract-identical to ``acf_direct``.
     """
-    d = _check_input(ts, max_lag)
+    d, max_lag = _check_input(ts, max_lag)
     n = d.size
     n_fft = 1 << int(2 * n - 1).bit_length()
     spectrum = np.fft.rfft(d, n_fft)
@@ -88,6 +90,7 @@ def first_zero_crossing(acf: AcfResult) -> int | None:
 
 def band_mean(acf: AcfResult, lo: int, hi: int) -> float:
     """Arithmetic mean of r_lo..r_hi (inclusive)."""
+    lo, hi = _integer(lo, "band lo"), _integer(hi, "band hi")
     if not 1 <= lo <= hi <= acf.max_lag:
         raise ValidationError(
             f"band [{lo}, {hi}] outside valid lags [1, {acf.max_lag}]"

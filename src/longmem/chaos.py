@@ -40,7 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries, _weighted_line_fit, frozen_copy, sample_values, standardize
+from .core import (
+    TimeSeries,
+    _integer,
+    _weighted_line_fit,
+    frozen_copy,
+    sample_values,
+    standardize,
+)
 from .errors import EpsTooSmallError, ValidationError
 
 __all__ = ["EmbeddingParams", "DivergenceCurve", "LyapunovFit", "embed", "lyap_k", "lyap_fit"]
@@ -66,7 +73,9 @@ class EmbeddingParams:
 
     References are taken evenly spaced over the valid positions by
     default; set ``random_sample`` to draw them without replacement using
-    ``seed`` instead. Either way the curve is deterministic.
+    ``seed`` instead. Either way the curve is deterministic. Every field
+    but ``eps`` and ``random_sample`` is an integer, and ``seed`` is
+    non-negative.
     """
 
     m: int = 2
@@ -80,6 +89,8 @@ class EmbeddingParams:
     random_sample: bool = False
 
     def __post_init__(self):
+        for name in ("m", "d", "theiler", "n_ref", "s", "k_min", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.m < 1:
             raise ValidationError("embedding dimension m must be >= 1")
         if self.d < 1:
@@ -94,6 +105,8 @@ class EmbeddingParams:
             raise ValidationError("follow steps s must be >= 2")
         if self.k_min < 1:
             raise ValidationError("k_min must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -135,6 +148,7 @@ def embed(x, m: int, d: int) -> np.ndarray:
     n - (m-1)*d rows.
     """
     arr = sample_values(x)
+    m, d = _integer(m, "m"), _integer(d, "d")
     if m < 1 or d < 1:
         raise ValidationError("embedding requires m >= 1 and d >= 1")
     count = arr.size - (m - 1) * d
@@ -274,6 +288,7 @@ def lyap_fit(curve: DivergenceCurve, start: int, end: int, dt: float = 1.0) -> L
     sampling interval is the Lyapunov exponent estimate in 1/time units.
     """
     s = curve.s_values.size
+    start, end = _integer(start, "fit start"), _integer(end, "fit end")
     if not 0 <= start < end < s:
         raise ValidationError(f"fit range [{start}, {end}] invalid for {s} steps")
     if end - start + 1 < 3:

@@ -85,6 +85,7 @@ class TimeSeries:
         """Calendar (year, month) of sample ``i``, ``0 <= i < len``. Requires an anchor."""
         if self.start is None:
             raise ValidationError("series has no calendar anchor")
+        i = _integer(i, "sample index")
         if not 0 <= i < len(self):
             raise ValidationError(f"sample index {i} outside [0, {len(self)})")
         return calendar_month(month_number(self.start) + i)
@@ -92,6 +93,17 @@ class TimeSeries:
     def with_values(self, values: np.ndarray) -> "TimeSeries":
         """Copy of this series with new samples, same anchor and label."""
         return replace(self, values=values)
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int; bools and non-integral numbers are refused.
+
+    The one rule for every integer parameter of the public API: a float
+    such as 8.7 is refused, not truncated, and ``True`` is not 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _checked_start(start) -> tuple[int, int]:

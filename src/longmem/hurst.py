@@ -19,6 +19,14 @@ n <= 340 and its asymptotic 1/sqrt(n * pi / 2) above. Comparing the
 empirical statistic against this i.i.d. expectation removes the strong
 positive small-sample bias of the raw fit.
 
+Every R/S value comes from one pass per block length over all of that
+length's blocks, laid out as the rows of a matrix. Each row is centred
+once: its standard deviation and the range of its running sums are both
+read off the same centred values, with the arithmetic of ``np.std`` and
+``rs_statistic``, so the values are bit-identical to a per-block loop.
+The suite's divisor ladder and the expectations on it depend only on the
+series length, and a small cache keeps them for the lengths used last.
+
 Related fractal quantities: a process with exponent h has fractal
 dimension 1/h, and its successive increments are correlated with
 rho = 2^(2h-1) - 1 (from the second-moment relation 2^2h = 2 + 2 rho).
@@ -26,13 +34,14 @@ rho = 2^(2h-1) - 1 (from the second-moment relation 2^2h = 2 + 2 rho).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import TimeSeries, _weighted_line_fit, sample_values
+from .core import TimeSeries, _integer, _weighted_line_fit, sample_values
 from .errors import WARN_H_OUT_OF_RANGE, NumericError, ValidationError, WarningRecord
 from .errors import WARN_SKIPPED_BLOCKS  # noqa: F401  (still importable from here)
 
@@ -137,22 +146,42 @@ def rs_statistic(x: TimeSeries | Sequence[float] | np.ndarray) -> float:
     return float(r / s)
 
 
+def _moments(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, centred values and sample standard deviation along the last axis.
+
+    The arithmetic of ``np.mean`` and ``np.std(ddof=1)``, bit for bit:
+    numpy's sum along the axis divided by its length (kept as an axis of
+    length 1), the values less that mean, and the square root of their sum
+    of squares over length - 1. Both statistics come from one centring,
+    and the centred values are a new array the caller may overwrite. A
+    single value has deviation 0, where ``np.std`` would give NaN.
+    """
+    size = a.shape[-1]
+    mean = np.add.reduce(a, axis=-1, keepdims=True) / size
+    centred = a - mean
+    sd = np.sqrt(np.add.reduce(centred * centred, axis=-1) / max(size - 1, 1))
+    return mean, centred, sd
+
+
 def _block_rs_values(x: np.ndarray, window: int) -> tuple[np.ndarray, int]:
     """R/S of each full block of ``window`` samples; remainder discarded.
 
     One row-wise pass over the blocks laid out as the rows of a
-    (blocks, window) matrix. Each row goes through the same operations as
+    (blocks, window) matrix, which centres each block once: S is taken
+    from the centred rows, and the range from their running sums, written
+    over the same buffer. Each row goes through the arithmetic of
     ``rs_statistic`` on that block, so the values are bit-identical to it.
+    Flat rows are dropped, by a masked copy only when there is one.
     Returns the values of the positive-variance blocks and the count of
     skipped (constant) blocks.
     """
     nb = x.size // window
-    blocks = x[: nb * window].reshape(nb, window)
-    s = np.std(blocks, axis=1, ddof=1)
+    _, deviations, s = _moments(x[: nb * window].reshape(nb, window))
     varying = s != 0.0
-    blocks, s = blocks[varying], s[varying]
-    deviations = np.cumsum(blocks - np.mean(blocks, axis=1, keepdims=True), axis=1)
-    r = np.max(deviations, axis=1) - np.min(deviations, axis=1)
+    if not varying.all():
+        deviations, s = deviations[varying], s[varying]
+    np.cumsum(deviations, axis=1, out=deviations)
+    r = np.maximum.reduce(deviations, axis=1) - np.minimum.reduce(deviations, axis=1)
     return r / s, nb - s.size
 
 
@@ -161,7 +190,8 @@ def _rs_points(x: np.ndarray, windows: Iterable[int]) -> tuple[list[RsPoint], in
 
     Windows with no positive-variance block are dropped. The order is kept
     because a line fit over the points sums them in that order, and its
-    last bits depend on it.
+    last bits depend on it. Each window's mean and scatter are
+    ``np.mean`` and ``np.std(ddof=1)`` of its R/S values, by ``_moments``.
     """
     points: list[RsPoint] = []
     skipped_total = 0
@@ -170,9 +200,9 @@ def _rs_points(x: np.ndarray, windows: Iterable[int]) -> tuple[list[RsPoint], in
         skipped_total += skipped
         if not values.size:
             continue
-        std = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
+        mean, _, std = _moments(values)
         points.append(
-            RsPoint(window=w, mean_rs=float(np.mean(values)), std_rs=std, blocks=values.size)
+            RsPoint(window=w, mean_rs=float(mean[0]), std_rs=float(std), blocks=values.size)
         )
     return points, skipped_total
 
@@ -203,6 +233,7 @@ def rs_table(
     """
     x = sample_values(ts)
     n = x.size
+    min_window = _integer(min_window, "min_window")
     if min_window < 2:
         raise ValidationError("min_window must be at least 2")
     if n < 2 * min_window:
@@ -212,7 +243,7 @@ def rs_table(
     if scheme is None:
         windows = default_window_ladder(n, min_window)
     else:
-        windows = sorted(set(int(w) for w in scheme))
+        windows = sorted({_integer(w, "scheme window") for w in scheme})
         if any(w < 2 or w > n for w in windows):
             raise ValidationError("scheme windows must lie in [2, n]")
     points, skipped_total = _rs_points(x, windows)
@@ -273,7 +304,7 @@ def expected_rescaled_range(window: int) -> float:
     the exact Gamma-ratio prefactor is used up to window 340 and its
     asymptotic form beyond, where the Gamma values would overflow.
     """
-    w = int(window)
+    w = _integer(window, "window")
     if w < 2:
         raise ValidationError("expected_rescaled_range requires window >= 2")
     i = np.arange(1, w)
@@ -330,6 +361,22 @@ def _divisor_ladder(n: int, min_div: int) -> tuple[int, list[int]]:
         min_div = max(2, min_div // 2)
 
 
+@functools.lru_cache(maxsize=32)
+def _suite_ladder(n: int) -> tuple[int, tuple[int, ...], tuple[float, ...]]:
+    """The suite's divisor ladder at length ``n``, and E[R/S] of each window.
+
+    Returns the near-full length, its divisor windows and the Anis-Lloyd
+    expectation of each window, in ladder order. All three depend on n
+    alone, so repeated suites at one length (an ensemble, a null band)
+    find and evaluate them once. The cache holds the 32 most recently
+    used lengths, and its values are tuples, so no caller can change what
+    the next one is given. ``n`` must be a checked int: the cache would
+    take ``True`` for 1.
+    """
+    opt_n, ladder = _divisor_ladder(n, min_div=min(50, n // 4))
+    return opt_n, tuple(ladder), tuple(expected_rescaled_range(w) for w in ladder)
+
+
 def hurst_suite(ts: TimeSeries | np.ndarray) -> HurstSuite:
     """The five classical Hurst estimates of one series.
 
@@ -344,6 +391,10 @@ def hurst_suite(ts: TimeSeries | np.ndarray) -> HurstSuite:
       statistic with its finite-sample bias swapped for the asymptotic
       sqrt-law so that a memoryless series comes out near 0.5.
     * ``h_corrected_empirical``: 0.5 + h_empirical - h_theoretical.
+
+    The divisor ladder and its expectations are cached by length (the 32
+    most recent lengths), so after the first call at a length a suite
+    pays only for the R/S passes and the fits.
     """
     x = sample_values(ts)
     n = x.size
@@ -353,11 +404,12 @@ def hurst_suite(ts: TimeSeries | np.ndarray) -> HurstSuite:
     simple, _ = _rs_points(x, _halving_ladder(n))
     h_simple = _log_slope([p.window for p in simple], [p.mean_rs for p in simple])
 
-    opt_n, ladder = _divisor_ladder(n, min_div=min(50, n // 4))
+    opt_n, ladder, ladder_expected = _suite_ladder(n)
     points, _ = _rs_points(x[n - opt_n :], ladder)
     windows = [p.window for p in points]
     mean_arr = np.asarray([p.mean_rs for p in points])
-    expected = np.asarray([expected_rescaled_range(w) for w in windows])
+    expected_of = dict(zip(ladder, ladder_expected))
+    expected = np.asarray([expected_of[w] for w in windows])
     w_arr = np.asarray(windows, dtype=float)
 
     h_empirical = _log_slope(windows, mean_arr)

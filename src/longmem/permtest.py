@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import frozen_copy, sample_values
+from .core import _integer, frozen_copy, sample_values
 from .errors import NumericError, ValidationError
 
 __all__ = [
@@ -79,13 +78,6 @@ class PermutationResult:
 
     def __post_init__(self):
         object.__setattr__(self, "r_sorted", frozen_copy(self.r_sorted, dtype=float))
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as a Python int; bools and non-integral numbers are refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _unit_residual(x: np.ndarray, name: str) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries
+from .core import TimeSeries, _integer
 from .errors import NumericError, ValidationError
 
 __all__ = ["GenSpec", "generate", "fgn_autocovariance"]
@@ -43,6 +43,7 @@ class GenSpec:
     kind that does not read it is refused, and logistic's unset ``r`` and
     ``x0`` take their defaults (4.0 and 0.2). ``seed`` pins the stochastic
     kinds and is ignored by the deterministic ones (logistic, sine).
+    ``n`` and ``seed`` are integers, and the seed is non-negative.
     """
 
     kind: str
@@ -57,8 +58,12 @@ class GenSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown generator kind {self.kind!r}")
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.n < 2:
             raise ValidationError("n must be at least 2")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         params = _KIND_PARAMS[self.kind]
         unused = [
             name

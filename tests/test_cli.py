@@ -671,6 +671,9 @@ class TestGenCommand:
         capsys.readouterr()
         assert main(["gen", "--kind", "fgn", "--n", "5000", "--h", "0.7"]) == 0
         capsys.readouterr()
+        # numpy's seeding would raise an untyped error
+        assert main(["gen", "--kind", "white", "--n", "8", "--seed", "-1"]) == 3
+        assert "seed must be non-negative" in capsys.readouterr().err
 
     def test_parameters_the_kind_ignores_exit_three(self, tmp_path, capsys):
         out_path = tmp_path / "w.txt"

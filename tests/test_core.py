@@ -7,14 +7,20 @@ import numpy as np
 import pytest
 
 from longmem import (
+    DivergenceCurve,
     EmbeddingParams,
+    GenSpec,
     NumericError,
     TimeSeries,
     ValidationError,
     acf_direct,
     acf_fft,
+    band_mean,
     embed,
+    expected_rescaled_range,
+    generate,
     hurst_suite,
+    lyap_fit,
     lyap_k,
     pearson,
     perm_test,
@@ -374,3 +380,69 @@ class TestLineFit:
     def test_one_distinct_x_rejected(self):
         with pytest.raises(ValidationError, match="slope undefined"):
             _weighted_line_fit(np.ones(4), np.arange(4.0))
+
+
+CURVE = DivergenceCurve(
+    s_values=np.arange(12.0), ref_counts=np.ones(12, dtype=int), params=EmbeddingParams()
+)
+
+# Every integer parameter of the public API, called with ``v`` in its slot,
+# and a value that is valid there.
+INTEGER_PARAMETERS = {
+    "rs_table min_window": (lambda v: rs_table(GOOD, min_window=v), 8),
+    "rs_table scheme": (lambda v: rs_table(GOOD, scheme=[v, 16, 32]), 8),
+    "expected_rescaled_range": (expected_rescaled_range, 8),
+    "acf_fft max_lag": (lambda v: acf_fft(GOOD, v), 3),
+    "acf_direct max_lag": (lambda v: acf_direct(GOOD, v), 3),
+    "band_mean lo": (lambda v: band_mean(acf_fft(GOOD, 5), v, 4), 2),
+    "band_mean hi": (lambda v: band_mean(acf_fft(GOOD, 5), 2, v), 4),
+    "GenSpec n": (lambda v: generate(GenSpec(kind="white", n=v)), 10),
+    "GenSpec seed": (lambda v: generate(GenSpec(kind="white", n=10, seed=v)), 1),
+    **{
+        f"EmbeddingParams {name}": (lambda v, name=name: EmbeddingParams(**{name: v}), value)
+        for name, value in (
+            ("m", 2), ("d", 1), ("theiler", 12), ("n_ref", 10), ("s", 12), ("k_min", 4),
+            ("seed", 1),
+        )
+    },
+    "embed m": (lambda v: embed(GOOD, v, 1), 2),
+    "embed d": (lambda v: embed(GOOD, 2, v), 1),
+    "lyap_fit start": (lambda v: lyap_fit(CURVE, v, 4), 0),
+    "lyap_fit end": (lambda v: lyap_fit(CURVE, 0, v), 4),
+    "time_of": (lambda v: series(GOOD, start=(2000, 1)).time_of(v), 1),
+}
+
+
+class TestIntegerRule:
+    """One rule for integer parameters: a float is refused, not truncated,
+    and a bool is not an integer."""
+
+    @pytest.mark.parametrize(
+        "make_bad",
+        [lambda v: v + 0.5, float, np.float64, lambda v: True, str],
+        ids=["fraction", "integral float", "numpy float", "bool", "str"],
+    )
+    @pytest.mark.parametrize("parameter", INTEGER_PARAMETERS)
+    def test_non_integers_rejected(self, parameter, make_bad):
+        call, valid = INTEGER_PARAMETERS[parameter]
+        with pytest.raises(ValidationError, match="must be an integer"):
+            call(make_bad(valid))
+
+    @pytest.mark.parametrize("parameter", INTEGER_PARAMETERS)
+    def test_numpy_integers_accepted(self, parameter):
+        call, valid = INTEGER_PARAMETERS[parameter]
+        assert repr(call(np.int64(valid))) == repr(call(valid))
+
+    def test_parameters_kept_as_ints(self):
+        spec = GenSpec(kind="white", n=np.int64(10), seed=np.uint32(3))
+        assert type(spec.n) is int and type(spec.seed) is int
+        params = EmbeddingParams(m=np.int64(3), n_ref=np.int32(50))
+        assert type(params.m) is int and type(params.n_ref) is int
+        assert type(acf_fft(GOOD, np.int64(3)).max_lag) is int
+
+    @pytest.mark.parametrize(
+        "make", [lambda: GenSpec(kind="white", n=10, seed=-1), lambda: EmbeddingParams(seed=-1)]
+    )
+    def test_negative_seed_rejected(self, make):
+        with pytest.raises(ValidationError, match="non-negative"):
+            make()

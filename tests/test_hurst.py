@@ -1,9 +1,13 @@
 """Rescaled-range statistics, Hurst fits, and the estimator suite."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from longmem import (
     GenSpec,
@@ -20,10 +24,14 @@ from longmem import (
     rs_statistic,
     rs_table,
 )
+from longmem import hurst
 from longmem.hurst import (
     WARN_H_OUT_OF_RANGE,
     _block_rs_values,
     _divisor_ladder,
+    _moments,
+    _rs_points,
+    _suite_ladder,
     default_window_ladder,
 )
 
@@ -174,6 +182,147 @@ class TestBlockPass:
         assert flat_windows == [2, 3, 8, 16, 50]
         table = rs_table(series(x), scheme=[8, 16])
         assert table.skipped_blocks == sum(looped_block_rs(x, w)[1] for w in (8, 16))
+
+
+def two_pass_block_rs_values(x, window):
+    """Oracle of the single-centring pass: ``np.std`` of each row, a masked
+    copy of the varying rows, then ``np.mean`` of those rows and an
+    out-of-place running sum."""
+    nb = x.size // window
+    blocks = x[: nb * window].reshape(nb, window)
+    s = np.std(blocks, axis=1, ddof=1)
+    varying = s != 0.0
+    blocks, s = blocks[varying], s[varying]
+    deviations = np.cumsum(blocks - np.mean(blocks, axis=1, keepdims=True), axis=1)
+    r = np.max(deviations, axis=1) - np.min(deviations, axis=1)
+    return r / s, nb - s.size
+
+
+def two_pass_rs_points(x, windows):
+    """Oracle of ``_rs_points``: the oracle pass, with each window's R/S
+    values aggregated by ``np.mean`` and ``np.std(ddof=1)``."""
+    points, skipped_total = [], 0
+    for w in windows:
+        values, skipped = two_pass_block_rs_values(x, w)
+        skipped_total += skipped
+        if not values.size:
+            continue
+        std = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
+        points.append(
+            RsPoint(window=w, mean_rs=float(np.mean(values)), std_rs=std, blocks=values.size)
+        )
+    return points, skipped_total
+
+
+def point_bits(points):
+    return [(p.window, p.mean_rs.hex(), p.std_rs.hex(), p.blocks) for p in points]
+
+
+def suite_bits(suite):
+    return [v.hex() for v in dataclasses.astuple(suite)]
+
+
+def oracle_grid_input(kind, n):
+    if kind == "fgn":
+        return generate(GenSpec(kind="fgn", n=n, seed=n, h=0.7)).values
+    white = generate(GenSpec(kind="white", n=n, seed=n + 1)).values
+    if kind == "rounded":
+        return np.round(white, 1)
+    if kind == "flat":
+        flat = white.copy()
+        flat[: n // 4] = 0.25
+        flat[n // 2 : n // 2 + n // 8] = -1.0
+        return flat
+    return white
+
+
+class TestSingleCentringOracle:
+    """The single-centring pass and its aggregation give the bits of the
+    two-pass ``np.std``/``np.mean`` code they replaced."""
+
+    @pytest.mark.parametrize("n", [32, 33, 776, 4096, 100_003])
+    @pytest.mark.parametrize("kind", ["fgn", "white", "rounded", "flat"])
+    def test_points_and_suite_match_the_two_pass_oracle(self, kind, n, monkeypatch):
+        x = oracle_grid_input(kind, n)
+        for w in (2, 3, n):
+            values, skipped = _block_rs_values(x, w)
+            want_values, want_skipped = two_pass_block_rs_values(x, w)
+            assert (values.tobytes(), skipped) == (want_values.tobytes(), want_skipped), w
+        for scheme in (None, [2, 3, n]):
+            table = rs_table(x, scheme=scheme)
+            windows = [p.window for p in table] if scheme is None else scheme
+            want, want_skipped = two_pass_rs_points(x, windows)
+            assert point_bits(table) == point_bits(want)
+            assert table.skipped_blocks == want_skipped
+        suite = hurst_suite(x)
+        monkeypatch.setattr(hurst, "_rs_points", two_pass_rs_points)
+        monkeypatch.setattr(hurst, "_suite_ladder", _suite_ladder.__wrapped__)
+        assert suite_bits(suite) == suite_bits(hurst_suite(x))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 4), st.integers(1, 2000)),
+            elements=st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False),
+        )
+    )
+    def test_moments_match_numpy(self, values):
+        # one row as the aggregation sees it, all rows as the block pass does
+        for a in (values[0], values):
+            mean, centred, sd = _moments(a)
+            want_mean = np.mean(a, axis=-1, keepdims=True)
+            assert mean.tobytes() == want_mean.tobytes()
+            assert centred.tobytes() == (a - want_mean).tobytes()
+            if a.shape[-1] > 1:
+                assert sd.tobytes() == np.std(a, axis=-1, ddof=1).tobytes()
+            else:
+                assert np.all(sd == 0.0)
+
+
+class TestSuiteLadderCache:
+    def test_warm_call_equals_cold_call(self):
+        x = generate(GenSpec(kind="fgn", n=4096, seed=11, h=0.7))
+        _suite_ladder.cache_clear()
+        cold = hurst_suite(x)
+        assert _suite_ladder.cache_info().currsize == 1
+        warm = hurst_suite(x)
+        assert _suite_ladder.cache_info().hits == 1
+        assert suite_bits(warm) == suite_bits(cold)
+
+    def test_holds_the_ladder_and_its_expectations(self):
+        for n in (32, 776, 4096):
+            opt_n, ladder, expected = _suite_ladder(n)
+            assert (opt_n, list(ladder)) == _divisor_ladder(n, min(50, n // 4))
+            assert [e.hex() for e in expected] == [
+                expected_rescaled_range(w).hex() for w in ladder
+            ]
+
+    def test_another_length_between_leaves_the_bits(self):
+        x1 = generate(GenSpec(kind="fgn", n=776, seed=12, h=0.7))
+        x2 = generate(GenSpec(kind="white", n=1000, seed=13))
+        _suite_ladder.cache_clear()
+        first = hurst_suite(x1)
+        hurst_suite(x2)
+        again = hurst_suite(x1)
+        assert _suite_ladder.cache_info().currsize == 2
+        assert suite_bits(again) == suite_bits(first)
+
+    def test_cached_value_cannot_be_mutated(self):
+        opt_n, ladder, expected = _suite_ladder(4096)
+        assert type(ladder) is tuple and type(expected) is tuple
+        with pytest.raises(TypeError):
+            ladder[0] = 2
+        with pytest.raises(TypeError):
+            expected[0] = 0.0
+        assert _suite_ladder(4096) == (opt_n, ladder, expected)
+
+    def test_cache_is_bounded(self):
+        maxsize = _suite_ladder.cache_info().maxsize
+        assert maxsize is not None
+        for n in range(32, 32 + maxsize + 8):
+            _suite_ladder(n)
+        assert _suite_ladder.cache_info().currsize == maxsize
 
 
 class TestDivisorLadder:
