@@ -43,6 +43,7 @@ import numpy as np
 from .core import (
     TimeSeries,
     _integer,
+    _real,
     _weighted_line_fit,
     frozen_copy,
     sample_values,
@@ -75,7 +76,7 @@ class EmbeddingParams:
     default; set ``random_sample`` to draw them without replacement using
     ``seed`` instead. Either way the curve is deterministic. Every field
     but ``eps`` and ``random_sample`` is an integer, and ``seed`` is
-    non-negative.
+    non-negative; ``eps`` is a finite real number, kept as a Python float.
     """
 
     m: int = 2
@@ -91,6 +92,7 @@ class EmbeddingParams:
     def __post_init__(self):
         for name in ("m", "d", "theiler", "n_ref", "s", "k_min", "seed"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
+        object.__setattr__(self, "eps", _real(self.eps, "eps"))
         if self.m < 1:
             raise ValidationError("embedding dimension m must be >= 1")
         if self.d < 1:
@@ -293,6 +295,7 @@ def lyap_fit(curve: DivergenceCurve, start: int, end: int, dt: float = 1.0) -> L
         raise ValidationError(f"fit range [{start}, {end}] invalid for {s} steps")
     if end - start + 1 < 3:
         raise ValidationError("fit range must span at least 3 steps")
+    dt = _real(dt, "dt")
     if not dt > 0:
         raise ValidationError("dt must be positive")
     if np.any(curve.ref_counts[start : end + 1] == 0):

@@ -563,9 +563,10 @@ def _cmd_lyap(ns) -> _Report:
     base = {field: getattr(ns, name) for name, (field, _) in _GRID_FIELDS.items()}
     base.update(seed=ns.seed, random_sample=ns.random_refs)
     overrides = _parse_grid(ns.grid) if ns.grid else [{}]
+    # every combination is checked before the first curve is computed
+    grid = [EmbeddingParams(**{**base, **combo}) for combo in overrides]
     payloads, lines, curve_lines, failures = [], [], [], []
-    for combo in overrides:
-        params = EmbeddingParams(**{**base, **combo})
+    for params in grid:
         payload = {
             "params": {
                 "m": params.m,

@@ -106,17 +106,37 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-def _checked_start(start) -> tuple[int, int]:
-    """``start`` as a ``(year, month)`` tuple of ints; bools are not integers."""
+def _real(value, name: str) -> float:
+    """``value`` as a finite Python float; bools, strings and nan or inf are refused.
+
+    The one rule for every real parameter of the public API: numpy floats
+    are accepted and stored as Python floats, ``True`` is not 1.0, and no
+    parameter takes nan or an infinity. Each caller then applies only its
+    own range.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _checked_start(start, name: str = "start") -> tuple[int, int]:
+    """``start`` as a ``(year, month)`` tuple of ints, the month in 1..12.
+
+    The one rule for every calendar-month parameter: a series anchor and
+    both ends of a calendar range. Bools are not integers.
+    """
     if (
         not isinstance(start, (tuple, list))
         or len(start) != 2
         or not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in start)
     ):
-        raise ValidationError(f"start must be a (year, month) pair of integers, got {start!r}")
+        raise ValidationError(f"{name} must be a (year, month) pair of integers, got {start!r}")
     year, month = int(start[0]), int(start[1])
     if not 1 <= month <= 12:
-        raise ValidationError(f"start month {month} outside 1..12")
+        raise ValidationError(f"{name} month {month} outside 1..12")
     return year, month
 
 
@@ -154,9 +174,18 @@ def _modes(values: np.ndarray, resolution: float) -> tuple[float, float | None]:
 
     Ties are broken by descending count, then ascending value. Real-valued
     data generically has no exact repeats, so the mode is only meaningful
-    on a discretized grid; ``resolution`` names that grid.
+    on a discretized grid; ``resolution`` names that grid. A grid index
+    of 2**53 or more is refused: from there it is no longer an exact
+    integer, and the int64 cast can overflow.
     """
-    keys = np.rint(values / resolution).astype(np.int64)
+    with np.errstate(over="ignore"):  # an index that overflows is inf, refused
+        scaled = values / resolution
+    if np.max(np.abs(scaled)) >= 2.0**53:
+        raise ValidationError(
+            f"mode_resolution {resolution!r} is too fine for this series: "
+            "its grid index reaches 2**53"
+        )
+    keys = np.rint(scaled).astype(np.int64)
     counts = Counter(keys.tolist())
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     mode_first = ranked[0][0] * resolution
@@ -190,7 +219,8 @@ def summarize(ts: TimeSeries | np.ndarray, mode_resolution: float = 0.1) -> Summ
     x = sample_values(ts)
     if x.size < 2:
         raise ValidationError("summarize requires at least 2 samples")
-    if not (mode_resolution > 0):
+    mode_resolution = _real(mode_resolution, "mode_resolution")
+    if not mode_resolution > 0:
         raise ValidationError("mode_resolution must be positive")
     mean = float(np.mean(x))
     std = float(np.std(x, ddof=1))

@@ -41,9 +41,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import TimeSeries, _integer, _weighted_line_fit, sample_values
+from .core import TimeSeries, _integer, _real, _weighted_line_fit, sample_values
 from .errors import WARN_H_OUT_OF_RANGE, NumericError, ValidationError, WarningRecord
-from .errors import WARN_SKIPPED_BLOCKS  # noqa: F401  (still importable from here)
 
 __all__ = [
     "RsPoint",
@@ -229,18 +228,20 @@ def rs_table(
     The default scheme is the factor-2 ladder ``min_window, 2*min_window,
     ... <= n/2`` plus the two whole-series scales n/2 and n. Blocks are
     consecutive and non-overlapping; the tail remainder at each scale is
-    discarded. Zero-variance blocks are skipped and counted.
+    discarded. Zero-variance blocks are skipped and counted. The default
+    scheme needs at least ``2 * min_window`` samples; an explicit
+    ``scheme`` replaces it, and its windows need only lie in [2, n].
     """
     x = sample_values(ts)
     n = x.size
     min_window = _integer(min_window, "min_window")
     if min_window < 2:
         raise ValidationError("min_window must be at least 2")
-    if n < 2 * min_window:
-        raise ValidationError(
-            f"series of length {n} too short for min_window {min_window}"
-        )
     if scheme is None:
+        if n < 2 * min_window:
+            raise ValidationError(
+                f"series of length {n} too short for min_window {min_window}"
+            )
         windows = default_window_ladder(n, min_window)
     else:
         windows = sorted({_integer(w, "scheme window") for w in scheme})
@@ -435,6 +436,7 @@ def fractal_correlation(h: float) -> FractalSummary:
     exponents onto (-0.5, 1): zero at h = 0.5 (memoryless), positive for
     persistent processes, negative for anti-persistent ones.
     """
+    h = _real(h, "h")
     if not 0.0 < h < 1.0:
         raise ValidationError(f"fractal correlation requires h in (0, 1), got {h}")
     return FractalSummary(rho=float(2.0 ** (2.0 * h - 1.0) - 1.0))
@@ -442,6 +444,7 @@ def fractal_correlation(h: float) -> FractalSummary:
 
 def fractal_dimension(h: float) -> float:
     """Probability-space fractal dimension 1/h of an exponent-h series."""
+    h = _real(h, "h")
     if not h > 0.0:
         raise ValidationError(f"fractal dimension requires h > 0, got {h}")
     return 1.0 / h

@@ -23,13 +23,12 @@ data.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries, calendar_month, format_month, month_number
+from .core import TimeSeries, _checked_start, _real, calendar_month, format_month, month_number
 from .errors import ParseError, ValidationError, WarningRecord
 from .errors import WARN_RANGE_CLIPPED, WARN_TRUNCATED_AT_GAP
 
@@ -39,8 +38,6 @@ __all__ = [
     "parse",
     "select_range",
     "serialize_column",
-    "WARN_RANGE_CLIPPED",
-    "WARN_TRUNCATED_AT_GAP",
 ]
 
 FORMATS = ("auto", "cpc_table", "csv_pair", "column")
@@ -65,17 +62,17 @@ class IngestOptions:
             raise ValidationError(f"unknown format {self.format!r}")
         if self.on_gap not in ON_GAP:
             raise ValidationError(f"unknown on_gap policy {self.on_gap!r}")
-        if not math.isfinite(self.missing_sentinel):
-            # no finite value is close to nan or inf: absences would read as data
-            raise ValidationError(
-                f"missing_sentinel must be finite, got {self.missing_sentinel!r}"
-            )
+        # no finite value is close to nan or inf: absences would read as data
+        object.__setattr__(
+            self, "missing_sentinel", _real(self.missing_sentinel, "missing_sentinel")
+        )
         if self.range is not None:
-            (y0, m0), (y1, m1) = self.range
-            if not (1 <= m0 <= 12 and 1 <= m1 <= 12):
-                raise ValidationError("range months must be in 1..12")
-            if (y0, m0) > (y1, m1):
+            if not isinstance(self.range, (tuple, list)) or len(self.range) != 2:
+                raise ValidationError(f"range must be a (start, end) pair, got {self.range!r}")
+            span = _calendar_span(*self.range)
+            if span[0] > span[1]:
                 raise ValidationError("range start must not be after range end")
+            object.__setattr__(self, "range", span)
 
 
 @dataclass(frozen=True)
@@ -84,6 +81,11 @@ class ParseResult:
 
     series: TimeSeries
     warnings: tuple[WarningRecord, ...] = ()
+
+
+def _calendar_span(start, end) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Both ends of a calendar range, each checked by the one calendar rule."""
+    return _checked_start(start, "range start"), _checked_start(end, "range end")
 
 
 def _month_name(anchor: tuple[int, int] | None, index: int) -> str:
@@ -255,6 +257,7 @@ def select_range(
     ts: TimeSeries, start: tuple[int, int], end: tuple[int, int]
 ) -> TimeSeries:
     """Inclusive calendar slice of an anchored monthly series."""
+    start, end = _calendar_span(start, end)
     if ts.start is None:
         raise ValidationError("range selection requires a calendar anchor")
     base = month_number(ts.start)
@@ -301,7 +304,7 @@ def parse(text: str, opts: IngestOptions) -> ParseResult:
     if opts.range is not None:
         series = select_range(series, *opts.range)
         delivered = (series.start, series.time_of(len(series) - 1))
-        if delivered != tuple(map(tuple, opts.range)):
+        if delivered != opts.range:
             warnings.append(
                 WarningRecord(
                     code=WARN_RANGE_CLIPPED,

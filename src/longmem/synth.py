@@ -17,20 +17,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries, _integer
+from .core import TimeSeries, _integer, _real
 from .errors import NumericError, ValidationError
 
 __all__ = ["GenSpec", "generate", "fgn_autocovariance"]
 
-# The parameters each kind reads, with the default of an optional one
-# (None where the parameter is required).
+# The parameters each kind reads: each one's default (None where it is
+# required), its range test and that range in words.
 _KIND_PARAMS = {
     "white": {},
     "walk": {},
-    "fgn": {"h": None},
-    "ar1": {"phi": None},
-    "logistic": {"r": 4.0, "x0": 0.2},
-    "sine": {"period": None},
+    "fgn": {"h": (None, lambda v: 0.0 < v < 1.0, "target h in (0, 1)")},
+    "ar1": {"phi": (None, lambda v: -1.0 < v < 1.0, "phi in (-1, 1)")},
+    "logistic": {
+        "r": (4.0, lambda v: 0.0 < v <= 4.0, "r in (0, 4]"),
+        "x0": (0.2, lambda v: 0.0 < v < 1.0, "x0 in (0, 1)"),
+    },
+    "sine": {"period": (None, lambda v: v > 0.0, "period > 0")},
 }
 KINDS = tuple(_KIND_PARAMS)
 
@@ -43,7 +46,9 @@ class GenSpec:
     kind that does not read it is refused, and logistic's unset ``r`` and
     ``x0`` take their defaults (4.0 and 0.2). ``seed`` pins the stochastic
     kinds and is ignored by the deterministic ones (logistic, sine).
-    ``n`` and ``seed`` are integers, and the seed is non-negative.
+    ``n`` and ``seed`` are integers, and the seed is non-negative. The
+    real parameters are finite real numbers, not bools, kept as Python
+    floats.
     """
 
     kind: str
@@ -72,23 +77,12 @@ class GenSpec:
         ]
         if unused:
             raise ValidationError(f"{self.kind} takes no {', '.join(unused)}")
-        for name, default in params.items():
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, default)
-        if self.kind == "fgn":
-            if self.h is None or not np.isfinite(self.h) or not 0.0 < self.h < 1.0:
-                raise ValidationError("fgn requires target h in (0, 1)")
-        elif self.kind == "ar1":
-            if self.phi is None or not np.isfinite(self.phi) or not -1.0 < self.phi < 1.0:
-                raise ValidationError("ar1 requires phi in (-1, 1)")
-        elif self.kind == "logistic":
-            if not np.isfinite(self.r) or not 0.0 < self.r <= 4.0:
-                raise ValidationError("logistic requires r in (0, 4]")
-            if not np.isfinite(self.x0) or not 0.0 < self.x0 < 1.0:
-                raise ValidationError("logistic requires x0 in (0, 1)")
-        elif self.kind == "sine":
-            if self.period is None or not np.isfinite(self.period) or self.period <= 0:
-                raise ValidationError("sine requires period > 0")
+        for name, (default, in_range, words) in params.items():
+            value = getattr(self, name)
+            value = default if value is None else _real(value, name)
+            if value is None or not in_range(value):
+                raise ValidationError(f"{self.kind} requires {words}")
+            object.__setattr__(self, name, value)
 
 
 def fgn_autocovariance(h: float, max_lag: int) -> np.ndarray:
@@ -100,6 +94,9 @@ def fgn_autocovariance(h: float, max_lag: int) -> np.ndarray:
     which avoids the cancellation of the three large powers at long lags.
     gamma(0) is exactly 1, and at h = 0.5 every gamma(k >= 1) is exactly 0.
     """
+    h, max_lag = _real(h, "h"), _integer(max_lag, "max_lag")
+    if max_lag < 0:
+        raise ValidationError(f"max_lag must be >= 0, got {max_lag}")
     gamma = np.zeros(max_lag + 1)
     gamma[0] = 1.0
     if h == 0.5:

@@ -243,6 +243,45 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: missing_sentinel must be finite, got nan\n"
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["stats", "--resolution", "inf"], "mode_resolution must be finite, got inf"),
+            (["stats", "--resolution", "1e-300"], "mode_resolution 1e-300 is too fine"),
+            (["stats", "--range", "1951-13:1952-06"], "range start month 13 outside 1..12"),
+            (["lyap", "--m", "1", "--eps", "1e-3", "--dt", "inf", "--fit", "0:4"],
+             "dt must be finite, got inf"),
+            (["lyap", "--eps", "inf"], "eps must be finite, got inf"),
+            (["lyap", "--grid", "eps=0.3,inf"], "eps must be finite, got inf"),
+            (["lyap", "--grid", "eps=0.3,nan"], "eps must be finite, got nan"),
+        ],
+        ids=["resolution inf", "resolution 1e-300", "range month 13", "dt inf", "eps inf",
+             "grid eps inf", "grid eps nan"],
+    )
+    def test_refused_parameter_exits_three(self, tmp_path, capsys, args, message):
+        path = gen_file(tmp_path, "log.txt", kind="logistic", n=2000)
+        if "--range" in args:
+            path = write(tmp_path, "soi.txt", CPC_TEXT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([args[0], "--input", path, *args[1:]])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+
+    def test_too_fine_resolution_prints_one_line(self, tmp_path):
+        # a separate process, so that a numpy warning would reach stderr
+        path = gen_file(tmp_path, "w.txt", n=64)
+        proc = run_module("stats", "--input", path, "--resolution", "1e-300")
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert proc.stderr.decode().splitlines() == [
+            "error: mode_resolution 1e-300 is too fine for this series: "
+            "its grid index reaches 2**53"
+        ]
+
 
 class TestParserDefaults:
     """Option defaults and choices come from the library, not copies."""

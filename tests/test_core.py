@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from longmem import (
     DivergenceCurve,
     EmbeddingParams,
     GenSpec,
+    IngestOptions,
     NumericError,
     TimeSeries,
     ValidationError,
@@ -18,6 +20,9 @@ from longmem import (
     band_mean,
     embed,
     expected_rescaled_range,
+    fgn_autocovariance,
+    fractal_correlation,
+    fractal_dimension,
     generate,
     hurst_suite,
     lyap_fit,
@@ -26,6 +31,7 @@ from longmem import (
     perm_test,
     rs_statistic,
     rs_table,
+    select_range,
     standardize,
     summarize,
 )
@@ -220,6 +226,25 @@ class TestSummarize:
         with pytest.raises(ValidationError):
             summarize(series([1.0, 2.0]), mode_resolution=0.0)
 
+    @pytest.mark.parametrize("resolution", [1e-300, 1e-30, 2.0**-50])
+    def test_resolution_whose_grid_index_reaches_2_53_rejected(self, resolution):
+        # 4.0 / 2**-50 is exactly 2**52; the checks below use larger indices
+        with pytest.raises(ValidationError, match="too fine"):
+            summarize(series([1.0, -9.0, 4.0]), mode_resolution=resolution)
+
+    def test_grid_index_just_below_2_53_accepted(self):
+        s = summarize(series([1.0, 2.0**53 - 1.0, 1.0]), mode_resolution=1.0)
+        assert (s.mode_first, s.mode_second) == (1.0, 2.0**53 - 1.0)
+        with pytest.raises(ValidationError, match="too fine"):
+            summarize(series([1.0, -(2.0**53), 1.0]), mode_resolution=1.0)
+
+    def test_too_fine_resolution_raises_no_numpy_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="too fine"):
+                # 1e10 / 1e-300 overflows to inf, which is refused
+                summarize(series([1e10, -1e10]), mode_resolution=1e-300)
+
 
 class TestStandardize:
     def test_symmetric_case(self):
@@ -392,6 +417,7 @@ INTEGER_PARAMETERS = {
     "rs_table min_window": (lambda v: rs_table(GOOD, min_window=v), 8),
     "rs_table scheme": (lambda v: rs_table(GOOD, scheme=[v, 16, 32]), 8),
     "expected_rescaled_range": (expected_rescaled_range, 8),
+    "fgn_autocovariance max_lag": (lambda v: fgn_autocovariance(0.75, v), 4),
     "acf_fft max_lag": (lambda v: acf_fft(GOOD, v), 3),
     "acf_direct max_lag": (lambda v: acf_direct(GOOD, v), 3),
     "band_mean lo": (lambda v: band_mean(acf_fft(GOOD, 5), v, 4), 2),
@@ -446,3 +472,114 @@ class TestIntegerRule:
     def test_negative_seed_rejected(self, make):
         with pytest.raises(ValidationError, match="non-negative"):
             make()
+
+
+# Every real parameter of the public API, called with ``v`` in its slot,
+# and a valid value there that float32 holds exactly.
+REAL_PARAMETERS = {
+    "GenSpec h": (lambda v: GenSpec(kind="fgn", n=8, h=v), 0.75),
+    "GenSpec phi": (lambda v: GenSpec(kind="ar1", n=8, phi=v), 0.5),
+    "GenSpec r": (lambda v: GenSpec(kind="logistic", n=8, r=v), 3.75),
+    "GenSpec x0": (lambda v: GenSpec(kind="logistic", n=8, x0=v), 0.25),
+    "GenSpec period": (lambda v: GenSpec(kind="sine", n=8, period=v), 12.0),
+    "fgn_autocovariance h": (lambda v: fgn_autocovariance(v, 4), 0.75),
+    "EmbeddingParams eps": (lambda v: EmbeddingParams(eps=v), 0.25),
+    "lyap_fit dt": (lambda v: lyap_fit(CURVE, 0, 4, dt=v), 0.5),
+    "summarize mode_resolution": (lambda v: summarize(GOOD, mode_resolution=v), 0.5),
+    "IngestOptions missing_sentinel": (
+        lambda v: IngestOptions(format="column", missing_sentinel=v), -999.5
+    ),
+    "fractal_correlation h": (fractal_correlation, 0.75),
+    "fractal_dimension h": (fractal_dimension, 0.75),
+}
+
+
+class TestRealRule:
+    """One rule for real parameters: a finite real number, not a bool, kept
+    as a Python float."""
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(True, "must be a real number"), ("0.5", "must be a real number"),
+         (math.nan, "must be finite"), (math.inf, "must be finite"),
+         (-math.inf, "must be finite")],
+        ids=["bool", "str", "nan", "inf", "-inf"],
+    )
+    @pytest.mark.parametrize("parameter", REAL_PARAMETERS)
+    def test_non_reals_rejected(self, parameter, bad, message):
+        call, _ = REAL_PARAMETERS[parameter]
+        with pytest.raises(ValidationError, match=message):
+            call(bad)
+
+    @pytest.mark.parametrize("make", [np.float64, np.float32], ids=["float64", "float32"])
+    @pytest.mark.parametrize("parameter", REAL_PARAMETERS)
+    def test_numpy_floats_accepted(self, parameter, make):
+        call, valid = REAL_PARAMETERS[parameter]
+        assert repr(call(make(valid))) == repr(call(valid))
+
+    def test_parameters_kept_as_floats(self):
+        for kind, name in (("fgn", "h"), ("ar1", "phi"), ("logistic", "r"),
+                           ("logistic", "x0"), ("sine", "period")):
+            spec = GenSpec(kind=kind, n=8, **{name: np.float32(0.5)})
+            assert type(getattr(spec, name)) is float
+        assert type(GenSpec(kind="logistic", n=8).r) is float
+        assert type(EmbeddingParams(eps=np.float32(0.25)).eps) is float
+        assert type(lyap_fit(CURVE, 0, 4, dt=np.float32(0.5)).dt) is float
+        opts = IngestOptions(format="column", missing_sentinel=np.float32(-99.5))
+        assert type(opts.missing_sentinel) is float
+        # an int is a real number, kept as a float
+        assert repr(IngestOptions(format="column", missing_sentinel=7).missing_sentinel) == "7.0"
+
+
+ANCHORED = series(GOOD, start=(2000, 1))
+
+# Every calendar-month parameter of the public API, called with ``v`` in
+# its slot; (2000, 3) is valid in each.
+CALENDAR_PARAMETERS = {
+    "TimeSeries start": lambda v: TimeSeries(GOOD, start=v),
+    "IngestOptions range start": lambda v: IngestOptions(format="cpc_table", range=(v, (2003, 1))),
+    "IngestOptions range end": lambda v: IngestOptions(format="cpc_table", range=((1999, 1), v)),
+    "select_range start": lambda v: select_range(ANCHORED, v, (2002, 1)),
+    "select_range end": lambda v: select_range(ANCHORED, (1999, 1), v),
+}
+
+
+class TestCalendarRule:
+    """One rule for calendar months: a (year, month) pair of integers, not
+    bools, with the month in 1..12, kept as a tuple of ints."""
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [((2000, 0), "month 0 outside 1..12"), ((2000, 13), "month 13 outside 1..12"),
+         ((2000, 3.0), "pair of integers"), ((True, 3), "pair of integers"),
+         (2000, "pair of integers")],
+        ids=["month 0", "month 13", "float month", "bool year", "int"],
+    )
+    @pytest.mark.parametrize("parameter", CALENDAR_PARAMETERS)
+    def test_bad_months_rejected(self, parameter, bad, message):
+        with pytest.raises(ValidationError, match=message):
+            CALENDAR_PARAMETERS[parameter](bad)
+
+    @pytest.mark.parametrize("parameter", CALENDAR_PARAMETERS)
+    def test_numpy_integers_accepted(self, parameter):
+        call = CALENDAR_PARAMETERS[parameter]
+        assert repr(call([np.int64(2000), np.int32(3)])) == repr(call((2000, 3)))
+
+    def test_error_names_the_parameter(self):
+        with pytest.raises(ValidationError, match="^range end month 13 outside 1..12$"):
+            select_range(ANCHORED, (2000, 1), (2000, 13))
+        with pytest.raises(ValidationError, match="^start month 0 outside 1..12$"):
+            TimeSeries(GOOD, start=(2000, 0))
+
+    def test_range_kept_as_tuples_of_ints(self):
+        opts = IngestOptions(format="cpc_table", range=[[np.int64(2000), 3], (2001, np.uint8(2))])
+        assert opts.range == ((2000, 3), (2001, 2))
+        assert type(opts.range) is tuple
+        assert all(type(end) is tuple and all(type(v) is int for v in end) for end in opts.range)
+
+    @pytest.mark.parametrize(
+        "bad", [((2000, 3),), ((2000, 3), (2001, 2), (2002, 1)), "2000-03:2001-02", 2000]
+    )
+    def test_range_must_be_a_pair(self, bad):
+        with pytest.raises(ValidationError, match="range must be a"):
+            IngestOptions(format="cpc_table", range=bad)

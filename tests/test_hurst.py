@@ -121,6 +121,22 @@ class TestRsTable:
         with pytest.raises(ValidationError):
             rs_table(ts, scheme=[8, 128])
 
+    def test_explicit_scheme_on_a_short_series(self):
+        # the min_window length rule belongs to the default ladder only
+        x = np.arange(10.0) ** 2
+        table = rs_table(x, scheme=[2, 5])
+        assert [(p.window, p.blocks) for p in table] == [(2, 5), (5, 2)]
+        assert table.points[0].mean_rs == pytest.approx(np.mean(
+            [rs_statistic(x[i : i + 2]) for i in range(0, 10, 2)]
+        ))
+        with pytest.raises(ValidationError, match="too short for min_window 8"):
+            rs_table(x)
+
+    @pytest.mark.parametrize("scheme", [[1, 5], [2, 11], [0]])
+    def test_explicit_scheme_windows_stay_in_2_n(self, scheme):
+        with pytest.raises(ValidationError, match=r"lie in \[2, n\]"):
+            rs_table(np.arange(10.0) ** 2, scheme=scheme)
+
     def test_mean_rs_positive(self):
         ts = generate(GenSpec(kind="white", n=256, seed=9))
         assert all(p.mean_rs > 0 for p in rs_table(ts))

@@ -14,7 +14,7 @@ from longmem import (
     select_range,
     serialize_column,
 )
-from longmem.ingest import WARN_RANGE_CLIPPED, WARN_TRUNCATED_AT_GAP
+from longmem.errors import WARN_RANGE_CLIPPED, WARN_TRUNCATED_AT_GAP
 
 ROW_2014 = "2014  0.1  0.2  0.3  0.4  0.5  0.6  0.7  0.8  0.9  1.0  1.1  1.2"
 ROW_2015 = "2015  1.3  1.4  1.5  1.6  1.7  1.8  1.9  2.0  -999.9 -999.9 -999.9 -999.9"

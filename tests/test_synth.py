@@ -133,6 +133,11 @@ class TestFgn:
         fgn = generate(GenSpec(kind="fgn", n=1024, seed=2, h=0.5)).values
         assert np.array_equal(fgn, white)
 
+    def test_negative_max_lag_rejected(self):
+        assert fgn_autocovariance(0.7, 0).tolist() == [1.0]
+        with pytest.raises(ValidationError, match="max_lag must be >= 0"):
+            fgn_autocovariance(0.7, -1)
+
     def test_sign_of_memory(self):
         assert np.all(fgn_autocovariance(0.8, 32)[1:] > 0.0)   # persistent
         assert np.all(fgn_autocovariance(0.3, 32)[1:] < 0.0)   # anti-persistent
