@@ -283,21 +283,31 @@ def lyap_k(ts: TimeSeries | np.ndarray, params: EmbeddingParams) -> DivergenceCu
     return DivergenceCurve(s_values=s_values, ref_counts=ref_counts, params=params)
 
 
+def _checked_fit(start, end, dt, steps: int) -> tuple[int, int, float]:
+    """``lyap_fit``'s range and ``dt``, checked for a curve of ``steps`` steps.
+
+    The steps are integers with 0 <= start < end < steps, spanning at
+    least 3 steps, and ``dt`` is finite and positive. ``lyap`` checks
+    each grid combination's fit by this rule before computing any curve.
+    """
+    start, end = _integer(start, "fit start"), _integer(end, "fit end")
+    if not 0 <= start < end < steps:
+        raise ValidationError(f"fit range [{start}, {end}] invalid for {steps} steps")
+    if end - start + 1 < 3:
+        raise ValidationError("fit range must span at least 3 steps")
+    dt = _real(dt, "dt")
+    if not dt > 0:
+        raise ValidationError("dt must be positive")
+    return start, end, dt
+
+
 def lyap_fit(curve: DivergenceCurve, start: int, end: int, dt: float = 1.0) -> LyapunovFit:
     """Slope of the divergence curve over steps [start, end], per dt.
 
     Ordinary least squares of S(Delta) on Delta; the slope divided by the
     sampling interval is the Lyapunov exponent estimate in 1/time units.
     """
-    s = curve.s_values.size
-    start, end = _integer(start, "fit start"), _integer(end, "fit end")
-    if not 0 <= start < end < s:
-        raise ValidationError(f"fit range [{start}, {end}] invalid for {s} steps")
-    if end - start + 1 < 3:
-        raise ValidationError("fit range must span at least 3 steps")
-    dt = _real(dt, "dt")
-    if not dt > 0:
-        raise ValidationError("dt must be positive")
+    start, end, dt = _checked_fit(start, end, dt, curve.s_values.size)
     if np.any(curve.ref_counts[start : end + 1] == 0):
         raise ValidationError("fit range includes steps with no surviving reference")
     delta = np.arange(start, end + 1, dtype=float)

@@ -12,6 +12,10 @@ Each subcommand returns a ``_Report`` and ``main`` renders it, so the
 envelope, the renderings and the ``--out`` file have one code path.
 Start-up follows the command: a run adds only its own subcommand's
 options to the parser and imports only the analysis module it calls.
+Subcommands read every library name as an attribute of this module
+(``_lib.acf_fft``): a name bound here, such as a wrapper set before
+``main`` runs, is the one called, and any other is looked up lazily
+through the package, which imports only the module that defines it.
 Exit skips the interpreter's final cyclic collections: run as the
 program (``argv`` None), ``main`` freezes the heap before it returns;
 called with an ``argv`` list, as a library or a test does, it leaves
@@ -26,7 +30,6 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
-import importlib
 import itertools
 import json
 import math
@@ -37,8 +40,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import _EXPORTS, _SOURCE
-from .core import TimeSeries, format_month, summarize
+from . import __getattr__ as _package_lookup
+from .core import TimeSeries, format_month, parse_month
 from .errors import (
     WARN_EPS_TOO_SMALL,
     WARN_SKIPPED_BLOCKS,
@@ -48,9 +51,12 @@ from .errors import (
     ValidationError,
     WarningRecord,
 )
-from .ingest import FORMATS, ON_GAP, IngestOptions, parse, serialize_column
+from .ingest import FORMATS, ON_GAP, IngestOptions
 
 __all__ = ["main", "SCHEMA_VERSION"]
+
+# this module: subcommands read library names as its attributes
+_lib = sys.modules[__name__]
 
 SCHEMA_VERSION = 1
 
@@ -82,21 +88,12 @@ _SUITE_LABELS = (
 # argument parsing
 
 
-def _year_month(text: str) -> tuple[int, int]:
-    try:
-        year, month = text.split("-")
-        return int(year), int(month)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected YYYY-MM, got {text!r}"
-        ) from None
-
-
 def _span(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
     lo, sep, hi = text.partition(":")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"expected START:END, got {text!r}")
-    return _year_month(lo), _year_month(hi)
+    start, end = parse_month(lo), parse_month(hi)
+    if not sep or start is None or end is None:
+        raise argparse.ArgumentTypeError(f"expected YYYY-MM:YYYY-MM, got {text!r}")
+    return start, end
 
 
 def _int_pair(text: str) -> tuple[int, int]:
@@ -124,24 +121,6 @@ def _add_format_options(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_input_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--input", required=True, help="data file to analyse")
-    _add_format_options(sub)
-    sub.add_argument(
-        "--range",
-        type=_span,
-        default=None,
-        metavar="YYYY-MM:YYYY-MM",
-        help="inclusive calendar slice (anchored formats only)",
-    )
-    sub.add_argument(
-        "--on-gap",
-        choices=ON_GAP,
-        default="error",
-        help="policy for interior missing values",
-    )
-
-
 def _add_output_options(sub: argparse.ArgumentParser, curve: bool = True) -> None:
     sub.add_argument(
         "--format",
@@ -157,11 +136,25 @@ def _add_output_options(sub: argparse.ArgumentParser, curve: bool = True) -> Non
         )
 
 
-def _add_analysis_options(p, func, library=None, curve: bool = True) -> None:
+def _add_analysis_options(p, func, curve: bool = True) -> None:
     """The options of a subcommand that analyses one ``--input`` file."""
-    _add_input_options(p)
+    p.add_argument("--input", required=True, help="data file to analyse")
+    _add_format_options(p)
+    p.add_argument(
+        "--range",
+        type=_span,
+        default=None,
+        metavar="YYYY-MM:YYYY-MM",
+        help="inclusive calendar slice (anchored formats only)",
+    )
+    p.add_argument(
+        "--on-gap",
+        choices=ON_GAP,
+        default="error",
+        help="policy for interior missing values",
+    )
     _add_output_options(p, curve)
-    p.set_defaults(func=func, library=library)
+    p.set_defaults(func=func)
 
 
 def _stats_options(p: argparse.ArgumentParser) -> None:
@@ -175,7 +168,7 @@ def _stats_options(p: argparse.ArgumentParser) -> None:
 
 
 def _acf_options(p: argparse.ArgumentParser) -> None:
-    _add_analysis_options(p, _cmd_acf, "acf")
+    _add_analysis_options(p, _cmd_acf)
     p.add_argument("--max-lag", type=int, required=True)
     p.add_argument("--method", choices=("fft", "direct"), default="fft")
     p.add_argument(
@@ -188,7 +181,7 @@ def _acf_options(p: argparse.ArgumentParser) -> None:
 
 
 def _hurst_options(p: argparse.ArgumentParser) -> None:
-    _add_analysis_options(p, _cmd_hurst, "hurst")
+    _add_analysis_options(p, _cmd_hurst)
     p.add_argument("--min-window", type=int, default=8)
     p.add_argument(
         "--weighted",
@@ -198,14 +191,12 @@ def _hurst_options(p: argparse.ArgumentParser) -> None:
 
 
 def _suite_options(p: argparse.ArgumentParser) -> None:
-    _add_analysis_options(p, _cmd_suite, "hurst", curve=False)
+    _add_analysis_options(p, _cmd_suite, curve=False)
 
 
 def _lyap_options(p: argparse.ArgumentParser) -> None:
-    from .chaos import EmbeddingParams
-
-    default = EmbeddingParams()
-    _add_analysis_options(p, _cmd_lyap, "chaos")
+    default = _lib.EmbeddingParams()
+    _add_analysis_options(p, _cmd_lyap)
     p.add_argument("--m", type=int, default=default.m, help="embedding dimension")
     p.add_argument("--d", type=int, default=default.d, help="embedding delay")
     p.add_argument("--theiler", type=int, default=default.theiler, help="temporal exclusion window")
@@ -259,7 +250,7 @@ def _permtest_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tail", choices=TAILS, default="two")
     _add_output_options(p)
     # permtest reads whole files: no calendar slice, and gaps are errors
-    p.set_defaults(func=_cmd_permtest, library="permtest", range=None, on_gap="error")
+    p.set_defaults(func=_cmd_permtest, range=None, on_gap="error")
 
 
 def _gen_options(p: argparse.ArgumentParser) -> None:
@@ -274,7 +265,7 @@ def _gen_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x0", type=float, default=None, help="logistic-map start value")
     p.add_argument("--period", type=float, default=None, help="sine period in samples")
     _add_output_options(p)
-    p.set_defaults(func=_cmd_gen, library="synth")
+    p.set_defaults(func=_cmd_gen)
 
 
 # Each subcommand's help line and the function that adds its options.
@@ -344,7 +335,7 @@ def _load_series(
                 text = fh.read()
         except OSError as exc:
             raise ValidationError(f"cannot read {path}: {exc}") from None
-        result = parse(text, opts)
+        result = _lib.parse(text, opts)
         series.append(result.series)
         inputs.append(
             {
@@ -357,33 +348,28 @@ def _load_series(
     return series, inputs, warnings
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+def _plain(value, strict: bool):
+    """``value`` with numpy values as Python ones and tuples as lists.
+
+    With ``strict``, for JSON, each nan or infinite float becomes None.
+    """
     if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
-    return value
-
-
-def _null_non_finite(value):
-    """``value`` with each nan or infinite float as None, for strict JSON."""
+        value = value.tolist()
     if isinstance(value, dict):
-        return {k: _null_non_finite(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_null_non_finite(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
+        return {k: _plain(v, strict) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v, strict) for v in value]
+    if strict and isinstance(value, float) and not math.isfinite(value):
         return None
     return value
 
 
-def _envelope(argv, inputs, results, warnings) -> dict:
+def _envelope(argv, inputs, results, warnings, strict: bool) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": shlex.join(["longmem", *argv]),
         "inputs": inputs,
-        "results": _jsonable(results),
+        "results": _plain(results, strict),
         "warnings": [{"code": w.code, "message": w.message} for w in warnings],
     }
 
@@ -415,8 +401,7 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
 def _emit(ns, envelope: dict, table_lines: list[str]) -> None:
     warnings = envelope["warnings"]
     if ns.format == "json":
-        strict = _null_non_finite(envelope)
-        sys.stdout.write(json.dumps(strict, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        sys.stdout.write(json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False) + "\n")
         return
     if ns.format == "csv":
         rows: list[tuple[str, str]] = []
@@ -465,25 +450,25 @@ def _columns(widths: dict[str, int], rows) -> list[str]:
 
 def _cmd_stats(ns) -> _Report:
     [series], inputs, warnings = _load_series(ns, ns.input)
-    results = asdict(summarize(series, mode_resolution=ns.resolution))
+    results = asdict(_lib.summarize(series, mode_resolution=ns.resolution))
     return _Report(inputs, results, warnings, _kv_lines(results))
 
 
 def _cmd_acf(ns) -> _Report:
     [series], inputs, warnings = _load_series(ns, ns.input)
-    compute = acf_fft if ns.method == "fft" else acf_direct
+    compute = _lib.acf_fft if ns.method == "fft" else _lib.acf_direct
     result = compute(series, ns.max_lag)
     results = {
         "n": result.n,
         "max_lag": result.max_lag,
         "method": ns.method,
-        "first_zero_crossing": first_zero_crossing(result),
+        "first_zero_crossing": _lib.first_zero_crossing(result),
         "coefficients": result.coefficients,
     }
     table = _kv_lines(results)
     if ns.band is not None:
         lo, hi = ns.band
-        results["band"] = {"lo": lo, "hi": hi, "mean": band_mean(result, lo, hi)}
+        results["band"] = {"lo": lo, "hi": hi, "mean": _lib.band_mean(result, lo, hi)}
         table.extend(_kv_lines({f"band_mean[{lo}:{hi}]": results["band"]["mean"]}))
     table.append("")
     table.extend(_columns({"lag": 5, "r": 12}, enumerate(results["coefficients"].tolist())))
@@ -493,8 +478,8 @@ def _cmd_acf(ns) -> _Report:
 
 def _cmd_hurst(ns) -> _Report:
     [series], inputs, warnings = _load_series(ns, ns.input)
-    table = rs_table(series, min_window=ns.min_window)
-    estimate = fit_h(table, weighted=ns.weighted)
+    table = _lib.rs_table(series, min_window=ns.min_window)
+    estimate = _lib.fit_h(table, weighted=ns.weighted)
     warnings.extend(estimate.warnings)
     if table.skipped_blocks:
         warnings.append(
@@ -504,7 +489,7 @@ def _cmd_hurst(ns) -> _Report:
             )
         )
     rho = (
-        fractal_correlation(estimate.h).rho if 0.0 < estimate.h < 1.0 else None
+        _lib.fractal_correlation(estimate.h).rho if 0.0 < estimate.h < 1.0 else None
     )
     results = {
         "h": estimate.h,
@@ -528,7 +513,7 @@ def _cmd_hurst(ns) -> _Report:
 
 def _cmd_suite(ns) -> _Report:
     [series], inputs, warnings = _load_series(ns, ns.input)
-    results = asdict(hurst_suite(series))
+    results = asdict(_lib.hurst_suite(series))
     labelled = {f"{label}:": value for label, value in zip(_SUITE_LABELS, results.values())}
     return _Report(inputs, results, warnings, _kv_lines(labelled))
 
@@ -563,8 +548,13 @@ def _cmd_lyap(ns) -> _Report:
     base = {field: getattr(ns, name) for name, (field, _) in _GRID_FIELDS.items()}
     base.update(seed=ns.seed, random_sample=ns.random_refs)
     overrides = _parse_grid(ns.grid) if ns.grid else [{}]
-    # every combination is checked before the first curve is computed
-    grid = [EmbeddingParams(**{**base, **combo}) for combo in overrides]
+    # every combination, and its fit, is checked before the first curve is computed
+    grid = [_lib.EmbeddingParams(**{**base, **combo}) for combo in overrides]
+    if ns.fit is not None:
+        from .chaos import _checked_fit
+
+        for params in grid:
+            _checked_fit(*ns.fit, ns.dt, params.s)
     payloads, lines, curve_lines, failures = [], [], [], []
     for params in grid:
         payload = {
@@ -585,7 +575,7 @@ def _cmd_lyap(ns) -> _Report:
         if len(overrides) > 1:
             curve_lines.append(header)
         try:
-            curve = lyap_k(series, params)
+            curve = _lib.lyap_k(series, params)
         except EpsTooSmallError as exc:
             # one radius too small for this combination spoils only its curve
             failures.append(exc)
@@ -601,7 +591,7 @@ def _cmd_lyap(ns) -> _Report:
             rows = zip(itertools.count(), curve.s_values.tolist(), curve.ref_counts.tolist())
             lines.extend(_columns({"step": 5, "S": 12, "refs": 5}, rows))
             if ns.fit is not None:
-                fit = lyap_fit(curve, ns.fit[0], ns.fit[1], dt=ns.dt)
+                fit = _lib.lyap_fit(curve, ns.fit[0], ns.fit[1], dt=ns.dt)
                 payload["fit"] = {**asdict(fit), "chaos_consistent": fit.chaos_consistent}
                 lines.append("")
                 lines.extend(_kv_lines(payload["fit"]))
@@ -644,7 +634,7 @@ def _cmd_permtest(ns) -> _Report:
             )
         y = np.hypot(u_series.values, v_series.values)
 
-    result = perm_test(
+    result = _lib.perm_test(
         series[0],
         y,
         n_perm=ns.n_perm,
@@ -664,13 +654,11 @@ def _cmd_permtest(ns) -> _Report:
 
 def _cmd_gen(ns) -> _Report | str:
     """The generated column as text, or a report when it goes to ``--out``."""
-    kwargs = {
-        name: getattr(ns, name)
-        for name in ("h", "phi", "r", "x0", "period")
-        if getattr(ns, name) is not None
-    }
-    spec = GenSpec(kind=ns.kind, n=ns.n, seed=ns.seed, **kwargs)
-    text = serialize_column(generate(spec))
+    from .synth import PARAMS
+
+    kwargs = {name: getattr(ns, name) for name in PARAMS if getattr(ns, name) is not None}
+    spec = _lib.GenSpec(kind=ns.kind, n=ns.n, seed=ns.seed, **kwargs)
+    text = _lib.serialize_column(_lib.generate(spec))
     if ns.out is None:
         return text
     results = {"kind": ns.kind, "n": ns.n, "seed": ns.seed, "path": ns.out, **kwargs}
@@ -681,24 +669,12 @@ def _cmd_gen(ns) -> _Report | str:
 # entry point
 
 
-def _bind_library(module: str) -> None:
-    """Bind the public names of ``module`` here, keeping any name already bound.
-
-    ``main`` binds those of the module its subcommand names (its ``library``
-    default), so a run imports only the analysis module it uses, and a
-    name bound before, such as a tracer's wrapper, is the one called.
-    """
-    lib = importlib.import_module(f".{module}", __package__)
-    for name in _EXPORTS[module]:
-        globals().setdefault(name, getattr(lib, name))
-
-
 def __getattr__(name: str):
-    """A library name looked up before ``main`` bound it, as by a tracer."""
-    if name not in _SOURCE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_library(_SOURCE[name])
-    return globals()[name]
+    """A public library name not bound here, from the package's lazy lookup."""
+    try:
+        return _package_lookup(name)
+    except AttributeError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
 
 
 def main(argv=None) -> int:
@@ -725,8 +701,6 @@ def _run(argv: list[str]) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if ns.library is not None:
-        _bind_library(ns.library)
     try:
         report = ns.func(ns)
         if isinstance(report, str):  # gen without --out: the bare column
@@ -735,7 +709,8 @@ def _run(argv: list[str]) -> int:
         # the curve file comes first, so a failed write prints no envelope
         if getattr(ns, "out", None):
             _write_out(ns.out, report.curve)
-        envelope = _envelope(argv, report.inputs, report.results, report.warnings)
+        strict = ns.format == "json"
+        envelope = _envelope(argv, report.inputs, report.results, report.warnings, strict)
         _emit(ns, envelope, report.table)
         return 0
     except (ValidationError, NumericError) as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -36,6 +37,19 @@ def format_month(year_month: tuple[int, int]) -> str:
     """``(year, month)`` written as ``YYYY-MM``."""
     year, month = year_month
     return f"{year:04d}-{month:02d}"
+
+
+_MONTH_RE = re.compile(r"(\d{4})-(\d{1,2})")
+
+
+def parse_month(text: str) -> tuple[int, int] | None:
+    """``YYYY-MM`` text as ``(year, month)``, or None when it is not in that form.
+
+    The year has four digits and the month one or two; the month's range
+    is the caller's check.
+    """
+    match = _MONTH_RE.fullmatch(text)
+    return None if match is None else (int(match[1]), int(match[2]))
 
 
 def frozen_copy(values, dtype=None) -> np.ndarray:
@@ -146,8 +160,24 @@ def _as_series(x: TimeSeries | np.ndarray) -> TimeSeries:
 
 
 def sample_values(x: TimeSeries | np.ndarray) -> np.ndarray:
-    """The samples of ``x``, checked as a ``TimeSeries`` unless it is one."""
-    return _as_series(x).values
+    """The samples of ``x``, checked as a ``TimeSeries`` unless it is one.
+
+    Samples too large for an analysis's sums to stay finite are refused:
+    max|x| must not exceed 2**500 / n. A centred value is at most 2*max in
+    size, so a centred sum of squares is at most 4n*max**2 and an ACF power
+    term, the square of a sum of n centred values, at most 4n**2*max**2.
+    Under the bound both are at most 4 * 2**1000 = 2**1002, well inside
+    float64, whose largest value is near 2**1024. The test divides rather
+    than multiplies, so it cannot overflow itself.
+    """
+    values = _as_series(x).values
+    peak, limit = float(np.abs(values).max()), 2.0**500 / values.size
+    if peak > limit:
+        raise ValidationError(
+            f"samples reach {peak:.3g} in magnitude; {values.size} samples "
+            f"may reach at most 2**500/n = {limit:.3g}"
+        )
+    return values
 
 
 @dataclass(frozen=True)
@@ -246,11 +276,11 @@ def summarize(ts: TimeSeries | np.ndarray, mode_resolution: float = 0.1) -> Summ
 def standardize(ts: TimeSeries | np.ndarray) -> TimeSeries:
     """Shift and scale to sample mean 0 and sample std 1.
 
-    Raw samples come back as a ``TimeSeries``. Raises ``NumericError`` on
-    a constant series.
+    Raw samples come back as a ``TimeSeries``. The samples are checked by
+    ``sample_values``. Raises ``NumericError`` on a constant series.
     """
     ts = _as_series(ts)
-    x = ts.values
+    x = sample_values(ts)
     std = np.std(x, ddof=1) if x.size > 1 else 0.0
     if std == 0.0:
         raise NumericError("cannot standardize a constant series")

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries, _checked_start, _real, calendar_month, format_month, month_number
+from .core import TimeSeries, _checked_start, _real, calendar_month, format_month
+from .core import month_number, parse_month
 from .errors import ParseError, ValidationError, WarningRecord
 from .errors import WARN_RANGE_CLIPPED, WARN_TRUNCATED_AT_GAP
 
@@ -44,7 +45,6 @@ FORMATS = ("auto", "cpc_table", "csv_pair", "column")
 ON_GAP = ("error", "truncate_at_first_gap")
 
 _SENTINEL_TOL = 1e-6
-_DATE_RE = re.compile(r"^(\d{4})-(\d{1,2})$")
 _NUMBER_START_RE = re.compile(r"[+-]?\.?\d")
 
 
@@ -220,14 +220,14 @@ def _parse_csv_pair(text: str) -> tuple[list[int], list[float]]:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise ParseError(f"expected 'YYYY-MM,value', got {line!r}", lineno)
-        match = _DATE_RE.match(parts[0])
-        if not match or not 1 <= int(match.group(2)) <= 12:
+        date = parse_month(parts[0])
+        if date is None or not 1 <= date[1] <= 12:
             raise ParseError(f"bad date {parts[0]!r}", lineno)
         try:
             value = float(parts[1])
         except ValueError:
             raise ParseError(f"bad value {parts[1]!r}", lineno) from None
-        month = month_number((int(match.group(1)), int(match.group(2))))
+        month = month_number(date)
         if months and month <= months[-1]:
             raise ParseError("dates must be strictly increasing", lineno)
         months.append(month)

@@ -36,6 +36,8 @@ _KIND_PARAMS = {
     "sine": {"period": (None, lambda v: v > 0.0, "period > 0")},
 }
 KINDS = tuple(_KIND_PARAMS)
+# Every kind-specific parameter, in GenSpec's field order.
+PARAMS = tuple(name for params in _KIND_PARAMS.values() for name in params)
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,7 @@ class GenSpec:
         params = _KIND_PARAMS[self.kind]
         unused = [
             name
-            for name in ("h", "phi", "r", "x0", "period")
+            for name in PARAMS
             if getattr(self, name) is not None and name not in params
         ]
         if unused:

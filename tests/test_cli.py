@@ -271,6 +271,79 @@ class TestExitCodes:
         assert captured.err.startswith(f"error: {message}")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["stats"],
+            ["acf", "--max-lag", "10"],
+            ["hurst"],
+            ["suite"],
+            ["lyap"],
+            ["permtest"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_huge_samples_exit_three(self, tmp_path, capsys, args):
+        # a centred sum of squares of these samples overflows float64
+        values = 1e200 * np.random.default_rng(0).standard_normal(776)
+        path = write(tmp_path, "huge.txt", "\n".join(map(repr, values.tolist())) + "\n")
+        if args[0] == "permtest":
+            argv = ["permtest", "--x", path, "--y", gen_file(tmp_path, "w.txt", n=776)]
+        else:
+            argv = [args[0], "--input", path, *args[1:]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "error: samples reach 3.9e+200 in magnitude; 776 samples may reach "
+            "at most 2**500/n = 4.22e+147\n"
+        )
+
+    def test_stats_of_huge_samples_exits_three(self, tmp_path, capsys):
+        path = write(tmp_path, "huge.txt", "1e300\n-1e300\n1e300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["stats", "--input", path, "--resolution", "1e300"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "error: samples reach 1e+300 in magnitude; 3 samples may reach "
+            "at most 2**500/n = 1.09e+150\n"
+        )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--dt", "inf", "--fit", "0:4"],
+            ["--dt", "0", "--fit", "0:4"],
+            ["--fit", "0:20"],
+            ["--fit", "1:2"],
+            ["--grid", "steps=12,4", "--fit", "0:4"],
+        ],
+        ids=["dt inf", "dt 0", "fit past the steps", "fit of 2 steps", "grid steps"],
+    )
+    def test_bad_fit_exits_three_before_any_curve(self, tmp_path, capsys, monkeypatch, args):
+        import longmem.cli
+
+        path = gen_file(tmp_path, "log.txt", kind="logistic", n=2000)
+        calls = []
+        real = longmem.cli.lyap_k
+
+        def counting(*a, **k):
+            calls.append(a)
+            return real(*a, **k)
+
+        monkeypatch.setattr(longmem.cli, "lyap_k", counting)
+        code = main(["lyap", "--input", path, "--m", "1", "--eps", "1e-3", *args])
+        captured = capsys.readouterr()
+        assert code == 3, captured.err
+        assert captured.err.count("\n") == 1
+        assert calls == []
+
     def test_too_fine_resolution_prints_one_line(self, tmp_path):
         # a separate process, so that a numpy warning would reach stderr
         path = gen_file(tmp_path, "w.txt", n=64)
@@ -439,6 +512,24 @@ class TestFormatsAndRange:
         path = write(tmp_path, "soi.txt", CPC_TEXT)
         assert main(["stats", "--input", path, "--range", "2014-03"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "span, code",
+        [
+            ("1951-1:1951-4", 0),
+            ("+1951-01:1951-04", 2),
+            ("51-01:52-01", 2),
+            ("1951-01:1951-4x", 2),
+            ("1951-13:1952-01", 3),
+        ],
+    )
+    def test_range_reads_months_as_csv_pair_dates(self, tmp_path, capsys, span, code):
+        # a csv_pair date and a --range end are read by the same rule
+        path = csv_file(tmp_path, "fifties.csv", 1951)
+        assert main(["stats", "--input", path, "--range", span, "--format", "json"]) == code
+        out = capsys.readouterr().out
+        if code == 0:
+            assert json.loads(out)["results"]["n"] == 4
 
 
 class TestCurveOutputs:

@@ -368,6 +368,45 @@ class TestSeriesContract:
         assert not checked.flags.writeable
 
 
+# Samples at the magnitude bound, 2**500 / n: the extremes are exactly +-bound.
+AT_BOUND = (np.array(GOOD) - 5.0) / 5.0 * (2.0**500 / len(GOOD))
+
+
+class TestMagnitudeRule:
+    """Samples too large for an analysis's sums to stay finite are refused."""
+
+    @pytest.mark.parametrize("call", RAW_SAMPLE_CALLS)
+    def test_huge_samples_refused(self, call):
+        x = 1e200 * np.random.default_rng(0).standard_normal(776)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"at most 2\*\*500/n"):
+                RAW_SAMPLE_CALLS[call](x)
+
+    @pytest.mark.parametrize("call", RAW_SAMPLE_CALLS)
+    def test_samples_at_the_bound_run_without_overflow(self, call):
+        # summarize's own grid rule refuses the default resolution here
+        run = {**RAW_SAMPLE_CALLS, "summarize": lambda x: summarize(x, 2.0**450)}[call]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run(AT_BOUND)
+        values = dataclasses.astuple(result) if dataclasses.is_dataclass(result) else (result,)
+        for value in values:
+            if isinstance(value, (float, np.ndarray)):
+                assert np.all(np.isfinite(value))
+
+    def test_bound_is_inclusive(self):
+        over = AT_BOUND.copy()
+        over[np.argmax(over)] = np.nextafter(over.max(), np.inf)
+        assert sample_values(AT_BOUND).max() == 2.0**500 / len(GOOD)
+        with pytest.raises(ValidationError, match="may reach at most"):
+            sample_values(over)
+
+    def test_standardize_of_a_series_is_checked(self):
+        with pytest.raises(ValidationError, match="may reach at most"):
+            standardize(series([1e300, -1e300, 1e300]))
+
+
 class TestFrozenCopy:
     def test_copy_is_read_only_and_the_input_is_not(self):
         values = np.arange(4.0)

@@ -1,5 +1,7 @@
 """Synthetic generators: determinism, distributions, and exact identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,10 @@ class TestGenSpec:
             GenSpec(kind="logistic", n=16, x0=0.0)
         with pytest.raises(ValidationError):
             GenSpec(kind="logistic", n=16, x0=1.0)
+
+    def test_params_are_the_real_fields_in_order(self):
+        real = [f.name for f in dataclasses.fields(GenSpec) if f.type == "float | None"]
+        assert synth.PARAMS == tuple(real) == ("h", "phi", "r", "x0", "period")
 
     def test_sine_requires_period(self):
         with pytest.raises(ValidationError):
