@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import TimeSeries, _integer, frozen_copy, sample_values
 from .errors import NumericError, ValidationError
 
-__all__ = ["AcfResult", "acf_direct", "acf_fft", "first_zero_crossing", "band_mean"]
+__all__ = list(_EXPORTS["acf"])
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import (
     TimeSeries,
     _integer,
@@ -51,7 +52,7 @@ from .core import (
 )
 from .errors import EpsTooSmallError, ValidationError
 
-__all__ = ["EmbeddingParams", "DivergenceCurve", "LyapunovFit", "embed", "lyap_k", "lyap_fit"]
+__all__ = list(_EXPORTS["chaos"])
 
 # Candidate pairs tested at once by the neighbour search. References are
 # processed in consecutive chunks whose windows together hold at most this

@@ -21,8 +21,9 @@ program (``argv`` None), ``main`` freezes the heap before it returns;
 called with an ``argv`` list, as a library or a test does, it leaves
 the caller's garbage collector alone.
 
-Exit codes: 0 success, 2 parse/usage error, 3 input validation error,
-4 numeric failure (zero variance, radius too small).
+Exit codes: 0 success, 2 usage error, and for a library error the
+``exit_code`` of its class in ``errors``: 2 parse error, 3 input
+validation error, 4 numeric failure (zero variance, radius too small).
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .errors import (
     WARN_SKIPPED_BLOCKS,
     EpsTooSmallError,
     NumericError,
-    ParseError,
     ValidationError,
     WarningRecord,
 )
@@ -70,9 +70,6 @@ _GRID_FIELDS = {
     "refs": ("n_ref", int),
     "steps": ("s", int),
 }
-
-# Exit code of each error type, the most specific first.
-_EXIT_CODES = ((ParseError, 2), (ValidationError, 3), (NumericError, 4))
 
 # Table labels of the suite estimates, in ``HurstSuite`` field order.
 _SUITE_LABELS = (
@@ -529,6 +526,8 @@ def _parse_grid(spec: str) -> list[dict]:
                 f"{', '.join(sorted(_GRID_FIELDS))}"
             )
         field, cast = _GRID_FIELDS[name]
+        if any(field == seen for seen, _ in axes):
+            raise ValidationError(f"grid axis {name!r} given twice")
         try:
             values = [cast(v) for v in raw.split(",") if v.strip()]
         except ValueError:
@@ -547,7 +546,7 @@ def _cmd_lyap(ns) -> _Report:
     [series], inputs, warnings = _load_series(ns, ns.input)
     base = {field: getattr(ns, name) for name, (field, _) in _GRID_FIELDS.items()}
     base.update(seed=ns.seed, random_sample=ns.random_refs)
-    overrides = _parse_grid(ns.grid) if ns.grid else [{}]
+    overrides = [{}] if ns.grid is None else _parse_grid(ns.grid)
     # every combination, and its fit, is checked before the first curve is computed
     grid = [_lib.EmbeddingParams(**{**base, **combo}) for combo in overrides]
     if ns.fit is not None:
@@ -715,7 +714,7 @@ def _run(argv: list[str]) -> int:
         return 0
     except (ValidationError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -16,9 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import NumericError, ValidationError
 
-__all__ = ["TimeSeries", "SummaryStats", "summarize", "standardize"]
+__all__ = list(_EXPORTS["core"])
 
 
 def month_number(year_month: tuple[int, int]) -> int:
@@ -199,6 +200,24 @@ class SummaryStats:
     cv_percent: float | None
 
 
+def _moments(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, centred values and sample variance along the last axis.
+
+    The arithmetic of ``np.mean`` and ``np.var(ddof=1)``, bit for bit:
+    numpy's sum along the axis divided by its length (kept as an axis of
+    length 1), the values less that mean, and their sum of squares over
+    length - 1; the square root of the variance is ``np.std(ddof=1)``.
+    Every statistic comes from one centring, and the centred values are a
+    new array the caller may overwrite. A single value has variance 0,
+    where numpy would give NaN.
+    """
+    size = a.shape[-1]
+    mean = np.add.reduce(a, axis=-1, keepdims=True) / size
+    centred = a - mean
+    variance = np.add.reduce(centred * centred, axis=-1) / max(size - 1, 1)
+    return mean, centred, variance
+
+
 def _modes(values: np.ndarray, resolution: float) -> tuple[float, float | None]:
     """Two most frequent values after rounding to the resolution grid.
 
@@ -252,9 +271,9 @@ def summarize(ts: TimeSeries | np.ndarray, mode_resolution: float = 0.1) -> Summ
     mode_resolution = _real(mode_resolution, "mode_resolution")
     if not mode_resolution > 0:
         raise ValidationError("mode_resolution must be positive")
-    mean = float(np.mean(x))
-    std = float(np.std(x, ddof=1))
-    variance = float(np.var(x, ddof=1))
+    mean, centred, variance = _moments(x)
+    mean, variance = float(mean[0]), float(variance)
+    std = math.sqrt(variance)
     mode_first, mode_second = _modes(x, mode_resolution)
     if std == 0.0 or mean == 0.0:
         cv = None
@@ -267,7 +286,7 @@ def summarize(ts: TimeSeries | np.ndarray, mode_resolution: float = 0.1) -> Summ
         mode_first=mode_first,
         mode_second=mode_second,
         std_dev=std,
-        mean_abs_dev=float(np.mean(np.abs(x - mean))),
+        mean_abs_dev=float(np.add.reduce(np.abs(centred)) / x.size),
         variance=variance,
         cv_percent=cv,
     )
@@ -281,10 +300,10 @@ def standardize(ts: TimeSeries | np.ndarray) -> TimeSeries:
     """
     ts = _as_series(ts)
     x = sample_values(ts)
-    std = np.std(x, ddof=1) if x.size > 1 else 0.0
-    if std == 0.0:
+    _, centred, variance = _moments(x)
+    if variance == 0.0:
         raise NumericError("cannot standardize a constant series")
-    return ts.with_values((x - np.mean(x)) / std)
+    return ts.with_values(centred / np.sqrt(variance))
 
 
 def _weighted_line_fit(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None):

@@ -1,9 +1,10 @@
 """Exception hierarchy and warning records shared across the toolkit.
 
-The CLI maps the exceptions onto exit codes: files that cannot be parsed
-(``ParseError``) exit with 2, other validation problems (bad input shape,
-out-of-range parameters, gaps, non-finite values) with 3, and numeric
-failures (zero variance, empty neighborhoods) with 4.
+Each exception class carries the exit code the CLI returns for it, as
+``exit_code``: files that cannot be parsed (``ParseError``) exit with 2,
+other validation problems (bad input shape, out-of-range parameters,
+gaps, non-finite values) with 3, and numeric failures (zero variance,
+empty neighborhoods) with 4.
 
 Non-fatal conditions are reported as ``WarningRecord`` values with stable
 codes so that table output and structured output carry the same
@@ -11,6 +12,10 @@ diagnostics. The codes are defined here, once.
 """
 
 from dataclasses import dataclass
+
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["errors"])
 
 # A fitted Hurst exponent outside (0, 1.5).
 WARN_H_OUT_OF_RANGE = "H_OUT_OF_RANGE"
@@ -39,12 +44,16 @@ class LongmemError(Exception):
 class ValidationError(LongmemError):
     """Input violates a precondition (length, range, format)."""
 
+    exit_code = 3
+
 
 class ParseError(ValidationError):
     """A data file could not be parsed.
 
     Carries the 1-based line number when the offending line is known.
     """
+
+    exit_code = 2
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -55,6 +64,8 @@ class ParseError(ValidationError):
 
 class NumericError(LongmemError):
     """Computation is undefined for this input (e.g. zero variance)."""
+
+    exit_code = 4
 
 
 class EpsTooSmallError(NumericError):

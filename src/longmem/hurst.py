@@ -41,23 +41,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import TimeSeries, _integer, _real, _weighted_line_fit, sample_values
+from . import _EXPORTS
+from .core import TimeSeries, _integer, _moments, _real, _weighted_line_fit, sample_values
 from .errors import WARN_H_OUT_OF_RANGE, NumericError, ValidationError, WarningRecord
 
-__all__ = [
-    "RsPoint",
-    "RsTable",
-    "HurstEstimate",
-    "HurstSuite",
-    "FractalSummary",
-    "rs_statistic",
-    "rs_table",
-    "fit_h",
-    "expected_rescaled_range",
-    "hurst_suite",
-    "fractal_correlation",
-    "fractal_dimension",
-]
+__all__ = list(_EXPORTS["hurst"])
 
 # Above this window length the exact Gamma-ratio prefactor of the
 # Anis-Lloyd expectation is replaced by its asymptotic form (Weron 2002).
@@ -137,29 +125,12 @@ def rs_statistic(x: TimeSeries | Sequence[float] | np.ndarray) -> float:
     arr = sample_values(x)
     if arr.size < 2:
         raise ValidationError("rs_statistic requires a block of length >= 2")
-    s = np.std(arr, ddof=1)
-    if s == 0.0:
+    _, centred, variance = _moments(arr)
+    if variance == 0.0:
         raise NumericError("rescaled range undefined for a constant block")
-    deviations = np.cumsum(arr - np.mean(arr))
+    deviations = np.cumsum(centred)
     r = np.max(deviations) - np.min(deviations)
-    return float(r / s)
-
-
-def _moments(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean, centred values and sample standard deviation along the last axis.
-
-    The arithmetic of ``np.mean`` and ``np.std(ddof=1)``, bit for bit:
-    numpy's sum along the axis divided by its length (kept as an axis of
-    length 1), the values less that mean, and the square root of their sum
-    of squares over length - 1. Both statistics come from one centring,
-    and the centred values are a new array the caller may overwrite. A
-    single value has deviation 0, where ``np.std`` would give NaN.
-    """
-    size = a.shape[-1]
-    mean = np.add.reduce(a, axis=-1, keepdims=True) / size
-    centred = a - mean
-    sd = np.sqrt(np.add.reduce(centred * centred, axis=-1) / max(size - 1, 1))
-    return mean, centred, sd
+    return float(r / np.sqrt(variance))
 
 
 def _block_rs_values(x: np.ndarray, window: int) -> tuple[np.ndarray, int]:
@@ -175,13 +146,13 @@ def _block_rs_values(x: np.ndarray, window: int) -> tuple[np.ndarray, int]:
     skipped (constant) blocks.
     """
     nb = x.size // window
-    _, deviations, s = _moments(x[: nb * window].reshape(nb, window))
-    varying = s != 0.0
+    _, deviations, variance = _moments(x[: nb * window].reshape(nb, window))
+    varying = variance != 0.0
     if not varying.all():
-        deviations, s = deviations[varying], s[varying]
+        deviations, variance = deviations[varying], variance[varying]
     np.cumsum(deviations, axis=1, out=deviations)
     r = np.maximum.reduce(deviations, axis=1) - np.minimum.reduce(deviations, axis=1)
-    return r / s, nb - s.size
+    return r / np.sqrt(variance), nb - variance.size
 
 
 def _rs_points(x: np.ndarray, windows: Iterable[int]) -> tuple[list[RsPoint], int]:
@@ -190,7 +161,7 @@ def _rs_points(x: np.ndarray, windows: Iterable[int]) -> tuple[list[RsPoint], in
     Windows with no positive-variance block are dropped. The order is kept
     because a line fit over the points sums them in that order, and its
     last bits depend on it. Each window's mean and scatter are
-    ``np.mean`` and ``np.std(ddof=1)`` of its R/S values, by ``_moments``.
+    ``np.mean`` and ``np.std(ddof=1)`` of its R/S values, by ``core._moments``.
     """
     points: list[RsPoint] = []
     skipped_total = 0
@@ -199,9 +170,10 @@ def _rs_points(x: np.ndarray, windows: Iterable[int]) -> tuple[list[RsPoint], in
         skipped_total += skipped
         if not values.size:
             continue
-        mean, _, std = _moments(values)
+        mean, _, variance = _moments(values)
+        std = math.sqrt(variance)
         points.append(
-            RsPoint(window=w, mean_rs=float(mean[0]), std_rs=float(std), blocks=values.size)
+            RsPoint(window=w, mean_rs=float(mean[0]), std_rs=std, blocks=values.size)
         )
     return points, skipped_total
 

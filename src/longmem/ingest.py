@@ -7,10 +7,11 @@ Three formats are understood:
   lines before the first data row are ignored; once data rows begin,
   malformed rows are errors.
 * ``csv_pair``: ``YYYY-MM,value`` rows.
-* ``column``: one value per line, ``#`` comments and blank lines allowed,
-  no calendar anchor.
+* ``column``: one value per line, no calendar anchor.
 
-``format="auto"`` picks one of the three from the first data-looking line.
+Blank lines and ``#`` comment lines are skipped in every layout, before,
+between and after the data rows. ``format="auto"`` picks one of the three
+from the first data-looking line.
 
 Values within 1e-6 of the missing sentinel (default -999.9; a tolerance
 because files are decimal text) are absent, and so are the months a
@@ -24,22 +25,18 @@ data.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import TimeSeries, _checked_start, _real, calendar_month, format_month
 from .core import month_number, parse_month
 from .errors import ParseError, ValidationError, WarningRecord
 from .errors import WARN_RANGE_CLIPPED, WARN_TRUNCATED_AT_GAP
 
-__all__ = [
-    "IngestOptions",
-    "ParseResult",
-    "parse",
-    "select_range",
-    "serialize_column",
-]
+__all__ = list(_EXPORTS["ingest"])
 
 FORMATS = ("auto", "cpc_table", "csv_pair", "column")
 ON_GAP = ("error", "truncate_at_first_gap")
@@ -127,6 +124,15 @@ def _resolve_gaps(
     return values[:gap], anchor, [truncated]
 
 
+def _data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(1-based line number, stripped line)`` of each line that is neither
+    blank nor a ``#`` comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def _sniff_format(text: str) -> str:
     """Guess the file layout from its first data-looking line.
 
@@ -136,10 +142,7 @@ def _sniff_format(text: str) -> str:
     other start is an unsupported layout.
     """
     first_data: tuple[int, str] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(text):
         left, sep, _ = line.partition(",")
         if sep and left.strip().count("-") == 1:
             return "csv_pair"
@@ -177,10 +180,7 @@ def _parse_cpc_table(text: str) -> tuple[list[float], tuple[int, int]]:
     values: list[float] = []
     start_year: int | None = None
     prev_year: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in _data_lines(text):
         tokens = line.split()
         try:
             year = int(tokens[0])
@@ -213,10 +213,7 @@ def _parse_csv_pair(text: str) -> tuple[list[int], list[float]]:
     """The month number and the value of each row."""
     months: list[int] = []
     values: list[float] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(text):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise ParseError(f"expected 'YYYY-MM,value', got {line!r}", lineno)
@@ -239,10 +236,7 @@ def _parse_csv_pair(text: str) -> tuple[list[int], list[float]]:
 
 def _parse_column(text: str) -> list[float]:
     values: list[float] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(text):
         try:
             value = float(line)
         except ValueError:

@@ -31,15 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import _integer, frozen_copy, sample_values
 from .errors import NumericError, ValidationError
 
-__all__ = [
-    "PermutationResult",
-    "pearson",
-    "nth_permutation",
-    "perm_test",
-]
+__all__ = list(_EXPORTS["permtest"])
 
 TAILS = ("lower", "upper", "two")
 

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import TimeSeries, _integer, _real
 from .errors import NumericError, ValidationError
 
-__all__ = ["GenSpec", "generate", "fgn_autocovariance"]
+__all__ = list(_EXPORTS["synth"])
 
 # The parameters each kind reads: each one's default (None where it is
 # required), its range test and that range in words.
@@ -50,7 +51,7 @@ class GenSpec:
     kinds and is ignored by the deterministic ones (logistic, sine).
     ``n`` and ``seed`` are integers, and the seed is non-negative. The
     real parameters are finite real numbers, not bools, kept as Python
-    floats.
+    floats, and sine's ``period`` leaves its largest phase finite.
     """
 
     kind: str
@@ -85,6 +86,12 @@ class GenSpec:
             if value is None or not in_range(value):
                 raise ValidationError(f"{self.kind} requires {words}")
             object.__setattr__(self, name, value)
+        # sine's largest phase, 2*pi*(n-1)/period, in generate's arithmetic
+        if self.period is not None and np.isinf(2.0 * np.pi * (self.n - 1) / self.period):
+            raise ValidationError(
+                f"sine period {self.period!r} is too small for n={self.n}: "
+                "the phase 2*pi*(n-1)/period overflows"
+            )
 
 
 def fgn_autocovariance(h: float, max_lag: int) -> np.ndarray:

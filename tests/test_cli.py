@@ -169,6 +169,26 @@ class TestExitCodes:
         assert main(["acf", "--input", "x", "--max-lag", "ten"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (longmem.ParseError, 2),
+            (longmem.ValidationError, 3),
+            (longmem.NumericError, 4),
+            (longmem.EpsTooSmallError, 4),
+        ],
+    )
+    def test_library_error_exits_with_its_class_code(
+        self, tmp_path, capsys, monkeypatch, error, code
+    ):
+        def refuse(*args, **kwargs):
+            raise error("refused")
+
+        assert error.exit_code == code
+        monkeypatch.setattr(longmem.cli, "summarize", refuse)
+        assert main(["stats", "--input", gen_file(tmp_path, "w.txt", n=16)]) == code
+        assert capsys.readouterr().err == "error: refused\n"
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
@@ -254,9 +274,11 @@ class TestExitCodes:
             (["lyap", "--eps", "inf"], "eps must be finite, got inf"),
             (["lyap", "--grid", "eps=0.3,inf"], "eps must be finite, got inf"),
             (["lyap", "--grid", "eps=0.3,nan"], "eps must be finite, got nan"),
+            (["lyap", "--grid", "eps=0.2;eps=0.3"], "grid axis 'eps' given twice"),
+            (["lyap", "--grid", ""], "bad grid axis ''"),
         ],
         ids=["resolution inf", "resolution 1e-300", "range month 13", "dt inf", "eps inf",
-             "grid eps inf", "grid eps nan"],
+             "grid eps inf", "grid eps nan", "grid axis twice", "grid empty"],
     )
     def test_refused_parameter_exits_three(self, tmp_path, capsys, args, message):
         path = gen_file(tmp_path, "log.txt", kind="logistic", n=2000)
@@ -417,9 +439,11 @@ def traced_command(tmp_path, command):
 class TestTracerContract:
     """A tracer wraps library names on ``longmem.cli`` before ``main`` runs.
 
-    ``main`` binds a subcommand's library names only when it dispatches,
-    so each name must resolve before that, and a wrapper set in its place
-    must be the function the subcommand calls.
+    Subcommands read every library name as an attribute of ``longmem.cli``
+    through ``_lib``: a name bound there, such as this wrapper, is the one
+    called, and any other resolves through the package's lazy lookup. So
+    each name must resolve before ``main`` runs, and the wrapper set in its
+    place must be the function the subcommand calls.
     """
 
     @pytest.mark.parametrize("name", sorted(TRACED_CALLS))
@@ -811,6 +835,18 @@ class TestGenCommand:
         assert main([*argv, "--out", str(out_path), "--format", "json"]) == 3
         assert capsys.readouterr().out == ""
         assert not out_path.exists()
+
+
+    def test_sine_period_with_overflowing_phase_exits_three_without_warnings(self):
+        proc = run_module(
+            "gen", "--kind", "sine", "--period", "1e-308", "--n", "10", PYTHONWARNINGS="error"
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert proc.stderr == (
+            b"error: sine period 1e-308 is too small for n=10: "
+            b"the phase 2*pi*(n-1)/period overflows\n"
+        )
 
 
 class TestModuleEntryPoint:

@@ -136,7 +136,29 @@ class TestTimeSeries:
         assert list(out.values) == [5.0, 6.0]
 
 
+# Lengths at which summarize and standardize must match numpy's own
+# moment arithmetic bit for bit; numpy's pairwise sums change form at 8
+# and at each block of 128.
+MOMENT_LENGTHS = [2, 3, 4, 7, 8, 9, 100, 127, 128, 129, 776, 1000, 4097, 100_000]
+
+
 class TestSummarize:
+    @pytest.mark.parametrize("n", MOMENT_LENGTHS)
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e100])
+    def test_moments_equal_numpy_bits(self, n, scale):
+        x = np.random.default_rng(n).standard_normal(n) * scale + 0.3 * scale
+        stats = summarize(x, mode_resolution=0.1 * scale)
+        mean = np.mean(x)
+        want = {
+            "mean": mean,
+            "std_dev": np.std(x, ddof=1),
+            "variance": np.var(x, ddof=1),
+            "mean_abs_dev": np.mean(np.abs(x - float(mean))),
+        }
+        assert {k: getattr(stats, k).hex() for k in want} == {
+            k: float(v).hex() for k, v in want.items()
+        }
+
     def test_one_to_four(self):
         # mean 2.5, sample variance 5/3, std sqrt(5/3) — forced analytically
         s = summarize(series([1.0, 2.0, 3.0, 4.0]))
@@ -257,6 +279,12 @@ class TestStandardize:
         np.testing.assert_allclose(
             out.values, [-0.7071067811865475, 0.7071067811865475], atol=1e-12
         )
+
+    @pytest.mark.parametrize("n", MOMENT_LENGTHS)
+    def test_bits_equal_numpy_arithmetic(self, n):
+        x = np.random.default_rng(n).standard_normal(n) * 3.0 + 1.0
+        want = (x - np.mean(x)) / np.std(x, ddof=1)
+        assert standardize(x).values.tobytes() == want.tobytes()
 
     def test_output_moments(self):
         rng = np.random.default_rng(3)

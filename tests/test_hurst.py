@@ -25,11 +25,11 @@ from longmem import (
     rs_table,
 )
 from longmem import hurst
+from longmem.core import _moments
 from longmem.hurst import (
     WARN_H_OUT_OF_RANGE,
     _block_rs_values,
     _divisor_ladder,
-    _moments,
     _rs_points,
     _suite_ladder,
     default_window_ladder,
@@ -286,14 +286,15 @@ class TestSingleCentringOracle:
     def test_moments_match_numpy(self, values):
         # one row as the aggregation sees it, all rows as the block pass does
         for a in (values[0], values):
-            mean, centred, sd = _moments(a)
+            mean, centred, variance = _moments(a)
             want_mean = np.mean(a, axis=-1, keepdims=True)
             assert mean.tobytes() == want_mean.tobytes()
             assert centred.tobytes() == (a - want_mean).tobytes()
             if a.shape[-1] > 1:
-                assert sd.tobytes() == np.std(a, axis=-1, ddof=1).tobytes()
+                assert variance.tobytes() == np.var(a, axis=-1, ddof=1).tobytes()
+                assert np.sqrt(variance).tobytes() == np.std(a, axis=-1, ddof=1).tobytes()
             else:
-                assert np.all(sd == 0.0)
+                assert np.all(variance == 0.0)
 
 
 class TestSuiteLadderCache:

@@ -48,6 +48,15 @@ class TestCpcTable:
             cpc(text)
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize("fmt", ["cpc_table", "auto"])
+    def test_comments_and_blanks_skipped_around_data(self, fmt):
+        # a comment between or after the year rows is skipped, as in every layout
+        text = f"# index\n{ROW_2014}\n# mid\n\n{ROW_2015}\n# end of table\n\n"
+        want = cpc(ROW_2014 + "\n" + ROW_2015 + "\n").series
+        ts = parse(text, IngestOptions(format=fmt)).series
+        assert ts.start == want.start
+        assert ts.values.tobytes() == want.values.tobytes()
+
     def test_wrong_token_count_rejected(self):
         with pytest.raises(ParseError) as err:
             cpc("2014 1.0 2.0\n")

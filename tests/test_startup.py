@@ -6,6 +6,7 @@ long since imported every module.
 """
 
 import gc
+import importlib
 import json
 import os
 import subprocess
@@ -156,6 +157,15 @@ class TestPackageSurface:
         exec("from longmem import *", namespace)
         assert set(PUBLIC) <= set(namespace)
         assert all(namespace[name] is getattr(longmem, name) for name in PUBLIC)
+
+    @pytest.mark.parametrize("module", sorted(longmem._EXPORTS))
+    def test_submodule_exports_its_package_entry(self, module):
+        # the package's table is the one list of each submodule's public names
+        namespace: dict = {}
+        exec(f"from longmem.{module} import *", namespace)
+        names = longmem._EXPORTS[module]
+        assert importlib.import_module(f"longmem.{module}").__all__ == list(names)
+        assert all(namespace[name] is getattr(longmem, name) for name in names)
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):

@@ -76,6 +76,9 @@ class TestGenSpec:
             GenSpec(kind="sine", n=100)
         with pytest.raises(ValidationError):
             GenSpec(kind="sine", n=100, period=0.0)
+        # the last phase, 2*pi*9/1e-308, overflows
+        with pytest.raises(ValidationError, match="too small for n=10"):
+            GenSpec(kind="sine", n=10, period=1e-308)
 
 
 class TestDeterminism:
