@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .core import TimeSeries, _integer, frozen_copy, sample_values
+from .core import TimeSeries, _integer, _moments, frozen_copy, sample_values
 from .errors import NumericError, ValidationError
 
 __all__ = list(_EXPORTS["acf"])
@@ -42,8 +42,8 @@ def _check_input(ts: TimeSeries | np.ndarray, max_lag: int) -> tuple[np.ndarray,
     max_lag = _integer(max_lag, "max_lag")
     if not 1 <= max_lag < n:
         raise ValidationError(f"max_lag must be in [1, {n - 1}], got {max_lag}")
-    demeaned = values - np.mean(values)
-    if not np.any(demeaned):
+    _, demeaned, _, flat = _moments(values)
+    if flat.size:
         raise NumericError("autocorrelation undefined for a constant series")
     return demeaned, max_lag
 

@@ -125,15 +125,17 @@ def rs_statistic(x: TimeSeries | Sequence[float] | np.ndarray) -> float:
     arr = sample_values(x)
     if arr.size < 2:
         raise ValidationError("rs_statistic requires a block of length >= 2")
-    _, centred, variance = _moments(arr)
-    if variance == 0.0:
+    _, centred, variance, flat = _moments(arr)
+    if flat.size:
         raise NumericError("rescaled range undefined for a constant block")
     deviations = np.cumsum(centred)
     r = np.max(deviations) - np.min(deviations)
     return float(r / np.sqrt(variance))
 
 
-def _block_rs_values(x: np.ndarray, window: int) -> tuple[np.ndarray, int]:
+def _block_rs_values(
+    x: np.ndarray, window: int, peak: float | None = None
+) -> tuple[np.ndarray, int]:
     """R/S of each full block of ``window`` samples; remainder discarded.
 
     One row-wise pass over the blocks laid out as the rows of a
@@ -141,36 +143,39 @@ def _block_rs_values(x: np.ndarray, window: int) -> tuple[np.ndarray, int]:
     from the centred rows, and the range from their running sums, written
     over the same buffer. Each row goes through the arithmetic of
     ``rs_statistic`` on that block, so the values are bit-identical to it.
-    Flat rows are dropped, by a masked copy only when there is one.
-    Returns the values of the positive-variance blocks and the count of
-    skipped (constant) blocks.
+    Constant rows, by ``core._moments``' rule, are dropped, by a copy only
+    when there is one; ``peak`` is its bound on |x|. Returns the values of
+    the other blocks and the count of skipped (constant) blocks.
     """
     nb = x.size // window
-    _, deviations, variance = _moments(x[: nb * window].reshape(nb, window))
-    varying = variance != 0.0
-    if not varying.all():
-        deviations, variance = deviations[varying], variance[varying]
+    _, deviations, variance, flat = _moments(x[: nb * window].reshape(nb, window), peak)
+    if flat.size:
+        deviations, variance = np.delete(deviations, flat, 0), np.delete(variance, flat)
     np.cumsum(deviations, axis=1, out=deviations)
     r = np.maximum.reduce(deviations, axis=1) - np.minimum.reduce(deviations, axis=1)
-    return r / np.sqrt(variance), nb - variance.size
+    return r / np.sqrt(variance), flat.size
 
 
 def _rs_points(x: np.ndarray, windows: Iterable[int]) -> tuple[list[RsPoint], int]:
     """``RsPoint`` per window, in the given order, and the skipped-block total.
 
-    Windows with no positive-variance block are dropped. The order is kept
+    Windows with no varying block are dropped. The order is kept
     because a line fit over the points sums them in that order, and its
     last bits depend on it. Each window's mean and scatter are
     ``np.mean`` and ``np.std(ddof=1)`` of its R/S values, by ``core._moments``.
     """
     points: list[RsPoint] = []
     skipped_total = 0
+    peak = float(np.abs(x).max())
     for w in windows:
-        values, skipped = _block_rs_values(x, w)
+        values, skipped = _block_rs_values(x, w, peak)
         skipped_total += skipped
         if not values.size:
             continue
-        mean, _, variance = _moments(values)
+        # an R/S value is at most w - 1: R is a sum of at most w - 1 centred
+        # values, so by Cauchy-Schwarz at most sqrt(w - 1) times their root
+        # sum of squares, sqrt(w - 1) * S
+        mean, _, variance, _ = _moments(values, w)
         std = math.sqrt(variance)
         points.append(
             RsPoint(window=w, mean_rs=float(mean[0]), std_rs=std, blocks=values.size)

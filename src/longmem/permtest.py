@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .core import _integer, frozen_copy, sample_values
+from .core import _integer, _moments, frozen_copy, sample_values
 from .errors import NumericError, ValidationError
 
 __all__ = list(_EXPORTS["permtest"])
@@ -77,11 +77,10 @@ class PermutationResult:
 
 
 def _unit_residual(x: np.ndarray, name: str) -> np.ndarray:
-    centered = x - x.mean()
-    norm = float(np.linalg.norm(centered))
-    if norm == 0.0:
+    _, centred, _, flat = _moments(x)
+    if flat.size:
         raise NumericError(f"{name} is constant; correlation is undefined")
-    return centered / norm
+    return centred / float(np.linalg.norm(centred))
 
 
 def _paired(p, j) -> tuple[np.ndarray, np.ndarray]:

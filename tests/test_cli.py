@@ -95,6 +95,17 @@ class TestEnvelope:
         assert digest["rows"] == 20  # trailing sentinel months trimmed
         assert digest["sha256"] == hashlib.sha256(CPC_TEXT.encode()).hexdigest()
 
+    def test_digest_is_of_the_bytes_on_disk(self, tmp_path, capsys):
+        # CRLF lines: a text-mode read would hash the translated LF text
+        raw = CSV_TEXT.replace("\n", "\r\n").encode()
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(raw)
+        code, out = run(capsys, "stats", "--input", str(path), "--format", "json")
+        assert code == 0
+        digest = json.loads(out)["inputs"][0]
+        assert digest["sha256"] == hashlib.sha256(raw).hexdigest()
+        assert digest["rows"] == 5
+
     def test_json_numbers_round_trip_bit_exact(self, tmp_path, capsys):
         path = gen_file(tmp_path, "w.txt", n=128, seed=3)
         code, out = run(
@@ -231,6 +242,33 @@ class TestExitCodes:
         assert main(["hurst", "--input", path]) == 4
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "args",
+        [["stats"], ["acf", "--max-lag", "10"], ["hurst"], ["suite"], ["lyap"], ["permtest"]],
+        ids=lambda args: args[0],
+    )
+    def test_constant_series_read_alike_at_any_value(self, tmp_path, capsys, args):
+        # numpy's variance of 776 copies of 0.7 is about 1e-32, of 1.0 exactly 0
+        outcomes = []
+        for value in ("0.7", "1.0"):
+            path = write(tmp_path, f"flat{value}.txt", "\n".join([value] * 776) + "\n")
+            if args[0] == "permtest":
+                argv = ["permtest", "--x", path, "--y", gen_file(tmp_path, "w.txt", n=776)]
+            else:
+                argv = [args[0], "--input", path, *args[1:]]
+            code = main(argv)
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == (0 if args[0] == "stats" else 4)
+
+    def test_undecodable_file_exits_two_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1.0\n\xff2.0\n")
+        assert main(["stats", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path} is not UTF-8 text: byte 4 is 0xff\n"
+
     def test_eps_too_small_exits_four(self, tmp_path, capsys):
         path = gen_file(tmp_path, "w.txt", n=256, seed=0)
         assert main(["lyap", "--input", path, "--eps", "1e-12"]) == 4
@@ -276,9 +314,12 @@ class TestExitCodes:
             (["lyap", "--grid", "eps=0.3,nan"], "eps must be finite, got nan"),
             (["lyap", "--grid", "eps=0.2;eps=0.3"], "grid axis 'eps' given twice"),
             (["lyap", "--grid", ""], "bad grid axis ''"),
+            (["lyap", "--grid", "eps=0.3,0.30"], "grid axis 'eps' repeats a value"),
+            (["lyap", "--grid", "m=2,3;refs=50,050"], "grid axis 'refs' repeats a value"),
         ],
         ids=["resolution inf", "resolution 1e-300", "range month 13", "dt inf", "eps inf",
-             "grid eps inf", "grid eps nan", "grid axis twice", "grid empty"],
+             "grid eps inf", "grid eps nan", "grid axis twice", "grid empty",
+             "grid eps value twice", "grid refs value twice"],
     )
     def test_refused_parameter_exits_three(self, tmp_path, capsys, args, message):
         path = gen_file(tmp_path, "log.txt", kind="logistic", n=2000)
@@ -322,6 +363,30 @@ class TestExitCodes:
         assert captured.err == (
             "error: samples reach 3.9e+200 in magnitude; 776 samples may reach "
             "at most 2**500/n = 4.22e+147\n"
+        )
+
+    @pytest.mark.parametrize(
+        "args",
+        [["stats"], ["acf", "--max-lag", "10"], ["hurst"], ["suite"], ["lyap"], ["permtest"]],
+        ids=lambda args: args[0],
+    )
+    def test_tiny_samples_exit_three(self, tmp_path, capsys, args):
+        # the squares of these samples underflow, so their variance reads 0
+        values = 1e-170 * np.random.default_rng(0).standard_normal(776)
+        path = write(tmp_path, "tiny.txt", "\n".join(map(repr, values.tolist())) + "\n")
+        if args[0] == "permtest":
+            argv = ["permtest", "--x", path, "--y", gen_file(tmp_path, "w.txt", n=776)]
+        else:
+            argv = [args[0], "--input", path, *args[1:]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "error: samples reach only 3.9e-170 in magnitude; nonzero samples "
+            "must reach at least 2**-400 = 3.87e-121\n"
         )
 
     def test_stats_of_huge_samples_exits_three(self, tmp_path, capsys):

@@ -398,6 +398,8 @@ class TestSeriesContract:
 
 # Samples at the magnitude bound, 2**500 / n: the extremes are exactly +-bound.
 AT_BOUND = (np.array(GOOD) - 5.0) / 5.0 * (2.0**500 / len(GOOD))
+# Samples at the lower magnitude bound: the extremes are exactly +-2**-400.
+AT_LOWER_BOUND = (np.array(GOOD) - 5.0) / 5.0 * 2.0**-400
 
 
 class TestMagnitudeRule:
@@ -433,6 +435,91 @@ class TestMagnitudeRule:
     def test_standardize_of_a_series_is_checked(self):
         with pytest.raises(ValidationError, match="may reach at most"):
             standardize(series([1e300, -1e300, 1e300]))
+
+    @pytest.mark.parametrize("call", RAW_SAMPLE_CALLS)
+    def test_tiny_samples_refused(self, call):
+        # their squares underflow, so numpy's variance of them reads 0
+        x = 1e-170 * np.random.default_rng(0).standard_normal(776)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"at least 2\*\*-400"):
+                RAW_SAMPLE_CALLS[call](x)
+
+    @pytest.mark.parametrize("call", RAW_SAMPLE_CALLS)
+    def test_samples_at_the_lower_bound_are_not_constant(self, call):
+        run = {**RAW_SAMPLE_CALLS, "summarize": lambda x: summarize(x, 2.0**-450)}[call]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run(AT_LOWER_BOUND)
+        values = dataclasses.astuple(result) if dataclasses.is_dataclass(result) else (result,)
+        for value in values:
+            if isinstance(value, (float, np.ndarray)):
+                assert np.all(np.isfinite(value))
+
+    def test_lower_bound_is_inclusive_and_zeros_pass(self):
+        under = AT_LOWER_BOUND / 2.0
+        assert np.abs(sample_values(AT_LOWER_BOUND)).max() == 2.0**-400
+        with pytest.raises(ValidationError, match="must reach at least"):
+            sample_values(under)
+        assert not sample_values(np.zeros(5)).any()
+        with pytest.raises(NumericError):
+            standardize(np.zeros(5))
+
+
+# SOI's 0.1 grid in [-4, 4], as text parses it; numpy's variance of 776
+# copies of 56 of these values is not 0
+GRID_VALUES = [k / 10 for k in range(-40, 41)]
+
+# Every analysis that refuses a constant series, with the length it needs
+# and the other series it is given, of the same length, as an argument.
+CONSTANT_REFUSALS = {
+    "acf_fft": (2, lambda x, y: acf_fft(x, 1)),
+    "acf_direct": (2, lambda x, y: acf_direct(x, 1)),
+    "pearson first": (3, lambda x, y: pearson(x, y)),
+    "pearson second": (3, lambda x, y: pearson(y, x)),
+    "perm_test": (3, lambda x, y: perm_test(y, x, n_perm=100)),
+    "standardize": (1, lambda x, y: standardize(x)),
+    "rs_statistic": (2, lambda x, y: rs_statistic(x)),
+    "rs_table": (16, lambda x, y: rs_table(x)),
+    "hurst_suite": (32, lambda x, y: hurst_suite(x)),
+}
+
+
+class TestConstancyRule:
+    """A series is constant exactly when all its values are equal, whatever
+    numpy's rounding of their mean and variance."""
+
+    @pytest.mark.parametrize(
+        "call, n",
+        [(call, n) for call, (needs, _) in CONSTANT_REFUSALS.items()
+         for n in (12, 60, 776, 4096) if n >= needs],
+    )
+    def test_constant_series_refused_at_every_grid_value(self, call, n):
+        run = CONSTANT_REFUSALS[call][1]
+        y = np.random.default_rng(n).standard_normal(n)
+        for v in GRID_VALUES:
+            with pytest.raises(NumericError):
+                run(np.full(n, v), y)
+
+    @pytest.mark.parametrize("n", [12, 60, 776, 4096])
+    def test_summary_of_a_constant_series_has_zero_spread(self, n):
+        for v in GRID_VALUES:
+            stats = summarize(np.full(n, v))
+            assert (stats.mean, stats.median, stats.std_dev, stats.variance) == (v, v, 0.0, 0.0)
+            assert stats.mean_abs_dev == 0.0
+            assert stats.cv_percent is None
+
+    def test_varying_series_near_the_floor_keeps_numpy_bits(self):
+        # one value an ulp above the rest: variance far below the floor of
+        # 776 equal values, so max and min decide, and numpy's bits stand
+        x = np.full(776, 0.7)
+        x[300] = np.nextafter(0.7, 1.0)
+        stats = summarize(x)
+        assert stats.variance.hex() == float(np.var(x, ddof=1)).hex() != "0x0.0p+0"
+        assert stats.mean.hex() == float(np.mean(x)).hex()
+        assert standardize(x).values.tobytes() == (
+            (x - np.mean(x)) / np.std(x, ddof=1)
+        ).tobytes()
 
 
 class TestFrozenCopy:

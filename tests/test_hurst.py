@@ -142,13 +142,18 @@ class TestRsTable:
         assert all(p.mean_rs > 0 for p in rs_table(ts))
 
 
+def is_flat(block):
+    """The constancy rule: all values equal, or a variance that comes out 0."""
+    return block.max() == block.min() or np.std(block, ddof=1) == 0.0
+
+
 def looped_block_rs(x, window):
     """Per-block reference for the row-wise pass: ``rs_statistic`` on each
-    full block with positive variance, and the count of the others."""
+    full block that is not flat, and the count of the others."""
     values, skipped = [], 0
     for b in range(x.size // window):
         block = x[b * window : (b + 1) * window]
-        if np.std(block, ddof=1) == 0.0:
+        if is_flat(block):
             skipped += 1
         else:
             values.append(rs_statistic(block))
@@ -183,11 +188,13 @@ class TestBlockPass:
             values, skipped = _block_rs_values(segment, w)
             assert (values.tolist(), skipped) == looped_block_rs(segment, w), w
 
-    def test_flat_blocks_skipped_like_the_loop(self):
-        # the reference raises NumericError if a flat block reaches rs_statistic
+    @pytest.mark.parametrize("levels", [(0.25, -1.0), (0.7, -2.8)])
+    def test_flat_blocks_skipped_like_the_loop(self, levels):
+        # the reference raises NumericError if a flat block reaches
+        # rs_statistic; numpy's variance of 0.7s or -2.8s is not 0
         x = generate(GenSpec(kind="white", n=512, seed=4)).values.copy()
-        x[:24] = 0.25  # three flat blocks of 8, one of 16
-        x[200:264] = -1.0  # holds the flat block [200, 250) at window 50
+        x[:24] = levels[0]  # three flat blocks of 8, one of 16
+        x[200:264] = levels[1]  # holds the flat block [200, 250) at window 50
         flat_windows = []
         for w in (2, 3, 8, 16, 50, 64, 256, 512):
             values, skipped = _block_rs_values(x, w)
@@ -202,12 +209,12 @@ class TestBlockPass:
 
 def two_pass_block_rs_values(x, window):
     """Oracle of the single-centring pass: ``np.std`` of each row, a masked
-    copy of the varying rows, then ``np.mean`` of those rows and an
-    out-of-place running sum."""
+    copy of the rows that are not flat (max above min, nonzero ``np.std``),
+    then ``np.mean`` of those rows and an out-of-place running sum."""
     nb = x.size // window
     blocks = x[: nb * window].reshape(nb, window)
     s = np.std(blocks, axis=1, ddof=1)
-    varying = s != 0.0
+    varying = (blocks.max(axis=1) != blocks.min(axis=1)) & (s != 0.0)
     blocks, s = blocks[varying], s[varying]
     deviations = np.cumsum(blocks - np.mean(blocks, axis=1, keepdims=True), axis=1)
     r = np.max(deviations, axis=1) - np.min(deviations, axis=1)
@@ -223,10 +230,11 @@ def two_pass_rs_points(x, windows):
         skipped_total += skipped
         if not values.size:
             continue
-        std = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
-        points.append(
-            RsPoint(window=w, mean_rs=float(np.mean(values)), std_rs=std, blocks=values.size)
-        )
+        if is_flat(values):  # one block included
+            mean, std = float(values[0]), 0.0
+        else:
+            mean, std = float(np.mean(values)), float(np.std(values, ddof=1))
+        points.append(RsPoint(window=w, mean_rs=mean, std_rs=std, blocks=values.size))
     return points, skipped_total
 
 
@@ -244,10 +252,11 @@ def oracle_grid_input(kind, n):
     white = generate(GenSpec(kind="white", n=n, seed=n + 1)).values
     if kind == "rounded":
         return np.round(white, 1)
-    if kind == "flat":
+    if kind in ("flat", "flat_decimal"):
+        low, high = (0.25, -1.0) if kind == "flat" else (0.7, -2.8)
         flat = white.copy()
-        flat[: n // 4] = 0.25
-        flat[n // 2 : n // 2 + n // 8] = -1.0
+        flat[: n // 4] = low
+        flat[n // 2 : n // 2 + n // 8] = high
         return flat
     return white
 
@@ -257,7 +266,7 @@ class TestSingleCentringOracle:
     two-pass ``np.std``/``np.mean`` code they replaced."""
 
     @pytest.mark.parametrize("n", [32, 33, 776, 4096, 100_003])
-    @pytest.mark.parametrize("kind", ["fgn", "white", "rounded", "flat"])
+    @pytest.mark.parametrize("kind", ["fgn", "white", "rounded", "flat", "flat_decimal"])
     def test_points_and_suite_match_the_two_pass_oracle(self, kind, n, monkeypatch):
         x = oracle_grid_input(kind, n)
         for w in (2, 3, n):
@@ -284,17 +293,28 @@ class TestSingleCentringOracle:
         )
     )
     def test_moments_match_numpy(self, values):
-        # one row as the aggregation sees it, all rows as the block pass does
+        # one row as the aggregation sees it, all rows as the block pass does;
+        # every third row is made constant, at a value whose numpy moments
+        # are mostly not exact
+        values[::3] = values[::3, :1]
         for a in (values[0], values):
-            mean, centred, variance = _moments(a)
-            want_mean = np.mean(a, axis=-1, keepdims=True)
-            assert mean.tobytes() == want_mean.tobytes()
-            assert centred.tobytes() == (a - want_mean).tobytes()
-            if a.shape[-1] > 1:
-                assert variance.tobytes() == np.var(a, axis=-1, ddof=1).tobytes()
-                assert np.sqrt(variance).tobytes() == np.std(a, axis=-1, ddof=1).tobytes()
+            mean, centred, variance, flat = _moments(a)
+            rows = a.reshape(-1, a.shape[-1])
+            equal = rows.max(axis=1) == rows.min(axis=1)
+            want_mean = np.mean(rows, axis=1, keepdims=True)
+            if rows.shape[1] > 1:
+                want_var = np.var(rows, axis=1, ddof=1)
+                want_std = np.std(rows, axis=1, ddof=1)
+                assert np.sqrt(np.ravel(variance))[~equal].tobytes() == want_std[~equal].tobytes()
+                want_var[equal] = 0.0
             else:
-                assert np.all(variance == 0.0)
+                want_var = np.zeros(rows.shape[0])  # numpy would give NaN
+            want_mean[equal] = rows[equal, :1]
+            want_centred = np.where(equal[:, None], 0.0, rows - want_mean)
+            assert mean.tobytes() == want_mean.tobytes()
+            assert centred.tobytes() == want_centred.tobytes()
+            assert np.ravel(variance).tobytes() == want_var.tobytes()
+            assert flat.tolist() == np.flatnonzero(equal | (want_var == 0.0)).tolist()
 
 
 class TestSuiteLadderCache:
