@@ -218,9 +218,7 @@ class SummaryStats:
 _NO_ROWS = frozen_copy(np.empty(0, dtype=np.intp))
 
 
-def _moments(
-    a: np.ndarray, peak: float | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _moments(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Mean, centred values, sample variance and the constant rows, along the last axis.
 
     The one centring of the toolkit and its one constancy rule. A row (a
@@ -239,30 +237,38 @@ def _moments(
     Numpy's moments of k equal values v are not exact: at k = 776, 56 of
     the 80 values of SOI's 0.1 grid in [-4, 4) get a mean an ulp or two
     off v and a variance of order 1e-32. Max and min are compared only on
-    the rows whose variance is at most the largest a constant row can
-    come out with, ``limit`` = (k * peak * 2**-51)**2 for ``peak`` >= |v|.
-    Any order of summation gives a sum within (k-1)u * k|v| of kv,
-    u = 2**-53 (Higham 2002, sec. 4.2), so the mean is within about
-    k*u*|v| of v, and every centred value within that of 0. The sum of
-    the k squares over k - 1 >= k/2 is then at most about 2 (k*u*|v|)**2,
-    which ``limit``, 16 (k*u*peak)**2, covers with room for the roundings
-    of the squares and sums, for any k below 2**40. ``peak`` is a bound
-    on |a| (max|a| when not given), so a caller with many rows of one
-    series finds it once. For samples that pass ``sample_values``,
-    ``limit`` is 0 or a normal float, and finite.
+    the rows whose variance is at most ``limit`` = (k * 2**-50)**2 times
+    the sum of the squared row means (one row's squared mean for a 1-d
+    ``a``), which is at least (k * |mean| * 2**-50)**2 for every row, and
+    that is the most a constant row can come out with. Any order of
+    summation gives a sum within (k-1)u * k|v| of kv, u = 2**-53 (Higham
+    2002, sec. 4.2), so the mean is within about k*u*|v| of v, |v| is
+    within a factor 1 + k*u of |mean|, and every centred value is within
+    k*u*|v| of 0. The sum of the k squares over k - 1 >= k/2 is then at
+    most about 2 (k*u*|v|)**2, which 64 (k*u*|mean|)**2 covers with room
+    for the roundings of the squares and sums, for any k below 2**40.
+    Below the normal range a square rounds to 0 or to at most twice its
+    value. A row with a square that rounds to a nonzero value has a bound
+    above 2**-1076, far above the absolute roundings, 2**-1075 each, of
+    ``limit`` and of the division; a row whose squares all round to 0 has
+    variance exactly 0. The limit costs one dot product of the means, not
+    a pass over the values.
     """
     size = a.shape[-1]
     mean = np.add.reduce(a, axis=-1, keepdims=True) / size
     centred = a - mean
     variance = np.add.reduce(centred * centred, axis=-1) / max(size - 1, 1)
-    if size == 1:  # numpy's arithmetic gives a single value the moments (it, 0, 0)
-        return mean, centred, variance, np.arange(mean.size)
-    if peak is None:
-        peak = float(np.abs(a).max())
-    bound = size * peak * 2.0**-51
-    limit = bound * bound
+    if size == 1:  # constant rows: the general path's result, without its indexing
+        return a.copy(), np.zeros_like(a), variance, np.arange(mean.size)
+    scale = size * 2.0**-50
     # one row's variance is a numpy scalar, compared without a numpy call
-    if (variance if a.ndim == 1 else np.minimum.reduce(variance)) > limit:
+    if a.ndim == 1:
+        bound = float(mean[0]) * scale
+        least, limit = variance, bound * bound
+    else:
+        means = mean[:, 0]
+        least, limit = np.minimum.reduce(variance), float(means.dot(means)) * scale * scale
+    if least > limit:
         return mean, centred, variance, _NO_ROWS
     rows = a.reshape(-1, size)
     variance = np.array(variance)

@@ -70,8 +70,9 @@ class RsPoint:
 class RsTable:
     """R/S measurements across a ladder of block lengths.
 
-    ``skipped_blocks`` counts zero-variance blocks that were excluded
-    from their scale's aggregate (flat stretches in real data).
+    ``skipped_blocks`` counts the blocks whose values are all equal (or
+    whose variance comes out exactly 0), which were excluded from their
+    scale's aggregate (flat stretches in real data).
     """
 
     points: tuple[RsPoint, ...]
@@ -133,9 +134,7 @@ def rs_statistic(x: TimeSeries | Sequence[float] | np.ndarray) -> float:
     return float(r / np.sqrt(variance))
 
 
-def _block_rs_values(
-    x: np.ndarray, window: int, peak: float | None = None
-) -> tuple[np.ndarray, int]:
+def _block_rs_values(x: np.ndarray, window: int) -> tuple[np.ndarray, int]:
     """R/S of each full block of ``window`` samples; remainder discarded.
 
     One row-wise pass over the blocks laid out as the rows of a
@@ -144,11 +143,11 @@ def _block_rs_values(
     over the same buffer. Each row goes through the arithmetic of
     ``rs_statistic`` on that block, so the values are bit-identical to it.
     Constant rows, by ``core._moments``' rule, are dropped, by a copy only
-    when there is one; ``peak`` is its bound on |x|. Returns the values of
-    the other blocks and the count of skipped (constant) blocks.
+    when there is one. Returns the values of the other blocks and the
+    count of skipped (constant) blocks.
     """
     nb = x.size // window
-    _, deviations, variance, flat = _moments(x[: nb * window].reshape(nb, window), peak)
+    _, deviations, variance, flat = _moments(x[: nb * window].reshape(nb, window))
     if flat.size:
         deviations, variance = np.delete(deviations, flat, 0), np.delete(variance, flat)
     np.cumsum(deviations, axis=1, out=deviations)
@@ -166,16 +165,12 @@ def _rs_points(x: np.ndarray, windows: Iterable[int]) -> tuple[list[RsPoint], in
     """
     points: list[RsPoint] = []
     skipped_total = 0
-    peak = float(np.abs(x).max())
     for w in windows:
-        values, skipped = _block_rs_values(x, w, peak)
+        values, skipped = _block_rs_values(x, w)
         skipped_total += skipped
         if not values.size:
             continue
-        # an R/S value is at most w - 1: R is a sum of at most w - 1 centred
-        # values, so by Cauchy-Schwarz at most sqrt(w - 1) times their root
-        # sum of squares, sqrt(w - 1) * S
-        mean, _, variance, _ = _moments(values, w)
+        mean, _, variance, _ = _moments(values)
         std = math.sqrt(variance)
         points.append(
             RsPoint(window=w, mean_rs=float(mean[0]), std_rs=std, blocks=values.size)
@@ -205,7 +200,8 @@ def rs_table(
     The default scheme is the factor-2 ladder ``min_window, 2*min_window,
     ... <= n/2`` plus the two whole-series scales n/2 and n. Blocks are
     consecutive and non-overlapping; the tail remainder at each scale is
-    discarded. Zero-variance blocks are skipped and counted. The default
+    discarded. Blocks whose values are all equal (or whose variance comes
+    out exactly 0) are skipped and counted. The default
     scheme needs at least ``2 * min_window`` samples; an explicit
     ``scheme`` replaces it, and its windows need only lie in [2, n].
     """

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -292,12 +292,13 @@ class TestSingleCentringOracle:
             elements=st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False),
         )
     )
+    @example(values=np.array([[-0.0]]))  # a single -0.0 keeps its sign as the mean
     def test_moments_match_numpy(self, values):
-        # one row as the aggregation sees it, all rows as the block pass does;
-        # every third row is made constant, at a value whose numpy moments
-        # are mostly not exact
-        values[::3] = values[::3, :1]
-        for a in (values[0], values):
+        # one varying row and one constant row as the aggregation sees them,
+        # all rows as the block pass does; every third row from the second is
+        # made constant, at a value whose numpy moments are mostly not exact
+        values[1::3] = values[1::3, :1]
+        for a in (values[0], *values[1:2], values):
             mean, centred, variance, flat = _moments(a)
             rows = a.reshape(-1, a.shape[-1])
             equal = rows.max(axis=1) == rows.min(axis=1)
