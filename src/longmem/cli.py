@@ -329,7 +329,8 @@ def _load_series(
     """Each file's series and ``inputs`` digest, and the parser's warnings.
 
     A file is read once, as bytes: its digest is that of the bytes on disk,
-    as ``sha256sum`` prints it, and the text parsed is their UTF-8 decoding.
+    as ``sha256sum`` prints it, and the text parsed is their UTF-8 decoding,
+    less a leading byte-order mark (spreadsheet programs write one).
     """
     opts = IngestOptions(
         format=ns.input_format,
@@ -345,11 +346,11 @@ def _load_series(
         except OSError as exc:
             raise ValidationError(f"cannot read {path}: {exc}") from None
         try:
-            text = data.decode("utf-8")
+            text = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
-            raise ParseError(
-                f"{path} is not UTF-8 text: byte {exc.start} is {data[exc.start]:#04x}"
-            ) from None
+            # the offset counts from after a byte-order mark; the file's is wanted
+            at = exc.start + len(data) - len(exc.object)
+            raise ParseError(f"{path} is not UTF-8 text: byte {at} is {data[at]:#04x}") from None
         result = _lib.parse(text, opts)
         series.append(result.series)
         inputs.append(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -280,42 +279,42 @@ def _moments(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return mean, centred, variance[()], flat[variance.reshape(-1)[flat] == 0.0]
 
 
-def _modes(values: np.ndarray, resolution: float) -> tuple[float, float | None]:
-    """Two most frequent values after rounding to the resolution grid.
+def _median_and_modes(values: np.ndarray, resolution: float) -> tuple[float, float, float | None]:
+    """Median and the two most frequent grid values, from one sorted copy.
 
-    Ties are broken by descending count, then ascending value. Real-valued
-    data generically has no exact repeats, so the mode is only meaningful
-    on a discretized grid; ``resolution`` names that grid. A grid index
-    of 2**53 or more is refused: from there it is no longer an exact
-    integer, and the int64 cast can overflow.
+    The median is the middle element, or the two middle elements summed
+    and halved: the arithmetic of ``np.median``, which imports
+    ``numpy.ma`` on first use and costs a command-line run more than all
+    of ``summarize``. Zero is reported as ``0.0``, whatever the sign of the
+    zeros the sort put in the middle.
+
+    The modes are the grid values ``rint(x / resolution) * resolution``
+    ranked by descending count, then ascending value. Dividing by a
+    positive number and rounding are both monotone, so the grid keys of
+    the sorted values come out sorted and each key is one run: the counts
+    are the run lengths, and ``argmax``, which returns the first maximum,
+    picks the smallest key among equal counts. A grid index of 2**53 or
+    more is refused: from there it is no longer an exact integer.
     """
+    ordered = np.sort(values)
+    k = ordered.size // 2
+    middle = ordered[k] if ordered.size % 2 else (ordered[k - 1] + ordered[k]) / 2
     with np.errstate(over="ignore"):  # an index that overflows is inf, refused
-        scaled = values / resolution
-    if np.max(np.abs(scaled)) >= 2.0**53:
+        keys = ordered / resolution
+    if max(-keys[0], keys[-1]) >= 2.0**53:
         raise ValidationError(
             f"mode_resolution {resolution!r} is too fine for this series: "
             "its grid index reaches 2**53"
         )
-    keys = np.rint(scaled).astype(np.int64)
-    counts = Counter(keys.tolist())
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    mode_first = ranked[0][0] * resolution
-    mode_second = ranked[1][0] * resolution if len(ranked) > 1 else None
-    return float(mode_first), None if mode_second is None else float(mode_second)
-
-
-def _median(x: np.ndarray) -> float:
-    """Median of a 1-d array with the arithmetic of ``np.median``.
-
-    The middle element, or the two middle elements summed and halved.
-    ``np.median`` imports ``numpy.ma`` on first use, which costs a
-    command-line run more than all of ``summarize``.
-    """
-    k = x.size // 2
-    if x.size % 2:
-        return float(np.partition(x, k)[k])
-    part = np.partition(x, (k - 1, k))
-    return float((part[k - 1] + part[k]) / 2)
+    np.rint(keys, out=keys)
+    ends = np.append(np.flatnonzero(np.diff(keys)), keys.size - 1)  # last index of each run
+    counts = np.diff(ends, prepend=-1)
+    first = counts.argmax()
+    median, mode_first = float(middle + 0.0), float(keys[ends[first]] * resolution + 0.0)
+    if ends.size == 1:
+        return median, mode_first, None
+    counts[first] = 0
+    return median, mode_first, float(keys[ends[counts.argmax()]] * resolution + 0.0)
 
 
 def summarize(ts: TimeSeries | np.ndarray, mode_resolution: float = 0.1) -> SummaryStats:
@@ -325,7 +324,12 @@ def summarize(ts: TimeSeries | np.ndarray, mode_resolution: float = 0.1) -> Summ
     deviation, the midpoint convention for even-length medians, and
     mean-centered absolute deviation. Modes are computed on values rounded
     to the nearest multiple of ``mode_resolution`` (default 0.1, matching
-    the precision of published monthly climate indices).
+    the precision of published monthly climate indices), ranked by
+    descending count, then ascending value; ``mode_second`` is None when
+    every value rounds to one grid value. The median and both modes come
+    from one sorted copy of the samples; the caller's array is not
+    touched. A zero median or mode is reported as ``0.0``, never ``-0.0``,
+    whatever the order of the input.
     """
     x = sample_values(ts)
     if x.size < 2:
@@ -336,7 +340,7 @@ def summarize(ts: TimeSeries | np.ndarray, mode_resolution: float = 0.1) -> Summ
     mean, centred, variance, flat = _moments(x)
     mean, variance = float(mean[0]), float(variance)
     std = math.sqrt(variance)
-    mode_first, mode_second = _modes(x, mode_resolution)
+    median, mode_first, mode_second = _median_and_modes(x, mode_resolution)
     if flat.size or mean == 0.0:
         cv = None
     else:
@@ -344,7 +348,7 @@ def summarize(ts: TimeSeries | np.ndarray, mode_resolution: float = 0.1) -> Summ
     return SummaryStats(
         n=x.size,
         mean=mean,
-        median=_median(x),
+        median=median,
         mode_first=mode_first,
         mode_second=mode_second,
         std_dev=std,

@@ -106,6 +106,21 @@ class TestEnvelope:
         assert digest["sha256"] == hashlib.sha256(raw).hexdigest()
         assert digest["rows"] == 5
 
+    def test_byte_order_mark_is_dropped_and_digested(self, tmp_path, capsys):
+        # spreadsheet programs write "CSV UTF-8" with a leading byte-order mark
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(CSV_TEXT.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + CSV_TEXT.encode())
+        envelopes = []
+        for path in (plain, marked):
+            code, out = run(capsys, "stats", "--input", str(path), "--format", "json")
+            assert code == 0
+            envelopes.append(json.loads(out))
+        assert envelopes[1]["results"] == envelopes[0]["results"]
+        digest = envelopes[1]["inputs"][0]
+        assert digest["sha256"] == hashlib.sha256(marked.read_bytes()).hexdigest()
+        assert digest["rows"] == 5
+
     def test_json_numbers_round_trip_bit_exact(self, tmp_path, capsys):
         path = gen_file(tmp_path, "w.txt", n=128, seed=3)
         code, out = run(
@@ -268,6 +283,12 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path} is not UTF-8 text: byte 4 is 0xff\n"
+
+    def test_undecodable_file_with_byte_order_mark_names_the_files_byte(self, tmp_path, capsys):
+        path = tmp_path / "bom-latin1.txt"
+        path.write_bytes(b"\xef\xbb\xbf1.0\n\xff2.0\n")
+        assert main(["stats", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path} is not UTF-8 text: byte 7 is 0xff\n"
 
     def test_eps_too_small_exits_four(self, tmp_path, capsys):
         path = gen_file(tmp_path, "w.txt", n=256, seed=0)

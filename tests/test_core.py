@@ -3,9 +3,13 @@
 import dataclasses
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from longmem import (
     DivergenceCurve,
@@ -36,6 +40,7 @@ from longmem import (
     summarize,
 )
 from longmem.core import (
+    _median_and_modes,
     _weighted_line_fit,
     calendar_month,
     format_month,
@@ -266,6 +271,97 @@ class TestSummarize:
             with pytest.raises(ValidationError, match="too fine"):
                 # 1e10 / 1e-300 overflows to inf, which is refused
                 summarize(series([1e10, -1e10]), mode_resolution=1e-300)
+
+
+def counted_median_and_modes(x, resolution):
+    """The oracle: ``np.median`` and a ``Counter`` of the grid keys ranked by (-count, key)."""
+    keys = np.rint(x / resolution).astype(np.int64)
+    ranked = sorted(Counter(keys.tolist()).items(), key=lambda kv: (-kv[1], kv[0]))
+    second = ranked[1][0] * resolution if len(ranked) > 1 else None
+    return float(np.median(x)), ranked[0][0] * resolution, second
+
+
+def assert_matches_oracle(x, resolution):
+    """Median equal in value to ``np.median`` and never -0.0; modes equal bit for bit."""
+    x = np.asarray(x, dtype=float)
+    median, first, second = counted_median_and_modes(x, resolution)
+    stats = summarize(x, mode_resolution=resolution)
+    assert stats.median == median
+    assert stats.median != 0.0 or math.copysign(1.0, stats.median) == 1.0
+    # repr tells -0.0 from 0.0 and round-trips every other float exactly
+    assert repr((stats.mode_first, stats.mode_second)) == repr((first, second))
+    return stats
+
+
+class TestMedianAndModes:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        x=arrays(
+            np.float64,
+            st.integers(2, 200),
+            elements=st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+        ),
+        on_grid=st.booleans(),
+        resolution=st.sampled_from([0.1, 0.25, 1.0]),
+    )
+    def test_agrees_with_counter_and_np_median(self, x, on_grid, resolution):
+        # samples below 2**-400 are refused; zeroing them keeps their sign
+        x[np.abs(x) < 1e-9] *= 0.0
+        # rounded samples repeat, so counts tie and the middle pair often does
+        assert_matches_oracle(np.round(x, 1) if on_grid else x, resolution)
+
+    @pytest.mark.parametrize(
+        "x, want",
+        [
+            # one distinct key from three distinct values
+            ([0.31, 0.29, 0.3, 0.26], (0.30000000000000004, None)),
+            # every count tied: the two smallest keys
+            ([0.5, -0.2, 0.9, 0.1], (-0.2, 0.1)),
+            # only negative keys, the two largest counts tied
+            ([-0.3, -0.7, -0.3, -0.7, -0.1], (-0.7000000000000001, -0.30000000000000004)),
+            # both sides of zero; -0.04 rounds to the key -0.0, reported as 0.0
+            ([-0.2, 0.2, -0.04, 0.2, -0.2, 0.0, 0.04], (0.0, -0.2)),
+        ],
+        ids=["one-key", "all-tied", "negative-keys", "both-signs"],
+    )
+    def test_explicit_cases(self, x, want):
+        stats = assert_matches_oracle(x, 0.1)
+        assert repr((stats.mode_first, stats.mode_second)) == repr(want)
+
+    @pytest.mark.parametrize(
+        "x",
+        [[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [-0.0, -0.0, 1.0]],
+        ids=["zero-first", "negative-zero-first", "two-negative-zeros"],
+    )
+    def test_zero_median_is_positive_zero_in_any_order(self, x):
+        median = summarize(x).median
+        assert (median, math.copysign(1.0, median)) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("middle", [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]])
+    def test_zero_median_of_even_length_is_positive_zero(self, middle):
+        for x in ([-1.0, *middle, 1.0], [1.0, *middle, -1.0]):
+            median = summarize(x).median
+            assert (median, math.copysign(1.0, median)) == (0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "x",
+        [[-9.0, 1.0, 4.0], [9.0, -1.0, -4.0]],
+        ids=["negative-tail", "positive-tail"],
+    )
+    def test_grid_index_refused_from_either_tail_alone(self, x):
+        # 9 * 2**50 passes 2**53 and 4 * 2**50 = 2**52 does not
+        with pytest.raises(ValidationError, match="too fine"):
+            summarize(x, mode_resolution=2.0**-50)
+        assert summarize([v / 4.0 for v in x], mode_resolution=2.0**-50).n == 3
+
+    def test_callers_samples_are_not_sorted(self):
+        x = np.random.default_rng(8).standard_normal(101)
+        before = x.copy()
+        summarize(x)
+        summarize(TimeSeries(x))
+        # the helper itself, handed the caller's writeable array
+        assert _median_and_modes(x, 0.1)[0] == float(np.median(before))
+        assert x.tobytes() == before.tobytes()
 
 
 class TestStandardize:
