@@ -45,6 +45,7 @@ from .core import (
     TimeSeries,
     _integer,
     _real,
+    _seed,
     _weighted_line_fit,
     frozen_copy,
     sample_values,
@@ -76,8 +77,8 @@ class EmbeddingParams:
     References are taken evenly spaced over the valid positions by
     default; set ``random_sample`` to draw them without replacement using
     ``seed`` instead. Either way the curve is deterministic. Every field
-    but ``eps`` and ``random_sample`` is an integer, and ``seed`` is
-    non-negative; ``eps`` is a finite real number, kept as a Python float.
+    but ``eps`` and ``random_sample`` is an integer, and ``seed`` is in
+    [0, 2**64); ``eps`` is a finite real number, kept as a Python float.
     """
 
     m: int = 2
@@ -91,8 +92,9 @@ class EmbeddingParams:
     random_sample: bool = False
 
     def __post_init__(self):
-        for name in ("m", "d", "theiler", "n_ref", "s", "k_min", "seed"):
+        for name in ("m", "d", "theiler", "n_ref", "s", "k_min"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
+        object.__setattr__(self, "seed", _seed(self.seed))
         object.__setattr__(self, "eps", _real(self.eps, "eps"))
         if self.m < 1:
             raise ValidationError("embedding dimension m must be >= 1")
@@ -108,8 +110,6 @@ class EmbeddingParams:
             raise ValidationError("follow steps s must be >= 2")
         if self.k_min < 1:
             raise ValidationError("k_min must be >= 1")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -307,14 +307,18 @@ def lyap_fit(curve: DivergenceCurve, start: int, end: int, dt: float = 1.0) -> L
 
     Ordinary least squares of S(Delta) on Delta; the slope divided by the
     sampling interval is the Lyapunov exponent estimate in 1/time units.
+    A ``dt`` so small that this rate overflows is refused.
     """
     start, end, dt = _checked_fit(start, end, dt, curve.s_values.size)
     if np.any(curve.ref_counts[start : end + 1] == 0):
         raise ValidationError("fit range includes steps with no surviving reference")
     delta = np.arange(start, end + 1, dtype=float)
     slope, _, _, r_squared = _weighted_line_fit(delta, curve.s_values[start : end + 1])
+    lambda1 = slope / dt
+    if not np.isfinite(lambda1):
+        raise ValidationError(f"dt {dt!r} is too small: slope {slope!r} / dt overflows")
     return LyapunovFit(
-        lambda1=slope / dt,
+        lambda1=lambda1,
         fit_range=(start, end),
         r_squared=r_squared,
         dt=dt,

@@ -24,6 +24,7 @@ the caller's garbage collector alone.
 Exit codes: 0 success, 2 usage error, and for a library error the
 ``exit_code`` of its class in ``errors``: 2 parse error, 3 input
 validation error, 4 numeric failure (zero variance, radius too small).
+Running out of memory exits 3 with one ``error: not enough memory`` line.
 """
 
 from __future__ import annotations
@@ -392,8 +393,6 @@ def _envelope(argv, inputs, results, warnings, strict: bool) -> dict:
 
 def _fmt_value(value) -> str:
     if isinstance(value, float):
-        if np.isnan(value):
-            return "nan"
         return format(value, ".6g")
     if value is None:
         return "-"
@@ -736,6 +735,9 @@ def _run(argv: list[str]) -> int:
     except (ValidationError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return ValidationError.exit_code
 
 
 if __name__ == "__main__":

@@ -120,6 +120,16 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _seed(value, name: str = "seed") -> int:
+    """The one rule for every seed: an int in [0, 2**64), a key word never folded."""
+    value = _integer(value, name)
+    if value < 0:
+        raise ValidationError(f"{name} must be non-negative, got {value}")
+    if value >> 64:
+        raise ValidationError(f"{name} must be below 2**64, got {value}")
+    return value
+
+
 def _real(value, name: str) -> float:
     """``value`` as a finite Python float; bools, strings and nan or inf are refused.
 

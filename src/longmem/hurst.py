@@ -298,10 +298,10 @@ def _log_slope(windows: Sequence[int], values: Sequence[float]) -> float:
     return _weighted_line_fit(x, y)[0]
 
 
-def _halving_ladder(n: int, min_window: int = 8) -> list[int]:
+def _halving_ladder(n: int) -> list[int]:
     windows = []
     w = n
-    while w >= min_window:
+    while w >= 8:
         windows.append(w)
         w //= 2
     return windows

@@ -24,7 +24,6 @@ never exactly zero.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .core import _integer, _moments, frozen_copy, sample_values
+from .core import _integer, _moments, _seed, frozen_copy, sample_values
 from .errors import NumericError, ValidationError
 
 __all__ = list(_EXPORTS["permtest"])
@@ -50,8 +49,6 @@ _SUMMARY_QUANTILES = (
     ("q99", 0.99),
     ("max", 1.0),
 )
-
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -98,34 +95,22 @@ def pearson(p, j) -> float:
     return float(_unit_residual(p, "first input") @ _unit_residual(j, "second input"))
 
 
-@functools.cache
-def _throwaway_seed() -> np.random.SeedSequence:
-    """Seed of the Philox that ``_shuffled`` re-keys, hashed once per process.
-
-    Its key is replaced before every draw, so the seed never reaches a
-    permutation; building the Philox from a fresh ``SeedSequence`` would
-    cost about as much as a short shuffle. Made on first use, so importing
-    this module does not import ``numpy.random``.
-    """
-    return np.random.SeedSequence(0)
-
-
 def _shuffled(seed: int, values: np.ndarray, indices: Iterable[int]) -> Iterator[np.ndarray]:
     """``values`` shuffled by permutation ``k`` under ``seed``, for each ``k`` in ``indices``.
 
-    Permutation ``k`` is the shuffle a fresh
-    ``Generator(Philox(key=[seed mod 2**64, k mod 2**64]))`` draws. The
-    shuffle's draws depend only on ``values.size``, and it moves items
+    Permutation ``k`` is the shuffle a fresh ``Generator(Philox(key=[seed,
+    k]))`` draws, both keys as given, in [0, 2**64) by the callers' checks.
+    The shuffle's draws depend only on ``values.size``, and it moves items
     without reading them, so the result is ``values[perm]``, bit for bit,
     with ``perm`` that generator's ``permutation(values.size)``. One
     Philox is built per call and, for each ``k``, set to the state such a
-    fresh generator starts in: counter 0, an empty output buffer, no
+    fresh generator starts in: key, counter 0, an empty output buffer, no
     cached 32-bit half. Every permutation is shuffled into the same
     buffer, so a caller that keeps one must copy it.
     """
-    bitgen = np.random.Philox(_throwaway_seed())
+    bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
-    key = [seed & _MASK64, 0]
+    key = [seed, 0]
     zeros = [0, 0, 0, 0]
     state = {
         "bit_generator": "Philox",
@@ -137,7 +122,7 @@ def _shuffled(seed: int, values: np.ndarray, indices: Iterable[int]) -> Iterator
     }
     buf = np.empty_like(values)
     for k in indices:
-        key[1] = k & _MASK64
+        key[1] = k
         bitgen.state = state
         np.copyto(buf, values)
         gen.shuffle(buf)
@@ -152,13 +137,11 @@ def nth_permutation(seed: int, index: int, n: int) -> np.ndarray:
     predecessors. It is bit-identical to permutation ``index`` of
     ``perm_test`` with the same seed.
     """
-    seed = _integer(seed, "seed")
-    index = _integer(index, "permutation index")
+    seed = _seed(seed)
+    index = _seed(index, "permutation index")
     n = _integer(n, "permutation length")
     if n <= 0:
         raise ValidationError("permutation length must be positive")
-    if index < 0:
-        raise ValidationError("permutation index must be non-negative")
     return next(_shuffled(seed, np.arange(n), (index,))).copy()
 
 
@@ -192,7 +175,7 @@ def perm_test(
     both tails (2.5% each).
     """
     p, j = _paired(p, j)
-    seed = _integer(seed, "seed")
+    seed = _seed(seed)
     n_perm = _integer(n_perm, "n_perm")
     if n_perm < 100:
         raise ValidationError("n_perm must be at least 100")

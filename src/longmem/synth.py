@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .core import TimeSeries, _integer, _real
+from .core import TimeSeries, _integer, _real, _seed
 from .errors import NumericError, ValidationError
 
 __all__ = list(_EXPORTS["synth"])
@@ -49,7 +49,7 @@ class GenSpec:
     kind that does not read it is refused, and logistic's unset ``r`` and
     ``x0`` take their defaults (4.0 and 0.2). ``seed`` pins the stochastic
     kinds and is ignored by the deterministic ones (logistic, sine).
-    ``n`` and ``seed`` are integers, and the seed is non-negative. The
+    ``n`` is an integer and ``seed`` an integer in [0, 2**64). The
     real parameters are finite real numbers, not bools, kept as Python
     floats, and sine's ``period`` leaves its largest phase finite.
     """
@@ -67,11 +67,9 @@ class GenSpec:
         if self.kind not in KINDS:
             raise ValidationError(f"unknown generator kind {self.kind!r}")
         object.__setattr__(self, "n", _integer(self.n, "n"))
-        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "seed", _seed(self.seed))
         if self.n < 2:
             raise ValidationError("n must be at least 2")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         params = _KIND_PARAMS[self.kind]
         unused = [
             name

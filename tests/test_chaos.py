@@ -359,6 +359,15 @@ class TestLyapFit:
         monthly = lyap_fit(self.flat_curve(0.4), 0, 9, dt=0.5)
         assert monthly.lambda1 == pytest.approx(0.8, abs=1e-12)
 
+    @pytest.mark.parametrize("slope", [0.4, -0.4])
+    def test_overflowing_rate_rejected(self, slope):
+        with pytest.raises(ValidationError, match="dt 1e-320 is too small"):
+            lyap_fit(self.flat_curve(slope), 0, 9, dt=1e-320)
+
+    def test_zero_slope_over_tiny_dt_is_zero(self):
+        # the refusal is of an infinite rate, not of a small dt
+        assert lyap_fit(self.flat_curve(0.0), 0, 9, dt=1e-320).lambda1 == 0.0
+
     def test_subrange_fit(self):
         curve = self.flat_curve(0.25)
         fit = lyap_fit(curve, 2, 6)

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: envelopes, exit codes, determinism."""
 
 import hashlib
+import inspect
 import json
 import os
 import shlex
@@ -13,7 +14,19 @@ import numpy as np
 import pytest
 
 import longmem
-from longmem import EmbeddingParams, GenSpec, IngestOptions, acf_fft, generate, parse, pearson
+from longmem import (
+    EmbeddingParams,
+    GenSpec,
+    IngestOptions,
+    acf_fft,
+    generate,
+    lyap_fit,
+    parse,
+    pearson,
+    perm_test,
+    rs_table,
+    summarize,
+)
 from longmem.cli import main
 from longmem.ingest import ON_GAP
 from longmem.permtest import TAILS
@@ -330,6 +343,7 @@ class TestExitCodes:
             (["stats", "--range", "1951-13:1952-06"], "range start month 13 outside 1..12"),
             (["lyap", "--m", "1", "--eps", "1e-3", "--dt", "inf", "--fit", "0:4"],
              "dt must be finite, got inf"),
+            (["lyap", "--dt", "1e-320", "--fit", "0:2"], "dt 1e-320 is too small"),
             (["lyap", "--eps", "inf"], "eps must be finite, got inf"),
             (["lyap", "--grid", "eps=0.3,inf"], "eps must be finite, got inf"),
             (["lyap", "--grid", "eps=0.3,nan"], "eps must be finite, got nan"),
@@ -338,8 +352,8 @@ class TestExitCodes:
             (["lyap", "--grid", "eps=0.3,0.30"], "grid axis 'eps' repeats a value"),
             (["lyap", "--grid", "m=2,3;refs=50,050"], "grid axis 'refs' repeats a value"),
         ],
-        ids=["resolution inf", "resolution 1e-300", "range month 13", "dt inf", "eps inf",
-             "grid eps inf", "grid eps nan", "grid axis twice", "grid empty",
+        ids=["resolution inf", "resolution 1e-300", "range month 13", "dt inf", "dt 1e-320",
+             "eps inf", "grid eps inf", "grid eps nan", "grid axis twice", "grid empty",
              "grid eps value twice", "grid refs value twice"],
     )
     def test_refused_parameter_exits_three(self, tmp_path, capsys, args, message):
@@ -464,6 +478,9 @@ class TestExitCodes:
         ]
 
 
+PERMTEST_ARGV = ["permtest", "--x", "x.txt", "--y", "y.txt"]
+
+
 class TestParserDefaults:
     """Option defaults and choices come from the library, not copies."""
 
@@ -485,6 +502,38 @@ class TestParserDefaults:
         [action] = [a for a in subparsers.choices["stats"]._actions if a.dest == "on_gap"]
         assert tuple(action.choices) == ON_GAP
         assert action.default == IngestOptions(format="auto").on_gap
+
+    @pytest.mark.parametrize(
+        "argv, dest, owner, name",
+        [
+            pytest.param(
+                ["stats", "--input", "x.txt"], "missing_sentinel", IngestOptions,
+                "missing_sentinel", id="missing-sentinel",
+            ),
+            pytest.param(
+                ["stats", "--input", "x.txt"], "resolution", summarize, "mode_resolution",
+                id="resolution",
+            ),
+            pytest.param(
+                ["hurst", "--input", "x.txt"], "min_window", rs_table, "min_window",
+                id="min-window",
+            ),
+            pytest.param(PERMTEST_ARGV, "n_perm", perm_test, "n_perm", id="n-perm"),
+            pytest.param(PERMTEST_ARGV, "seed", perm_test, "seed", id="permtest-seed"),
+            pytest.param(PERMTEST_ARGV, "tail", perm_test, "tail", id="tail"),
+            pytest.param(["lyap", "--input", "x.txt"], "dt", lyap_fit, "dt", id="dt"),
+            pytest.param(
+                ["gen", "--kind", "white", "--n", "10"], "seed", GenSpec, "seed", id="gen-seed",
+            ),
+        ],
+    )
+    def test_default_is_the_librarys(self, argv, dest, owner, name):
+        from longmem.cli import _build_parser
+
+        ns = _build_parser(argv[0]).parse_args(argv)
+        expected = inspect.signature(owner).parameters[name].default
+        assert getattr(ns, dest) == expected
+        assert type(getattr(ns, dest)) is type(expected)
 
 
 # Each library name ``benchmarks/tracing.py`` wraps on ``longmem.cli``
@@ -862,6 +911,21 @@ class TestPermtestCommand:
         code, _ = run(capsys, "permtest", "--x", x, "--y", y, "--n-perm", "200")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [("-1", "seed must be non-negative, got -1"),
+         (str(2**64), f"seed must be below 2**64, got {2**64}")],
+    )
+    def test_out_of_range_seed_exits_three(self, tmp_path, capsys, seed, message):
+        # the seed is Philox's first key word as given, never folded mod 2**64
+        x = gen_file(tmp_path, "x.txt", n=100, seed=1)
+        y = gen_file(tmp_path, "y.txt", n=100, seed=2)
+        code = main(["permtest", "--x", x, "--y", y, "--n-perm", "100", "--seed", seed])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_mismatched_resultant_lengths_exit_three(self, tmp_path, capsys):
         x = gen_file(tmp_path, "x.txt", n=100, seed=1)
         u = gen_file(tmp_path, "u.txt", n=100, seed=2)
@@ -914,6 +978,14 @@ class TestGenCommand:
         # numpy's seeding would raise an untyped error
         assert main(["gen", "--kind", "white", "--n", "8", "--seed", "-1"]) == 3
         assert "seed must be non-negative" in capsys.readouterr().err
+
+    def test_unallocatable_length_exits_three(self, capsys):
+        # 8 PB exceeds any address space: the allocation fails at once
+        assert main(["gen", "--kind", "white", "--n", "1000000000000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not enough memory: ")
+        assert captured.err.count("\n") == 1
 
     def test_parameters_the_kind_ignores_exit_three(self, tmp_path, capsys):
         out_path = tmp_path / "w.txt"

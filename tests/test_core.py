@@ -31,6 +31,7 @@ from longmem import (
     hurst_suite,
     lyap_fit,
     lyap_k,
+    nth_permutation,
     pearson,
     perm_test,
     rs_statistic,
@@ -716,12 +717,42 @@ class TestIntegerRule:
         assert type(params.m) is int and type(params.n_ref) is int
         assert type(acf_fft(GOOD, np.int64(3)).max_lag) is int
 
+
+# Every seed of the public API, called with ``v`` in its slot, and
+# ``nth_permutation``'s index, the second key word of the same Philox.
+SEED_PARAMETERS = {
+    "GenSpec seed": lambda v: generate(GenSpec(kind="white", n=10, seed=v)).values,
+    "EmbeddingParams seed": lambda v: EmbeddingParams(seed=v).seed,
+    "perm_test seed": lambda v: perm_test(GOOD, GOOD[::-1], n_perm=100, seed=v).r_sorted,
+    "nth_permutation seed": lambda v: nth_permutation(v, 0, 16),
+    "nth_permutation index": lambda v: nth_permutation(0, v, 16),
+}
+
+
+class TestSeedRule:
+    """One rule for seeds: an integer in [0, 2**64), never folded into it."""
+
     @pytest.mark.parametrize(
-        "make", [lambda: GenSpec(kind="white", n=10, seed=-1), lambda: EmbeddingParams(seed=-1)]
+        "value, message",
+        [
+            (-1, "must be non-negative, got -1"),
+            (np.int64(-1), "must be non-negative, got -1"),
+            (-(2**64), "must be non-negative"),
+            (2**64, rf"must be below 2\*\*64, got {2**64}$"),
+            (2**70, "must be below 2"),
+        ],
     )
-    def test_negative_seed_rejected(self, make):
-        with pytest.raises(ValidationError, match="non-negative"):
-            make()
+    @pytest.mark.parametrize("parameter", SEED_PARAMETERS)
+    def test_out_of_range_refused(self, parameter, value, message):
+        with pytest.raises(ValidationError, match=message):
+            SEED_PARAMETERS[parameter](value)
+
+    @pytest.mark.parametrize("parameter", SEED_PARAMETERS)
+    def test_whole_range_accepted(self, parameter):
+        call = SEED_PARAMETERS[parameter]
+        call(0)
+        top = call(2**64 - 1)
+        assert np.array_equal(call(np.uint64(2**64 - 1)), top)
 
 
 # Every real parameter of the public API, called with ``v`` in its slot,
