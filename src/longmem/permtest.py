@@ -6,13 +6,19 @@ permutations of the other. Permutation ``k`` is the shuffle drawn by a
 counter-based Philox generator keyed by ``(seed, k)``: the same bit
 pattern whether it is drawn inside ``perm_test``, alone by
 ``nth_permutation``, or in any order. ``perm_test`` builds one generator
-per call and re-keys it for each permutation rather than building one
-generator per permutation, which would cost as much as the shuffle. It
-shuffles a copy of the second series' unit residual in place of drawing
-an index permutation and gathering through it: the shuffle moves items
-without reading them, so the copy comes out as that gather, bit for bit,
-and no index array or gathered array is made per permutation. What is
-left per permutation is numpy's shuffle, a copy and one dot product.
+per block of permutations and re-keys it for each permutation rather
+than building one generator per permutation, which would cost as much as
+the shuffle. It shuffles a copy of the second series' unit residual in
+place of drawing an index permutation and gathering through it: the
+shuffle moves items without reading them, so the copy comes out as that
+gather, bit for bit, and no index array or gathered array is made per
+permutation. What is left per permutation is numpy's shuffle, a copy and
+one dot product. From 2048 samples up the permutations are split into
+contiguous blocks of ``k`` that run on up to four threads, one per
+usable CPU, each block with its own generator and buffer; numpy's
+shuffle releases the GIL. Every permuted correlation is the same 1-d dot
+product whichever thread computes it, so the result does not depend on
+the number of threads.
 
 Critical values follow the sorted-position convention: with the permuted
 correlations sorted ascending, the lower 5% critical value sits at
@@ -25,6 +31,8 @@ never exactly zero.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -49,6 +57,15 @@ _SUMMARY_QUANTILES = (
     ("q99", 0.99),
     ("max", 1.0),
 )
+
+# perm_test runs on the calling thread alone below this length: the
+# threads' start and the GIL-held part of each permutation (about an
+# eighth at n = 2048) cost more than a second core saves.
+_THREADED_MIN_N = 2048
+# At most this many blocks: with an eighth of each permutation under the
+# GIL, more threads would mostly wait for it. Only 1 and 2 cores were
+# measured; the gain above 2 is untested.
+_MAX_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -129,6 +146,61 @@ def _shuffled(seed: int, values: np.ndarray, indices: Iterable[int]) -> Iterator
         yield buf
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _permuted_correlations(
+    p_unit: np.ndarray, j_unit: np.ndarray, seed: int, n_perm: int
+) -> np.ndarray:
+    """``p_unit @ (j_unit shuffled by permutation k)`` for each ``k`` in ``range(n_perm)``.
+
+    ``range(n_perm)`` is split into contiguous blocks, one per usable CPU
+    up to ``_MAX_BLOCKS`` and a single block below ``_THREADED_MIN_N``
+    samples. The calling thread runs block 0 and a ``threading.Thread``
+    each other block, with its own generator and buffer. Each correlation
+    is one 1-d dot product wherever it runs (a 2-d product may round
+    differently), so the output does not depend on the split. The first
+    exception raised in any block, a ``MemoryError`` for a buffer or a
+    ``KeyboardInterrupt`` included, stops every block at its next
+    permutation and is raised again here once all threads have ended.
+    """
+    blocks = 1 if j_unit.size < _THREADED_MIN_N else min(_usable_cpus(), _MAX_BLOCKS)
+    bounds = [n_perm * b // blocks for b in range(blocks + 1)]
+    r_perm = np.empty(n_perm)
+    errors: list[BaseException] = []  # any entry stops every block
+
+    def run(lo: int, hi: int) -> None:
+        try:
+            for k, shuffled in enumerate(_shuffled(seed, j_unit, range(lo, hi)), lo):
+                if errors:
+                    return
+                r_perm[k] = p_unit @ shuffled
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=bounds[b : b + 2]) for b in range(1, blocks)]
+    try:
+        for thread in threads:
+            thread.start()
+    except BaseException as exc:  # a thread that cannot start stops the others
+        errors.append(exc)
+    run(bounds[0], bounds[1])
+    for thread in threads:  # an unstarted thread is not alive
+        while thread.is_alive():
+            try:
+                thread.join()
+            except BaseException as exc:  # a Ctrl-C while waiting
+                errors.append(exc)
+    if errors:
+        raise errors[0]
+    return r_perm
+
+
 def nth_permutation(seed: int, index: int, n: int) -> np.ndarray:
     """The ``index``-th permutation of ``range(n)`` under a master seed.
 
@@ -173,6 +245,11 @@ def perm_test(
     observed correlation falls below the lower critical value, ``upper``
     when it exceeds the upper one, and ``two`` splits the level across
     both tails (2.5% each).
+
+    From 2048 samples up the permutations run on up to four threads, one
+    per CPU the process may use; the result is the same bit for bit on
+    any number of them, and a machine or affinity mask with one usable
+    CPU runs them all on the calling thread.
     """
     p, j = _paired(p, j)
     seed = _seed(seed)
@@ -187,10 +264,7 @@ def perm_test(
     r_obs = float(p_unit @ j_unit)
 
     n = p.size
-    r_perm = np.empty(n_perm)
-    # one 1-d dot per permutation: a 2-d product may round differently
-    for k, shuffled in enumerate(_shuffled(seed, j_unit, range(n_perm))):
-        r_perm[k] = p_unit @ shuffled
+    r_perm = _permuted_correlations(p_unit, j_unit, seed, n_perm)
     r_sorted = np.sort(r_perm)
 
     # 1-indexed order statistics of the ascending sort.

@@ -926,6 +926,28 @@ class TestPermtestCommand:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_worker_out_of_memory_exits_three(self, tmp_path, capsys, monkeypatch):
+        # at 2048 samples a second thread runs half the permutations; its
+        # failed allocation is the caller's one error line
+        from longmem import permtest
+
+        real = permtest._shuffled
+
+        def unallocatable(seed, values, indices):
+            if indices.start > 0:
+                raise MemoryError("Unable to allocate 16.0 KiB")
+            return real(seed, values, indices)
+
+        monkeypatch.setattr(permtest, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(permtest, "_shuffled", unallocatable)
+        x = gen_file(tmp_path, "x.txt", n=2048, seed=1)
+        y = gen_file(tmp_path, "y.txt", n=2048, seed=2)
+        code = main(["permtest", "--x", x, "--y", y, "--n-perm", "100"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: not enough memory: Unable to allocate 16.0 KiB\n"
+
     def test_mismatched_resultant_lengths_exit_three(self, tmp_path, capsys):
         x = gen_file(tmp_path, "x.txt", n=100, seed=1)
         u = gen_file(tmp_path, "u.txt", n=100, seed=2)

@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from longmem import (
     pearson,
     perm_test,
 )
-from longmem.permtest import _SUMMARY_QUANTILES, _shuffled, _sorted_quantile
+from longmem import permtest
+from longmem.permtest import TAILS, _SUMMARY_QUANTILES, _shuffled, _sorted_quantile
 
 # both ends of the key word's range [0, 2**64) and its top bit
 SEEDS = [0, 1, 2**63, 2**64 - 1]
@@ -79,11 +82,12 @@ def full_index_perm_test(p, j, n_perm, seed, tail):
     }
 
 
-# n x n_perm x tail, with the edge seeds cycled over the cells
+# n x n_perm x tail, with the edge seeds cycled over the cells; 2047 and
+# 2048 sit either side of the length from which perm_test uses threads
 PARITY_GRID = [
     (n, n_perm, tail, SEEDS[i % len(SEEDS)])
     for i, (n, n_perm, tail) in enumerate(
-        itertools.product((3, 776, 4097), (100, 1000), ("lower", "upper", "two"))
+        itertools.product((3, 776, 2047, 2048, 4097), (100, 1000), ("lower", "upper", "two"))
     )
 ]
 
@@ -257,6 +261,138 @@ class TestShuffledCopy:
         kept = p.tobytes(), j.tobytes()
         perm_test(p, j, n_perm=100, seed=0)
         assert (p.tobytes(), j.tobytes()) == kept
+
+
+def outcome(res):
+    """The fields of a permutation result that depend on the permutations."""
+    return (
+        res.r_sorted.tobytes(),
+        res.r_crit_lower.hex(),
+        res.r_crit_upper.hex(),
+        res.p_lower,
+        res.p_upper,
+        res.p_two_sided,
+        res.decision_5pct,
+    )
+
+
+class TestThreadedBlocks:
+    """From ``_THREADED_MIN_N`` samples up, contiguous blocks of permutations
+    run on one thread per usable CPU; the result must not depend on how many."""
+
+    def pair(self, n):
+        rng = np.random.default_rng(n)
+        return rng.standard_normal((2, n))
+
+    def force_cpus(self, monkeypatch, cpus):
+        monkeypatch.setattr(permtest, "_usable_cpus", lambda: cpus)
+
+    def record_blocks(self, monkeypatch):
+        """The (thread, range) each ``_shuffled`` call is given, as a list."""
+        calls = []
+        real = permtest._shuffled
+
+        def recording(seed, values, indices):
+            calls.append((threading.get_ident(), indices))
+            return real(seed, values, indices)
+
+        monkeypatch.setattr(permtest, "_shuffled", recording)
+        return calls
+
+    @pytest.mark.parametrize("n, n_perm", [(2048, 1000), (4097, 301)])
+    @pytest.mark.parametrize("tail", TAILS)
+    def test_one_two_and_three_blocks_agree_bit_for_bit(self, monkeypatch, n, n_perm, tail):
+        p, j = self.pair(n)
+        results = {}
+        for cpus in (1, 2, 3):
+            self.force_cpus(monkeypatch, cpus)
+            calls = self.record_blocks(monkeypatch)
+            results[cpus] = outcome(perm_test(p, j, n_perm=n_perm, seed=2**63 + 1, tail=tail))
+            monkeypatch.undo()
+            # contiguous blocks that cover range(n_perm), block 0 on the caller
+            blocks = sorted(calls, key=lambda call: call[1].start)
+            assert [indices for _, indices in blocks] == [
+                range(n_perm * b // cpus, n_perm * (b + 1) // cpus) for b in range(cpus)
+            ]
+            assert blocks[0][0] == threading.get_ident()
+            assert len({ident for ident, _ in calls}) == cpus
+        assert results[2] == results[1]
+        assert results[3] == results[1]
+
+    def test_four_blocks_under_a_short_switch_interval(self, monkeypatch):
+        # more threads than this machine's cores, switching as often as the
+        # interpreter allows: a write lost to another block would show
+        p, j = self.pair(2048)
+        self.force_cpus(monkeypatch, 64)
+        calls = self.record_blocks(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            res = perm_test(p, j, n_perm=2000, seed=0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 4
+        monkeypatch.undo()
+        self.force_cpus(monkeypatch, 1)
+        assert outcome(res) == outcome(perm_test(p, j, n_perm=2000, seed=0))
+
+    @pytest.mark.parametrize("n", [3, 776, 2047])
+    def test_no_thread_starts_below_the_floor(self, monkeypatch, n):
+        class NoThread:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("perm_test started a thread")
+
+        p, j = self.pair(n)
+        expected = outcome(perm_test(p, j, n_perm=200, seed=1))
+        self.force_cpus(monkeypatch, 4)
+        monkeypatch.setattr(threading, "Thread", NoThread)
+        assert outcome(perm_test(p, j, n_perm=200, seed=1)) == expected
+
+    @pytest.mark.parametrize("failing_block", [0, 1, 2])
+    def test_first_error_reaches_the_caller_and_stops_every_block(
+        self, monkeypatch, failing_block
+    ):
+        p, j = self.pair(2048)
+        n_perm = 30000
+        self.force_cpus(monkeypatch, 3)
+        real = permtest._shuffled
+        done = []
+
+        class BlockFailed(Exception):
+            pass
+
+        def failing(seed, values, indices):
+            for k, shuffled in zip(indices, real(seed, values, indices)):
+                if indices.start == n_perm * failing_block // 3:
+                    raise BlockFailed(k)
+                done.append(k)
+                yield shuffled
+
+        monkeypatch.setattr(permtest, "_shuffled", failing)
+        before = threading.active_count()
+        with pytest.raises(BlockFailed) as caught:
+            perm_test(p, j, n_perm=n_perm, seed=0)
+        assert caught.value.args == (n_perm * failing_block // 3,)
+        assert len(done) < n_perm - n_perm // 3
+        assert threading.active_count() == before
+
+    def test_thread_that_cannot_start_is_an_error(self, monkeypatch):
+        p, j = self.pair(2048)
+        self.force_cpus(monkeypatch, 3)
+        started = []
+
+        class SecondFails(threading.Thread):
+            def start(self):
+                if started:
+                    raise RuntimeError("can't start new thread")
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", SecondFails)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            perm_test(p, j, n_perm=300, seed=0)
+        assert threading.active_count() == before
 
 
 class TestPermTest:
