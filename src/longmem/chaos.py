@@ -223,6 +223,20 @@ def _neighbours(x, n_valid, refs, params):
         start = stop
 
 
+def _checked_length(n: int, params: EmbeddingParams) -> int:
+    """The embedding offset (m-1)*d, checked to leave ``params.s`` steps in ``n`` samples.
+
+    The rule is (m-1)*d + s < n. ``lyap`` checks each grid combination by
+    this rule before computing any curve.
+    """
+    offset = (params.m - 1) * params.d
+    if offset + params.s >= n:
+        raise ValidationError(
+            f"series of length {n} too short for (m-1)*d + s = {offset + params.s}"
+        )
+    return offset
+
+
 def lyap_k(ts: TimeSeries | np.ndarray, params: EmbeddingParams) -> DivergenceCurve:
     """Compute the Kantz divergence curve of a series.
 
@@ -234,11 +248,7 @@ def lyap_k(ts: TimeSeries | np.ndarray, params: EmbeddingParams) -> DivergenceCu
     """
     x = standardize(ts).values
     n = x.size
-    offset = (params.m - 1) * params.d
-    if offset + params.s >= n:
-        raise ValidationError(
-            f"series of length {n} too short for (m-1)*d + s = {offset + params.s}"
-        )
+    offset = _checked_length(n, params)
     n_valid = n - offset - params.s + 1
     refs = _reference_indices(n_valid, params)
 

@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __getattr__ as _package_lookup
-from .core import TimeSeries, format_month, parse_month
+from .core import TimeSeries, parse_month
 from .errors import (
     WARN_EPS_TOO_SMALL,
     WARN_SKIPPED_BLOCKS,
@@ -62,15 +62,15 @@ _lib = sys.modules[__name__]
 
 SCHEMA_VERSION = 1
 
-# lyap option -> (EmbeddingParams field, type): the axes of --grid, in the
-# order of the curve header.
+# lyap option -> (EmbeddingParams field, type, help): the axes of --grid,
+# in the order of the curve header.
 _GRID_FIELDS = {
-    "m": ("m", int),
-    "d": ("d", int),
-    "theiler": ("theiler", int),
-    "eps": ("eps", float),
-    "refs": ("n_ref", int),
-    "steps": ("s", int),
+    "m": ("m", int, "embedding dimension"),
+    "d": ("d", int, "embedding delay"),
+    "theiler": ("theiler", int, "temporal exclusion window"),
+    "eps": ("eps", float, "neighbourhood radius (standardized units)"),
+    "refs": ("n_ref", int, "number of reference points"),
+    "steps": ("s", int, "forecast horizon"),
 }
 
 # Table labels of the suite estimates, in ``HurstSuite`` field order.
@@ -135,7 +135,7 @@ def _add_output_options(sub: argparse.ArgumentParser, curve: bool = True) -> Non
         )
 
 
-def _add_analysis_options(p, func, curve: bool = True) -> None:
+def _add_analysis_options(p, curve: bool = True) -> None:
     """The options of a subcommand that analyses one ``--input`` file."""
     p.add_argument("--input", required=True, help="data file to analyse")
     _add_format_options(p)
@@ -153,11 +153,10 @@ def _add_analysis_options(p, func, curve: bool = True) -> None:
         help="policy for interior missing values",
     )
     _add_output_options(p, curve)
-    p.set_defaults(func=func)
 
 
 def _stats_options(p: argparse.ArgumentParser) -> None:
-    _add_analysis_options(p, _cmd_stats, curve=False)
+    _add_analysis_options(p, curve=False)
     p.add_argument(
         "--resolution",
         type=float,
@@ -167,7 +166,7 @@ def _stats_options(p: argparse.ArgumentParser) -> None:
 
 
 def _acf_options(p: argparse.ArgumentParser) -> None:
-    _add_analysis_options(p, _cmd_acf)
+    _add_analysis_options(p)
     p.add_argument("--max-lag", type=int, required=True)
     p.add_argument(
         "--method",
@@ -187,7 +186,7 @@ def _acf_options(p: argparse.ArgumentParser) -> None:
 
 
 def _hurst_options(p: argparse.ArgumentParser) -> None:
-    _add_analysis_options(p, _cmd_hurst)
+    _add_analysis_options(p)
     p.add_argument("--min-window", type=int, default=8)
     p.add_argument(
         "--weighted",
@@ -197,18 +196,14 @@ def _hurst_options(p: argparse.ArgumentParser) -> None:
 
 
 def _suite_options(p: argparse.ArgumentParser) -> None:
-    _add_analysis_options(p, _cmd_suite, curve=False)
+    _add_analysis_options(p, curve=False)
 
 
 def _lyap_options(p: argparse.ArgumentParser) -> None:
     default = _lib.EmbeddingParams()
-    _add_analysis_options(p, _cmd_lyap)
-    p.add_argument("--m", type=int, default=default.m, help="embedding dimension")
-    p.add_argument("--d", type=int, default=default.d, help="embedding delay")
-    p.add_argument("--theiler", type=int, default=default.theiler, help="temporal exclusion window")
-    p.add_argument("--eps", type=float, default=default.eps, help="neighbourhood radius (standardized units)")
-    p.add_argument("--steps", type=int, default=default.s, help="forecast horizon")
-    p.add_argument("--refs", type=int, default=default.n_ref, help="number of reference points")
+    _add_analysis_options(p)
+    for name, (field, cast, help) in _GRID_FIELDS.items():
+        p.add_argument(f"--{name}", type=cast, default=getattr(default, field), help=help)
     p.add_argument(
         "--random-refs",
         action="store_true",
@@ -250,41 +245,24 @@ def _permtest_options(p: argparse.ArgumentParser) -> None:
         default=10000,
         help="number of permutations (default 10000); time grows with "
         "length x n-perm. From 2048 samples up they run on up to 4 threads, "
-        "one per usable CPU, with the same result on any number; at 776 000 "
-        "samples each takes 9-45 ms, so the default runs for minutes",
+        "one per usable CPU, with the same result on any number",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tail", choices=TAILS, default="two")
     _add_output_options(p)
     # permtest reads whole files: no calendar slice, and gaps are errors
-    p.set_defaults(func=_cmd_permtest, range=None, on_gap="error")
+    p.set_defaults(range=None, on_gap="error")
 
 
 def _gen_options(p: argparse.ArgumentParser) -> None:
-    from .synth import KINDS
+    from .synth import KINDS, PARAMS
 
     p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--h", type=float, default=None, help="target Hurst exponent (fgn)")
-    p.add_argument("--phi", type=float, default=None, help="lag-1 coefficient (ar1)")
-    p.add_argument("--r", type=float, default=None, help="logistic-map parameter")
-    p.add_argument("--x0", type=float, default=None, help="logistic-map start value")
-    p.add_argument("--period", type=float, default=None, help="sine period in samples")
+    for name, help in PARAMS.items():
+        p.add_argument(f"--{name}", type=float, default=None, help=help)
     _add_output_options(p)
-    p.set_defaults(func=_cmd_gen)
-
-
-# Each subcommand's help line and the function that adds its options.
-_SUBCOMMANDS = {
-    "stats": ("descriptive summary statistics", _stats_options),
-    "acf": ("autocorrelation function", _acf_options),
-    "hurst": ("rescaled-range table and fitted exponent", _hurst_options),
-    "suite": ("five-variant rescaled-range estimator suite", _suite_options),
-    "lyap": ("divergence curve and largest Lyapunov exponent", _lyap_options),
-    "permtest": ("seeded permutation test of a correlation", _permtest_options),
-    "gen": ("synthetic series with known properties", _gen_options),
-}
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -299,7 +277,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Long-memory and chaos diagnostics for time series.",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help, add_options) in _SUBCOMMANDS.items():
+    for name, (help, add_options, _) in _SUBCOMMANDS.items():
         p = subs.add_parser(name, help=help)
         if command in (None, name):
             add_options(p)
@@ -544,7 +522,7 @@ def _parse_grid(spec: str) -> list[dict]:
                 f"bad grid axis {part!r}; use name=v1,v2 with names "
                 f"{', '.join(sorted(_GRID_FIELDS))}"
             )
-        field, cast = _GRID_FIELDS[name]
+        field, cast, _ = _GRID_FIELDS[name]
         if any(field == seen for seen, _ in axes):
             raise ValidationError(f"grid axis {name!r} given twice")
         try:
@@ -565,15 +543,17 @@ def _parse_grid(spec: str) -> list[dict]:
 
 def _cmd_lyap(ns) -> _Report:
     [series], inputs, warnings = _load_series(ns, ns.input)
-    base = {field: getattr(ns, name) for name, (field, _) in _GRID_FIELDS.items()}
+    base = {field: getattr(ns, name) for name, (field, *_) in _GRID_FIELDS.items()}
     base.update(seed=ns.seed, random_sample=ns.random_refs)
     overrides = [{}] if ns.grid is None else _parse_grid(ns.grid)
-    # every combination, and its fit, is checked before the first curve is computed
+    # every combination, its length rule and its fit are checked before
+    # the first curve is computed
     grid = [_lib.EmbeddingParams(**{**base, **combo}) for combo in overrides]
-    if ns.fit is not None:
-        from .chaos import _checked_fit
+    from .chaos import _checked_fit, _checked_length
 
-        for params in grid:
+    for params in grid:
+        _checked_length(len(series), params)
+        if ns.fit is not None:
             _checked_fit(*ns.fit, ns.dt, params.s)
     payloads, lines, curve_lines, failures = [], [], [], []
     for params in grid:
@@ -589,7 +569,7 @@ def _cmd_lyap(ns) -> _Report:
             },
         }
         header = "# " + " ".join(
-            f"{name}={getattr(params, field)}" for name, (field, _) in _GRID_FIELDS.items()
+            f"{name}={getattr(params, field)}" for name, (field, *_) in _GRID_FIELDS.items()
         )
         lines.append(header)
         if len(overrides) > 1:
@@ -628,21 +608,9 @@ def _cmd_lyap(ns) -> _Report:
     return _Report(inputs, {"curves": payloads}, warnings, lines, curve_lines)
 
 
-def _check_calendars(paths: list[str], series: list[TimeSeries]) -> None:
-    """Refuse to pair anchored inputs that start in different months."""
-    anchored = [(p, s.start) for p, s in zip(paths, series) if s.start is not None]
-    if len({start for _, start in anchored}) > 1:
-        starts = ", ".join(f"{p} starts {format_month(start)}" for p, start in anchored)
-        raise ValidationError(
-            f"inputs start in different months ({starts}); permtest pairs "
-            "samples by position, so anchored inputs must share a start"
-        )
-
-
 def _cmd_permtest(ns) -> _Report:
     paths = [ns.x, ns.y] if ns.y is not None else [ns.x, *ns.resultant]
     series, inputs, warnings = _load_series(ns, *paths)
-    _check_calendars(paths, series)
     if ns.y is not None:
         y = series[1]
     else:
@@ -652,7 +620,11 @@ def _cmd_permtest(ns) -> _Report:
                 "resultant component files must have equal length "
                 f"({len(u_series)} vs {len(v_series)})"
             )
-        y = np.hypot(u_series.values, v_series.values)
+        from .permtest import _paired
+
+        # U and V pair by the library's rule, and the resultant keeps their anchor
+        u, v = _paired(u_series, v_series)
+        y = TimeSeries(np.hypot(u, v), start=u_series.start or v_series.start)
 
     result = _lib.perm_test(
         series[0],
@@ -683,6 +655,19 @@ def _cmd_gen(ns) -> _Report | str:
         return text
     results = {"kind": ns.kind, "n": ns.n, "seed": ns.seed, "path": ns.out, **kwargs}
     return _Report([], results, [], _kv_lines(results), text.splitlines())
+
+
+# Each subcommand's help line, the function that adds its options and
+# the one that runs it.
+_SUBCOMMANDS = {
+    "stats": ("descriptive summary statistics", _stats_options, _cmd_stats),
+    "acf": ("autocorrelation function", _acf_options, _cmd_acf),
+    "hurst": ("rescaled-range table and fitted exponent", _hurst_options, _cmd_hurst),
+    "suite": ("five-variant rescaled-range estimator suite", _suite_options, _cmd_suite),
+    "lyap": ("divergence curve and largest Lyapunov exponent", _lyap_options, _cmd_lyap),
+    "permtest": ("seeded permutation test of a correlation", _permtest_options, _cmd_permtest),
+    "gen": ("synthetic series with known properties", _gen_options, _cmd_gen),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +707,8 @@ def _run(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        report = ns.func(ns)
+        _, _, command = _SUBCOMMANDS[ns.subcommand]
+        report = command(ns)
         if isinstance(report, str):  # gen without --out: the bare column
             sys.stdout.write(report)
             return 0

@@ -310,11 +310,14 @@ def parse(text: str, opts: IngestOptions) -> ParseResult:
 
 
 def serialize_column(ts: TimeSeries) -> str:
-    """Column-format text for a series; values round-trip bit-exactly."""
+    """Column-format text for a series; values round-trip bit-exactly.
+
+    The label, if any, is a comment line. The column layout has no
+    calendar, so a series' anchor is not written: the text parses back
+    unanchored.
+    """
     lines = []
     if ts.label:
         lines.append(f"# {ts.label}")
-    if ts.start is not None:
-        lines.append(f"# start {format_month(ts.start)}")
     lines.extend(repr(float(v)) for v in ts.values)
     return "\n".join(lines) + "\n"

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .core import _integer, _moments, _seed, frozen_copy, sample_values
+from .core import TimeSeries, _integer, _moments, _seed, format_month, frozen_copy
+from .core import sample_values
 from .errors import NumericError, ValidationError
 
 __all__ = list(_EXPORTS["permtest"])
@@ -98,6 +99,21 @@ def _unit_residual(x: np.ndarray, name: str) -> np.ndarray:
 
 
 def _paired(p, j) -> tuple[np.ndarray, np.ndarray]:
+    """The samples of ``p`` and ``j``, paired by position: sample i with sample i.
+
+    The one pairing rule of the package. Two calendar-anchored series
+    must start in the same month, or position i would pair two different
+    months; a raw array or an unanchored series pairs with anything of
+    its length.
+    """
+    starts = [x.start if isinstance(x, TimeSeries) else None for x in (p, j)]
+    if None not in starts and starts[0] != starts[1]:
+        first, second = map(format_month, starts)
+        raise ValidationError(
+            f"inputs start in different months (the first starts {first}, the "
+            f"second starts {second}); samples pair by position, so anchored "
+            "inputs must share a start"
+        )
     p, j = sample_values(p), sample_values(j)
     if p.size != j.size:
         raise ValidationError(f"length mismatch: {p.size} vs {j.size}")
@@ -107,7 +123,11 @@ def _paired(p, j) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pearson(p, j) -> float:
-    """Pearson correlation of two equal-length series or 1-d arrays."""
+    """Pearson correlation of two equal-length series or 1-d arrays.
+
+    Sample i of ``p`` pairs with sample i of ``j``; two anchored series
+    that start in different months are refused with ``ValidationError``.
+    """
     p, j = _paired(p, j)
     return float(_unit_residual(p, "first input") @ _unit_residual(j, "second input"))
 
@@ -240,6 +260,9 @@ def perm_test(
     tail: str = "two",
 ) -> PermutationResult:
     """Permutation test of the correlation between ``p`` and ``j``.
+
+    The inputs pair as in ``pearson``: by position, and two anchored
+    series only when they start in the same month.
 
     ``tail`` selects the 5% decision rule: ``lower`` rejects when the
     observed correlation falls below the lower critical value, ``upper``

@@ -37,8 +37,13 @@ _KIND_PARAMS = {
     "sine": {"period": (None, lambda v: v > 0.0, "period > 0")},
 }
 KINDS = tuple(_KIND_PARAMS)
-# Every kind-specific parameter, in GenSpec's field order.
-PARAMS = tuple(name for params in _KIND_PARAMS.values() for name in params)
+# Every kind-specific parameter, in GenSpec's field order, with the kind
+# that reads it and its range: "fgn: target h in (0, 1)".
+PARAMS = {
+    name: f"{kind}: {words}"
+    for kind, params in _KIND_PARAMS.items()
+    for name, (_, _, words) in params.items()
+}
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from longmem import (
 from longmem.cli import main
 from longmem.ingest import ON_GAP
 from longmem.permtest import TAILS
-from longmem.synth import KINDS
+from longmem.synth import KINDS, PARAMS
 
 SRC_DIR = str(Path(longmem.__file__).resolve().parents[1])
 
@@ -237,7 +237,10 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         assert "{stats,acf,hurst,suite,lyap,permtest,gen}" in capsys.readouterr().out
         assert main(["gen", "--help"]) == 0
-        assert "--kind {" + ",".join(KINDS) + "}" in capsys.readouterr().out
+        gen_help = " ".join(capsys.readouterr().out.split())
+        assert "--kind {" + ",".join(KINDS) + "}" in gen_help
+        for name, text in PARAMS.items():  # "--h H fgn: target h in (0, 1)"
+            assert f"--{name} {name.upper()} {text}" in gen_help
         assert main(["permtest", "--help"]) == 0
         assert "--tail {" + ",".join(TAILS) + "}" in capsys.readouterr().out
 
@@ -445,8 +448,13 @@ class TestExitCodes:
             ["--fit", "0:20"],
             ["--fit", "1:2"],
             ["--grid", "steps=12,4", "--fit", "0:4"],
+            # (m-1)*d + s = 2001 reaches the length; m=1,2,3 come first
+            ["--grid", "m=1,2,3,1990", "--fit", "0:4"],
         ],
-        ids=["dt inf", "dt 0", "fit past the steps", "fit of 2 steps", "grid steps"],
+        ids=[
+            "dt inf", "dt 0", "fit past the steps", "fit of 2 steps", "grid steps",
+            "grid too long for the series",
+        ],
     )
     def test_bad_fit_exits_three_before_any_curve(self, tmp_path, capsys, monkeypatch, args):
         import longmem.cli
@@ -489,7 +497,7 @@ class TestParserDefaults:
 
         ns = _build_parser("lyap").parse_args(["lyap", "--input", "x.txt"])
         default = EmbeddingParams()
-        for name, (field, cast) in _GRID_FIELDS.items():
+        for name, (field, cast, _) in _GRID_FIELDS.items():
             assert getattr(ns, name) == getattr(default, field)
             assert type(getattr(ns, name)) is cast
         assert ns.seed == default.seed
@@ -900,7 +908,9 @@ class TestPermtestCommand:
         u = csv_file(tmp_path, "u.csv", 1950, seed=2)
         v = csv_file(tmp_path, "v.csv", 1960, seed=3)
         late_u = csv_file(tmp_path, "late_u.csv", 1960, seed=4)
-        for components in ((u, v), (late_u, v)):  # u vs v, then x vs the resultant
+        column_u = gen_file(tmp_path, "column_u.txt", n=120, seed=5)
+        # u vs v, then x vs the resultant, which keeps u's anchor or else v's
+        for components in ((u, v), (late_u, v), (column_u, v)):
             argv = ["permtest", "--x", x, "--resultant", *components, "--n-perm", "200"]
             assert main(argv) == 3
             assert "different months" in capsys.readouterr().err

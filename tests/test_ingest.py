@@ -187,6 +187,13 @@ class TestColumn:
         back = parse(serialize_column(ts), self.opts()).series
         assert np.array_equal(back.values, ts.values)
 
+    def test_anchor_is_not_written(self):
+        # the column layout has no calendar: no comment line claims one
+        ts = TimeSeries([1.0, 2.0, 3.0], start=(1951, 1))
+        text = serialize_column(ts)
+        assert text == "1.0\n2.0\n3.0\n"
+        assert parse(text, self.opts()).series.start is None
+
     def test_round_trip_extreme_values(self):
         ts = TimeSeries(values=np.array([1e-300, 123456789.123456789, -2.5e300]))
         back = parse(serialize_column(ts), self.opts()).series

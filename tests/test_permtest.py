@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from longmem import (
     NumericError,
+    TimeSeries,
     ValidationError,
     nth_permutation,
     pearson,
@@ -130,6 +131,37 @@ class TestPearson:
             pearson([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
         with pytest.raises(NumericError):
             pearson([1.0, 2.0, 3.0], [7.0, 7.0, 7.0])
+
+
+class TestPairing:
+    """Sample i pairs with sample i; two anchors must be the same month."""
+
+    VALUES = np.random.default_rng(4).standard_normal(120)
+
+    def test_different_starts_refused(self):
+        # the same values a year apart would read as r = 1 and reject
+        early = TimeSeries(self.VALUES, start=(1951, 1))
+        late = TimeSeries(self.VALUES, start=(1952, 1))
+        for call in (lambda: pearson(early, late), lambda: perm_test(early, late, n_perm=100)):
+            with pytest.raises(ValidationError, match="different months") as info:
+                call()
+            assert "starts 1951-01" in str(info.value)
+            assert "starts 1952-01" in str(info.value)
+
+    def test_same_start_one_anchor_and_arrays_pair_by_position(self):
+        y = np.random.default_rng(5).standard_normal(120)
+        raw_r = pearson(self.VALUES, y)
+        raw = perm_test(self.VALUES, y, n_perm=200, seed=3)
+        pairs = [
+            (TimeSeries(self.VALUES, start=(1951, 1)), TimeSeries(y, start=(1951, 1))),
+            (TimeSeries(self.VALUES, start=(1951, 1)), TimeSeries(y)),
+            (self.VALUES, TimeSeries(y, start=(1960, 6))),
+        ]
+        for p, j in pairs:
+            assert pearson(p, j) == raw_r
+            result = perm_test(p, j, n_perm=200, seed=3)
+            assert result.r_obs == raw.r_obs
+            assert np.array_equal(result.r_sorted, raw.r_sorted)
 
 
 class TestNthPermutation:

@@ -1,6 +1,7 @@
 """Synthetic generators: determinism, distributions, and exact identities."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -69,7 +70,20 @@ class TestGenSpec:
 
     def test_params_are_the_real_fields_in_order(self):
         real = [f.name for f in dataclasses.fields(GenSpec) if f.type == "float | None"]
-        assert synth.PARAMS == tuple(real) == ("h", "phi", "r", "x0", "period")
+        assert tuple(synth.PARAMS) == tuple(real) == ("h", "phi", "r", "x0", "period")
+
+    def test_params_name_their_kind_and_range(self):
+        assert synth.PARAMS == {
+            "h": "fgn: target h in (0, 1)",
+            "phi": "ar1: phi in (-1, 1)",
+            "r": "logistic: r in (0, 4]",
+            "x0": "logistic: x0 in (0, 1)",
+            "period": "sine: period > 0",
+        }
+        for name, text in synth.PARAMS.items():
+            kind, _, words = text.partition(": ")
+            with pytest.raises(ValidationError, match=f"{kind} requires {re.escape(words)}"):
+                GenSpec(kind=kind, n=16, **{name: -5.0})
 
     def test_sine_requires_period(self):
         with pytest.raises(ValidationError):
