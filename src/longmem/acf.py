@@ -8,6 +8,12 @@ with the full-sample mean, which keeps |r_k| <= 1 and the coefficient
 sequence positive semidefinite. ``acf_fft`` is the fast route through a
 zero-padded transform; ``acf_direct`` is the plain double sum and serves
 as its independent oracle.
+
+``acf_direct`` takes each lag's sum as ``core._dot``, which hands OpenBLAS
+at most 8192 samples at a time, so its coefficients are the same whatever
+OpenBLAS's thread count or the CPUs a process may use. Above 8192 samples
+each sum is a loop over chunks, slower than one threaded BLAS call; the
+FFT route uses no BLAS and is the default.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .core import TimeSeries, _integer, _moments, frozen_copy, sample_values
+from .core import TimeSeries, _dot, _integer, _moments, frozen_copy, sample_values
 from .errors import NumericError, ValidationError
 
 __all__ = list(_EXPORTS["acf"])
@@ -51,11 +57,11 @@ def _check_input(ts: TimeSeries | np.ndarray, max_lag: int) -> tuple[np.ndarray,
 def acf_direct(ts: TimeSeries | np.ndarray, max_lag: int) -> AcfResult:
     """Autocorrelation by direct summation."""
     d, max_lag = _check_input(ts, max_lag)
-    denom = float(np.dot(d, d))
+    denom = _dot(d, d)
     coeffs = np.empty(max_lag + 1)
     coeffs[0] = 1.0
     for k in range(1, max_lag + 1):
-        coeffs[k] = np.dot(d[:-k], d[k:]) / denom
+        coeffs[k] = _dot(d[:-k], d[k:]) / denom
     return AcfResult(max_lag=max_lag, coefficients=coeffs, n=d.size)
 
 

@@ -223,6 +223,32 @@ class SummaryStats:
     cv_percent: float | None
 
 
+# The most samples one BLAS call of ``_dot`` is given. OpenBLAS splits a
+# dot product of more than 10 000 samples over its threads, and then its
+# last bits follow the thread count; a call this long runs on one thread.
+_DOT_CHUNK = 8192
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The inner product of two 1-d float arrays of one length, in a fixed order.
+
+    The toolkit's one dot product. Up to ``_DOT_CHUNK`` samples it is
+    ``float(a @ b)``, one BLAS call. Above, it is the BLAS dots of the
+    consecutive ``_DOT_CHUNK``-sample chunks added in index order, so no
+    call reaches OpenBLAS's threading threshold and the result is the same
+    on any number of CPUs, a ``taskset`` mask or any
+    ``OPENBLAS_NUM_THREADS``. It can still differ between CPU families,
+    whose BLAS kernels sum a chunk in different orders, and under another
+    BLAS library.
+    """
+    if a.size <= _DOT_CHUNK:
+        return float(a @ b)
+    total = 0.0
+    for lo in range(0, a.size, _DOT_CHUNK):  # not sum(): Python 3.12's compensates
+        total += float(a[lo : lo + _DOT_CHUNK] @ b[lo : lo + _DOT_CHUNK])
+    return total
+
+
 # ``_moments``' row indices when no row is constant
 _NO_ROWS = frozen_copy(np.empty(0, dtype=np.intp))
 
@@ -276,7 +302,7 @@ def _moments(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
         least, limit = variance, bound * bound
     else:
         means = mean[:, 0]
-        least, limit = np.minimum.reduce(variance), float(means.dot(means)) * scale * scale
+        least, limit = np.minimum.reduce(variance), _dot(means, means) * scale * scale
     if least > limit:
         return mean, centred, variance, _NO_ROWS
     rows = a.reshape(-1, size)

@@ -87,13 +87,20 @@ class RsTable:
 
 @dataclass(frozen=True)
 class HurstEstimate:
-    """A fitted Hurst exponent with regression diagnostics."""
+    """A fitted Hurst exponent with regression diagnostics.
+
+    ``fractal_dimension`` is ``fractal_dimension(h)`` and
+    ``fractal_correlation`` is ``fractal_correlation(h).rho``; each is
+    ``None`` where its function refuses ``h``: at h <= 0 for the dimension,
+    outside (0, 1) for the correlation.
+    """
 
     h: float
     std_err: float
     r_squared: float
     weighted: bool
-    fractal_dimension: float
+    fractal_dimension: float | None
+    fractal_correlation: float | None
     points_used: int
     warnings: tuple[WarningRecord, ...] = ()
 
@@ -259,16 +266,24 @@ def fit_h(points: RsTable | Iterable[RsPoint], weighted: bool = False) -> HurstE
                 "input may be trending or otherwise non-stationary",
             )
         )
-    fd = 1.0 / slope if slope != 0.0 else math.inf
     return HurstEstimate(
         h=slope,
         std_err=std_err,
         r_squared=r_squared,
         weighted=weighted,
-        fractal_dimension=fd,
+        fractal_dimension=_where_defined(fractal_dimension, slope),
+        fractal_correlation=_where_defined(lambda h: fractal_correlation(h).rho, slope),
         points_used=len(pts),
         warnings=tuple(warnings),
     )
+
+
+def _where_defined(quantity, h: float) -> float | None:
+    """``quantity(h)``, or ``None`` where its own rule refuses ``h``."""
+    try:
+        return quantity(h)
+    except ValidationError:
+        return None
 
 
 def expected_rescaled_range(window: int) -> float:

@@ -16,9 +16,11 @@ permutation. What is left per permutation is numpy's shuffle, a copy and
 one dot product. From 2048 samples up the permutations are split into
 contiguous blocks of ``k`` that run on up to four threads, one per
 usable CPU, each block with its own generator and buffer; numpy's
-shuffle releases the GIL. Every permuted correlation is the same 1-d dot
-product whichever thread computes it, so the result does not depend on
-the number of threads.
+shuffle releases the GIL. Every correlation, observed or permuted, is
+``core._dot``, whichever thread computes it, and that dot never gives
+OpenBLAS more than 8192 samples at once, below the length from which it
+splits a dot over its own threads. So the result depends neither on the
+number of permutation threads nor on OpenBLAS's thread count.
 
 Critical values follow the sorted-position convention: with the permuted
 correlations sorted ascending, the lower 5% critical value sits at
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .core import TimeSeries, _integer, _moments, _seed, format_month, frozen_copy
+from .core import TimeSeries, _dot, _integer, _moments, _seed, format_month, frozen_copy
 from .core import sample_values
 from .errors import NumericError, ValidationError
 
@@ -95,7 +97,7 @@ def _unit_residual(x: np.ndarray, name: str) -> np.ndarray:
     _, centred, _, flat = _moments(x)
     if flat.size:
         raise NumericError(f"{name} is constant; correlation is undefined")
-    return centred / float(np.linalg.norm(centred))
+    return centred / math.sqrt(_dot(centred, centred))
 
 
 def _paired(p, j) -> tuple[np.ndarray, np.ndarray]:
@@ -129,7 +131,7 @@ def pearson(p, j) -> float:
     that start in different months are refused with ``ValidationError``.
     """
     p, j = _paired(p, j)
-    return float(_unit_residual(p, "first input") @ _unit_residual(j, "second input"))
+    return _dot(_unit_residual(p, "first input"), _unit_residual(j, "second input"))
 
 
 def _shuffled(seed: int, values: np.ndarray, indices: Iterable[int]) -> Iterator[np.ndarray]:
@@ -177,13 +179,13 @@ def _usable_cpus() -> int:
 def _permuted_correlations(
     p_unit: np.ndarray, j_unit: np.ndarray, seed: int, n_perm: int
 ) -> np.ndarray:
-    """``p_unit @ (j_unit shuffled by permutation k)`` for each ``k`` in ``range(n_perm)``.
+    """``_dot(p_unit, j_unit shuffled by permutation k)`` for each ``k`` in ``range(n_perm)``.
 
     ``range(n_perm)`` is split into contiguous blocks, one per usable CPU
     up to ``_MAX_BLOCKS`` and a single block below ``_THREADED_MIN_N``
     samples. The calling thread runs block 0 and a ``threading.Thread``
     each other block, with its own generator and buffer. Each correlation
-    is one 1-d dot product wherever it runs (a 2-d product may round
+    is the same ``_dot`` wherever it runs (a 2-d product may round
     differently), so the output does not depend on the split. The first
     exception raised in any block, a ``MemoryError`` for a buffer or a
     ``KeyboardInterrupt`` included, stops every block at its next
@@ -199,7 +201,7 @@ def _permuted_correlations(
             for k, shuffled in enumerate(_shuffled(seed, j_unit, range(lo, hi)), lo):
                 if errors:
                     return
-                r_perm[k] = p_unit @ shuffled
+                r_perm[k] = _dot(p_unit, shuffled)
         except BaseException as exc:
             errors.append(exc)
 
@@ -284,7 +286,7 @@ def perm_test(
 
     p_unit = _unit_residual(p, "first input")
     j_unit = _unit_residual(j, "second input")
-    r_obs = float(p_unit @ j_unit)
+    r_obs = _dot(p_unit, j_unit)
 
     n = p.size
     r_perm = _permuted_correlations(p_unit, j_unit, seed, n_perm)

@@ -198,6 +198,27 @@ class TestDeterminism:
         _, second = run(capsys, *argv)
         assert first == second
 
+    def test_long_series_stdout_independent_of_blas_threads(self, tmp_path):
+        """``permtest`` and ``acf --method direct`` at 20 000 samples print the
+        same bytes with one OpenBLAS thread and with two.
+
+        OpenBLAS splits a dot product of more than 10 000 samples over its
+        threads, and the last bits follow their count; ``core._dot`` gives it
+        at most 8192 samples at a time. On a machine with a single CPU
+        OpenBLAS runs one thread under either setting, so there this test
+        cannot fail.
+        """
+        x = gen_file(tmp_path, "x.txt", n=20_000, seed=1)
+        y = gen_file(tmp_path, "y.txt", n=20_000, seed=2)
+        for argv in (
+            ("permtest", "--x", x, "--y", y, "--n-perm", "100", "--format", "json"),
+            ("acf", "--input", x, "--method", "direct", "--max-lag", "50", "--format", "json"),
+        ):
+            one = run_module(*argv, OPENBLAS_NUM_THREADS="1")
+            two = run_module(*argv, OPENBLAS_NUM_THREADS="2")
+            assert one.returncode == 0 and two.returncode == 0, one.stderr + two.stderr
+            assert one.stdout == two.stdout, argv[0]
+
 
 class TestExitCodes:
     def test_usage_errors_exit_two(self, capsys):
@@ -555,7 +576,6 @@ TRACED_CALLS = {
     "band_mean": "acf",
     "rs_table": "hurst",
     "fit_h": "hurst",
-    "fractal_correlation": "hurst",
     "hurst_suite": "suite",
     "lyap_k": "lyap",
     "lyap_fit": "lyap",
@@ -645,6 +665,20 @@ class TestWarnings:
         assert envelope["results"]["n"] == 24
         _, as_csv = run(capsys, *base, "--format", "csv")
         assert "warning.RANGE_CLIPPED," in as_csv
+
+
+    def test_negative_exponent_has_no_fractal_quantities(self, tmp_path, capsys):
+        # a fast sine fits h = -0.0186, which fractal_dimension refuses
+        path = gen_file(tmp_path, "s.txt", kind="sine", n=776, period=2.5)
+        code, table = run(capsys, "hurst", "--input", path)
+        assert code == 0
+        assert "\nfractal_dimension    -\n" in table
+        assert "warning [H_OUT_OF_RANGE]:" in table
+        _, as_json = run(capsys, "hurst", "--input", path, "--format", "json")
+        results = json.loads(as_json)["results"]
+        assert results["h"] < 0.0
+        assert results["fractal_dimension"] is None
+        assert results["fractal_correlation"] is None
 
 
 class TestFormatsAndRange:

@@ -41,6 +41,7 @@ from longmem import (
     summarize,
 )
 from longmem.core import (
+    _dot,
     _median_and_modes,
     _weighted_line_fit,
     calendar_month,
@@ -617,6 +618,29 @@ class TestConstancyRule:
         assert standardize(x).values.tobytes() == (
             (x - np.mean(x)) / np.std(x, ddof=1)
         ).tobytes()
+
+
+class TestDot:
+    """``core._dot``: one BLAS call up to 8192 samples, and above that the
+    8192-sample chunks' BLAS dots added in index order."""
+
+    @staticmethod
+    def pair(n):
+        rng = np.random.default_rng(n)
+        return rng.standard_normal(n), rng.standard_normal(n)
+
+    @pytest.mark.parametrize("n", [1, 776, 4096, 8192])
+    def test_one_blas_call_up_to_the_chunk(self, n):
+        a, b = self.pair(n)
+        assert _dot(a, b).hex() == float(a @ b).hex()
+
+    @pytest.mark.parametrize("n", [8193, 20_000])
+    def test_chunk_dots_added_in_index_order(self, n):
+        a, b = self.pair(n)
+        expected = 0.0
+        for lo in range(0, n, 8192):
+            expected += float(a[lo : lo + 8192] @ b[lo : lo + 8192])
+        assert _dot(a, b).hex() == expected.hex()
 
 
 class TestFrozenCopy:

@@ -388,6 +388,7 @@ class TestFitH:
         assert est.r_squared == pytest.approx(1.0, abs=1e-12)
         assert est.std_err == pytest.approx(0.0, abs=1e-12)
         assert est.fractal_dimension == pytest.approx(1.0 / 0.7, rel=1e-12)
+        assert est.fractal_correlation == fractal_correlation(est.h).rho
         assert est.points_used == 5
         assert est.warnings == ()
 
@@ -435,10 +436,28 @@ class TestFitH:
         high = fit_h(self.power_law_points(1.8))
         assert high.h == pytest.approx(1.8, abs=1e-12)
         assert any(w.code == WARN_H_OUT_OF_RANGE for w in high.warnings)
+        assert high.fractal_dimension == fractal_dimension(high.h)
+        assert high.fractal_correlation is None
         low = fit_h(self.power_law_points(-0.2))
         assert low.h < 0.0
         assert any(w.code == WARN_H_OUT_OF_RANGE for w in low.warnings)
-        assert low.fractal_dimension == math.inf or low.fractal_dimension < 0
+        assert low.fractal_dimension is None
+        assert low.fractal_correlation is None
+
+    @pytest.mark.parametrize(
+        "h, has_dimension, has_correlation",
+        [(-0.2, False, False), (0.0, False, False), (0.3, True, True),
+         (0.999, True, True), (1.0, True, False), (1.8, True, False)],
+    )
+    def test_fractal_quantities_follow_their_functions(self, h, has_dimension, has_correlation):
+        # each is its public function's value, or None where that refuses h
+        est = fit_h([RsPoint(window=2**i, mean_rs=2.0 ** (h * i), std_rs=0.1, blocks=4)
+                     for i in range(3, 8)])
+        assert est.h == pytest.approx(h, abs=1e-12)
+        assert est.fractal_dimension == (fractal_dimension(est.h) if has_dimension else None)
+        assert est.fractal_correlation == (
+            fractal_correlation(est.h).rho if has_correlation else None
+        )
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValidationError):
