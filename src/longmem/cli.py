@@ -482,17 +482,10 @@ def _cmd_hurst(ns) -> _Report:
                 message=f"{table.skipped_blocks} zero-variance blocks skipped",
             )
         )
-    results = {
-        "h": estimate.h,
-        "std_err": estimate.std_err,
-        "r_squared": estimate.r_squared,
-        "weighted": estimate.weighted,
-        "fractal_dimension": estimate.fractal_dimension,
-        "fractal_correlation": estimate.fractal_correlation,
-        "points_used": estimate.points_used,
-        "skipped_blocks": table.skipped_blocks,
-        "table": [asdict(point) for point in table],
-    }
+    results = asdict(estimate)
+    del results["warnings"]  # reported with the run's other warnings
+    results["skipped_blocks"] = table.skipped_blocks
+    results["table"] = [asdict(point) for point in table]
     widths = {"window": 8, "mean_rs": 12, "std_rs": 12, "blocks": 6}
     lines = _columns(widths, (point.values() for point in results["table"]))
     lines.append("")

@@ -133,6 +133,14 @@ def _data_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def _value(token: str, lineno: int) -> float:
+    """``token`` read as a float; a ``ParseError`` naming it otherwise."""
+    try:
+        return float(token)
+    except ValueError:
+        raise ParseError(f"bad value {token!r}", lineno) from None
+
+
 def _sniff_format(text: str) -> str:
     """Guess the file layout from its first data-looking line.
 
@@ -196,10 +204,7 @@ def _parse_cpc_table(text: str) -> tuple[list[float], tuple[int, int]]:
                 "several tables, extract a single one",
                 lineno,
             )
-        try:
-            row = [float(t) for t in tokens[1:]]
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
+        row = [_value(t, lineno) for t in tokens[1:]]
         if start_year is None:
             start_year = year
         prev_year = year
@@ -220,10 +225,7 @@ def _parse_csv_pair(text: str) -> tuple[list[int], list[float]]:
         date = parse_month(parts[0])
         if date is None or not 1 <= date[1] <= 12:
             raise ParseError(f"bad date {parts[0]!r}", lineno)
-        try:
-            value = float(parts[1])
-        except ValueError:
-            raise ParseError(f"bad value {parts[1]!r}", lineno) from None
+        value = _value(parts[1], lineno)
         month = month_number(date)
         if months and month <= months[-1]:
             raise ParseError("dates must be strictly increasing", lineno)
@@ -237,11 +239,7 @@ def _parse_csv_pair(text: str) -> tuple[list[int], list[float]]:
 def _parse_column(text: str) -> list[float]:
     values: list[float] = []
     for lineno, line in _data_lines(text):
-        try:
-            value = float(line)
-        except ValueError:
-            raise ParseError(f"bad value {line!r}", lineno) from None
-        values.append(value)
+        values.append(_value(line, lineno))
     if not values:
         raise ParseError("no data rows found")
     return values

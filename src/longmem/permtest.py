@@ -3,24 +3,26 @@
 The observed Pearson correlation is compared against the distribution
 obtained by correlating one series with ``n_perm`` uniform random
 permutations of the other. Permutation ``k`` is the shuffle drawn by a
-counter-based Philox generator keyed by ``(seed, k)``: the same bit
-pattern whether it is drawn inside ``perm_test``, alone by
-``nth_permutation``, or in any order. ``perm_test`` builds one generator
-per block of permutations and re-keys it for each permutation rather
-than building one generator per permutation, which would cost as much as
-the shuffle. It shuffles a copy of the second series' unit residual in
-place of drawing an index permutation and gathering through it: the
-shuffle moves items without reading them, so the copy comes out as that
-gather, bit for bit, and no index array or gathered array is made per
-permutation. What is left per permutation is numpy's shuffle, a copy and
-one dot product. From 2048 samples up the permutations are split into
-contiguous blocks of ``k`` that run on up to four threads, one per
-usable CPU, each block with its own generator and buffer; numpy's
-shuffle releases the GIL. Every correlation, observed or permuted, is
-``core._dot``, whichever thread computes it, and that dot never gives
-OpenBLAS more than 8192 samples at once, below the length from which it
-splits a dot over its own threads. So the result depends neither on the
-number of permutation threads nor on OpenBLAS's thread count.
+counter-based Philox generator keyed by ``(seed, k)``, by the rule
+``_keyed`` states: the same bit pattern whether it is drawn inside
+``perm_test``, alone by ``nth_permutation``, or in any order.
+``perm_test`` builds one generator per block of permutations and re-keys
+it for each permutation rather than building one generator per
+permutation, which would cost as much as the shuffle. It shuffles a copy
+of the second series' unit residual in place of drawing an index
+permutation and gathering through it: the shuffle's draws depend only on
+the length, and it moves items without reading them, so the copy comes
+out as that gather, bit for bit, and no index array or gathered array is
+made per permutation. What is left per permutation is numpy's shuffle, a
+copy and one dot product. From 2048 samples up the permutations are
+split into contiguous blocks of ``k`` that run on up to four threads,
+one per usable CPU, each block with its own generator and buffer;
+numpy's shuffle releases the GIL. Every correlation, observed or
+permuted, is ``core._dot``, whichever thread computes it, and that dot
+never gives OpenBLAS more than 8192 samples at once, below the length
+from which it splits a dot over its own threads. So the result depends
+neither on the number of permutation threads nor on OpenBLAS's thread
+count.
 
 Critical values follow the sorted-position convention: with the permuted
 correlations sorted ascending, the lower 5% critical value sits at
@@ -134,23 +136,24 @@ def pearson(p, j) -> float:
     return _dot(_unit_residual(p, "first input"), _unit_residual(j, "second input"))
 
 
-def _shuffled(seed: int, values: np.ndarray, indices: Iterable[int]) -> Iterator[np.ndarray]:
-    """``values`` shuffled by permutation ``k`` under ``seed``, for each ``k`` in ``indices``.
+def _keyed(seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]:
+    """A generator in the state of a fresh one keyed ``(seed, k)``, for each ``k`` in ``indices``.
 
-    Permutation ``k`` is the shuffle a fresh ``Generator(Philox(key=[seed,
-    k]))`` draws, both keys as given, in [0, 2**64) by the callers' checks.
-    The shuffle's draws depend only on ``values.size``, and it moves items
-    without reading them, so the result is ``values[perm]``, bit for bit,
-    with ``perm`` that generator's ``permutation(values.size)``. One
-    Philox is built per call and, for each ``k``, set to the state such a
-    fresh generator starts in: key, counter 0, an empty output buffer, no
-    cached 32-bit half. Every permutation is shuffled into the same
-    buffer, so a caller that keeps one must copy it.
+    The one rule by which the package keys its draws: the generator for
+    ``k`` draws what ``Generator(Philox(key=np.array([seed, k],
+    dtype=np.uint64)))`` draws, both keys as given, in [0, 2**64) by the
+    callers' checks. (A list key with a word above 2**63 - 1 would pass
+    through float64 and key another generator.) One Philox is built per
+    call and, for each ``k``, set to the state such a fresh generator
+    starts in: key, counter 0, an empty output buffer, no cached 32-bit
+    half. It is the same generator object every time, so a caller draws
+    from it before asking for the next.
     """
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     key = [seed, 0]
     zeros = [0, 0, 0, 0]
+    # lists, not arrays: numpy takes a state of lists in less than half the time
     state = {
         "bit_generator": "Philox",
         "state": {"counter": zeros, "key": key},
@@ -159,13 +162,10 @@ def _shuffled(seed: int, values: np.ndarray, indices: Iterable[int]) -> Iterator
         "has_uint32": 0,
         "uinteger": 0,
     }
-    buf = np.empty_like(values)
     for k in indices:
         key[1] = k
         bitgen.state = state
-        np.copyto(buf, values)
-        gen.shuffle(buf)
-        yield buf
+        yield gen
 
 
 def _usable_cpus() -> int:
@@ -198,10 +198,13 @@ def _permuted_correlations(
 
     def run(lo: int, hi: int) -> None:
         try:
-            for k, shuffled in enumerate(_shuffled(seed, j_unit, range(lo, hi)), lo):
+            buf = np.empty_like(j_unit)
+            for k, gen in enumerate(_keyed(seed, range(lo, hi)), lo):
                 if errors:
                     return
-                r_perm[k] = _dot(p_unit, shuffled)
+                np.copyto(buf, j_unit)
+                gen.shuffle(buf)
+                r_perm[k] = _dot(p_unit, buf)
         except BaseException as exc:
             errors.append(exc)
 
@@ -236,7 +239,7 @@ def nth_permutation(seed: int, index: int, n: int) -> np.ndarray:
     n = _integer(n, "permutation length")
     if n <= 0:
         raise ValidationError("permutation length must be positive")
-    return next(_shuffled(seed, np.arange(n), (index,))).copy()
+    return next(_keyed(seed, (index,))).permutation(n)
 
 
 def _sorted_quantile(ascending: np.ndarray, q: float) -> float:

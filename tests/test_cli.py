@@ -274,6 +274,23 @@ class TestExitCodes:
         assert main(["stats", "--input", path]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2014 0.1 0.2 0.3 0.4 0.5 0.6 0.7 0.8 0.9 1.0 1.1 1.2\n"
+            "2015 0.1 0.2 0.3 0.4 0.5 x 0.7 0.8 0.9 1.0 1.1 1.2\n",
+            "2014-01,0.5\n2014-02,x\n",
+            "0.5\nx\n",
+        ],
+        ids=["cpc_table", "csv_pair", "column"],
+    )
+    def test_bad_value_token_exits_two_naming_it(self, tmp_path, capsys, text):
+        path = write(tmp_path, "bad.txt", text)
+        assert main(["stats", "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: bad value 'x'\n"
+
     def test_unsupported_layout_exits_two(self, tmp_path, capsys):
         path = write(tmp_path, "slash.csv", "1951/01,1.0\n1951/02,2.0\n")
         assert main(["stats", "--input", path]) == 2
@@ -975,15 +992,15 @@ class TestPermtestCommand:
         # failed allocation is the caller's one error line
         from longmem import permtest
 
-        real = permtest._shuffled
+        real = permtest._keyed
 
-        def unallocatable(seed, values, indices):
+        def unallocatable(seed, indices):
             if indices.start > 0:
                 raise MemoryError("Unable to allocate 16.0 KiB")
-            return real(seed, values, indices)
+            return real(seed, indices)
 
         monkeypatch.setattr(permtest, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(permtest, "_shuffled", unallocatable)
+        monkeypatch.setattr(permtest, "_keyed", unallocatable)
         x = gen_file(tmp_path, "x.txt", n=2048, seed=1)
         y = gen_file(tmp_path, "y.txt", n=2048, seed=2)
         code = main(["permtest", "--x", x, "--y", y, "--n-perm", "100"])

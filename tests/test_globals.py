@@ -1,5 +1,6 @@
 """Checks over the package's source: every global name a function reads is
-bound in its module, and every inner product is ``core._dot``."""
+bound in its module, every inner product is ``core._dot``, and only
+``permtest._keyed`` builds or re-keys a Philox generator."""
 
 import ast
 import builtins
@@ -44,33 +45,36 @@ def test_every_global_read_is_bound(path):
 DOT_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
 
 
-def dot_spellings(source: str, exempt: str | None = None) -> list[int]:
-    """Lines of ``source`` that spell an inner product outside the function
-    ``exempt``: the ``@`` operator, or a numpy name in ``DOT_NAMES`` as an
-    attribute or an import."""
+def spelled(source: str, exempt: str | None, found) -> list[int]:
+    """Lines of the nodes of ``source`` for which ``found`` holds, outside
+    the top-level function ``exempt``."""
     tree = ast.parse(source)
     skip = set()
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and node.name == exempt:
             skip = {id(inner) for inner in ast.walk(node)}
-    lines = []
-    for node in ast.walk(tree):
-        if id(node) in skip:
-            continue
-        if isinstance(node, (ast.BinOp, ast.AugAssign)):
-            found = isinstance(node.op, ast.MatMult)
-        elif isinstance(node, ast.Attribute):
-            found = node.attr in DOT_NAMES
-        elif isinstance(node, ast.ImportFrom):
-            modules = [node.module or ""] + [alias.name for alias in node.names]
-            found = any(DOT_NAMES & set(name.split(".")) for name in modules)
-        elif isinstance(node, ast.Import):
-            found = any(DOT_NAMES & set(alias.name.split(".")) for alias in node.names)
-        else:
-            continue
-        if found:
-            lines.append(node.lineno)
-    return lines
+    return [node.lineno for node in ast.walk(tree) if id(node) not in skip and found(node)]
+
+
+def is_dot(node: ast.AST) -> bool:
+    """The ``@`` operator, or a numpy name in ``DOT_NAMES`` as an attribute
+    or an import."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    if isinstance(node, ast.Attribute):
+        return node.attr in DOT_NAMES
+    if isinstance(node, ast.ImportFrom):
+        modules = [node.module or ""] + [alias.name for alias in node.names]
+        return any(DOT_NAMES & set(name.split(".")) for name in modules)
+    if isinstance(node, ast.Import):
+        return any(DOT_NAMES & set(alias.name.split(".")) for alias in node.names)
+    return False
+
+
+def dot_spellings(source: str, exempt: str | None = None) -> list[int]:
+    """Lines of ``source`` that spell an inner product outside the function
+    ``exempt``."""
+    return spelled(source, exempt, is_dot)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -101,3 +105,59 @@ def test_core_dot_itself_is_exempt():
     source = "@dataclass\nclass A:\n    x: int\ndef _dot(a, b):\n    return a @ b\n"
     assert dot_spellings(source, exempt="_dot") == []
     assert dot_spellings(source) == [5]
+
+
+def is_philox(node: ast.AST) -> bool:
+    """A spelling of ``Philox`` as a name, attribute, import or string, or
+    an assignment to a ``.state`` attribute, ``setattr`` included."""
+    if isinstance(node, ast.Name):
+        return node.id == "Philox"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "Philox" or (
+            node.attr == "state" and isinstance(node.ctx, (ast.Store, ast.Del))
+        )
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return any(alias.name.split(".")[-1] == "Philox" for alias in node.names)
+    if isinstance(node, ast.Constant):
+        return node.value == "Philox"
+    if isinstance(node, ast.Call):
+        return (
+            isinstance(node.func, ast.Name)
+            and node.func.id == "setattr"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value == "state"
+        )
+    return False
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_permtest_keyed_knows_philox(path):
+    exempt = "_keyed" if path.name == "permtest.py" else None
+    assert spelled(path.read_text(encoding="utf-8"), exempt, is_philox) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "g = np.random.Philox(0)",
+        "g = Philox(0)",
+        "from numpy.random import Philox",
+        "import numpy.random.Philox",
+        "state = {'bit_generator': 'Philox'}",
+        "g.state = s",
+        "g.bit_generator.state = s",
+        "g.state |= s",
+        "del g.state",
+        "setattr(g, 'state', s)",
+        "def _keyed(seed):\n    return Philox(seed)\ng = Philox(0)",
+    ],
+)
+def test_each_philox_spelling_is_found(source):
+    assert spelled(source, "_keyed", is_philox) != []
+
+
+def test_keyed_itself_is_exempt_and_reading_state_is_not_found():
+    source = "s = g.state\ndef _keyed(seed):\n    g.state = {}\n    return Philox(seed)\n"
+    assert spelled(source, "_keyed", is_philox) == []
+    assert spelled(source, None, is_philox) == [3, 4]

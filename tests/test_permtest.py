@@ -20,7 +20,7 @@ from longmem import (
     perm_test,
 )
 from longmem import permtest
-from longmem.permtest import TAILS, _SUMMARY_QUANTILES, _shuffled, _sorted_quantile
+from longmem.permtest import TAILS, _SUMMARY_QUANTILES, _keyed, _sorted_quantile
 
 # both ends of the key word's range [0, 2**64) and its top bit
 SEEDS = [0, 1, 2**63, 2**64 - 1]
@@ -248,6 +248,36 @@ class TestNthPermutation:
         )
 
 
+def draws(gen):
+    """Bytes of a run of draws that reads ``gen``'s 64-bit words, its
+    cached 32-bit half and its buffered words alike."""
+    return b"".join(
+        [
+            gen.integers(0, 2**32, size=5, dtype=np.uint32).tobytes(),
+            gen.random(3).tobytes(),
+            gen.standard_normal(3).tobytes(),
+            gen.permutation(11).tobytes(),
+        ]
+    )
+
+
+class TestKeyed:
+    @pytest.mark.parametrize("k", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("seed", [0, 2**63 + 1, 2**64 - 1])
+    def test_draws_as_a_fresh_philox_keyed_on_seed_and_k(self, seed, k):
+        key = np.array([seed, k], dtype=np.uint64)
+        expected = draws(np.random.Generator(np.random.Philox(key=key)))
+        assert draws(next(_keyed(seed, (k,)))) == expected
+        # the key before left a partial output buffer and a cached 32-bit
+        # half behind; neither may reach the draws for k
+        keyed = _keyed(seed, (5, k))
+        gen = next(keyed)
+        gen.integers(0, 2**32, size=5, dtype=np.uint32)
+        state = gen.bit_generator.state
+        assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+        assert draws(next(keyed)) == expected
+
+
 class TestShuffledCopy:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -266,7 +296,8 @@ class TestShuffledCopy:
         # any 64-bit pattern, nan payloads and signed zeros included, is
         # moved as it is: the shuffle never reads the items
         values = np.frombuffer(np.random.default_rng(data_seed).bytes(8 * n), dtype=np.float64)
-        shuffled = next(_shuffled(seed, values, (k,)))
+        shuffled = values.copy()
+        next(_keyed(seed, (k,))).shuffle(shuffled)
         assert shuffled.dtype == np.float64
         assert shuffled.tobytes() == values[nth_permutation(seed, k, n)].tobytes()
         assert shuffled.tobytes() == values[fresh_philox_permutation(seed, k, n)].tobytes()
@@ -320,15 +351,15 @@ class TestThreadedBlocks:
         monkeypatch.setattr(permtest, "_usable_cpus", lambda: cpus)
 
     def record_blocks(self, monkeypatch):
-        """The (thread, range) each ``_shuffled`` call is given, as a list."""
+        """The (thread, range) each ``_keyed`` call is given, as a list."""
         calls = []
-        real = permtest._shuffled
+        real = permtest._keyed
 
-        def recording(seed, values, indices):
+        def recording(seed, indices):
             calls.append((threading.get_ident(), indices))
-            return real(seed, values, indices)
+            return real(seed, indices)
 
-        monkeypatch.setattr(permtest, "_shuffled", recording)
+        monkeypatch.setattr(permtest, "_keyed", recording)
         return calls
 
     @pytest.mark.parametrize("n, n_perm", [(2048, 1000), (4097, 301)])
@@ -387,20 +418,20 @@ class TestThreadedBlocks:
         p, j = self.pair(2048)
         n_perm = 30000
         self.force_cpus(monkeypatch, 3)
-        real = permtest._shuffled
+        real = permtest._keyed
         done = []
 
         class BlockFailed(Exception):
             pass
 
-        def failing(seed, values, indices):
-            for k, shuffled in zip(indices, real(seed, values, indices)):
+        def failing(seed, indices):
+            for k, gen in zip(indices, real(seed, indices)):
                 if indices.start == n_perm * failing_block // 3:
                     raise BlockFailed(k)
                 done.append(k)
-                yield shuffled
+                yield gen
 
-        monkeypatch.setattr(permtest, "_shuffled", failing)
+        monkeypatch.setattr(permtest, "_keyed", failing)
         before = threading.active_count()
         with pytest.raises(BlockFailed) as caught:
             perm_test(p, j, n_perm=n_perm, seed=0)
