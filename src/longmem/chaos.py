@@ -22,7 +22,12 @@ inclusive, and since rounding is monotone no true neighbor falls
 outside. Every candidate then takes the unchanged test, max-norm
 distance < eps and index gap > theiler, and the hits are put back into
 ascending index order, so the neighbor sets and the order their gaps
-are summed in match a full scan bit for bit. References are processed in consecutive chunks whose windows
+are summed in match a full scan bit for bit. The sort need not be
+stable: a window is cut by the sorted values, so which vectors it holds
+does not depend on how tied first coordinates are ordered; each
+candidate's test is elementwise; and the hits are re-sorted by a unique
+key. The curve is the same bits whatever order a numpy build gives ties.
+References are processed in consecutive chunks whose windows
 together hold a bounded number of candidates, which bounds memory at
 any length; within a chunk the divergence stage is one vectorised pass
 per step, summing each reference's gaps with ``np.bincount``.
@@ -186,7 +191,11 @@ def _neighbours(x, n_valid, refs, params):
     """
     eps = params.eps
     first = x[:n_valid]
-    order = np.argsort(first, kind="stable")
+    # numpy's default sort, not a stable one: which vectors a window holds
+    # is fixed by the values alone, each candidate's test is elementwise,
+    # and the hits are re-sorted below by the unique key i * n_valid + j,
+    # so the order of tied values never reaches the output
+    order = np.argsort(first)
     keys = first[order]
     centre = first[refs]
     # The window needs no widening. Rounding is monotone and eps is a
@@ -226,13 +235,23 @@ def _neighbours(x, n_valid, refs, params):
 def _checked_length(n: int, params: EmbeddingParams) -> int:
     """The embedding offset (m-1)*d, checked to leave ``params.s`` steps in ``n`` samples.
 
-    The rule is (m-1)*d + s < n. ``lyap`` checks each grid combination by
-    this rule before computing any curve.
+    The rules are (m-1)*d + s < n and theiler < n_valid - 1, where
+    n_valid = n - (m-1)*d - s + 1 is the number of searched vectors: no
+    two of them are more than n_valid - 1 apart, so a wider Theiler window
+    excludes every pair and no radius could find a neighbour. ``lyap``
+    checks each grid combination by these rules before computing any
+    curve.
     """
     offset = (params.m - 1) * params.d
     if offset + params.s >= n:
         raise ValidationError(
             f"series of length {n} too short for (m-1)*d + s = {offset + params.s}"
+        )
+    n_valid = n - offset - params.s + 1
+    if params.theiler >= n_valid - 1:
+        raise ValidationError(
+            f"theiler window {params.theiler} excludes every pair of the {n_valid} "
+            f"searched vectors of a series of length {n}; it must be below {n_valid - 1}"
         )
     return offset
 

@@ -1,5 +1,6 @@
 """Delay embedding, Kantz divergence curves, and Lyapunov fits."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -274,6 +275,17 @@ class TestLyapK:
         with pytest.raises(ValidationError):
             lyap_k(series(np.arange(10.0)), EmbeddingParams(m=4, d=3, s=12))
 
+    def test_theiler_window_that_excludes_every_pair_rejected(self):
+        # at m = 1, 300 samples leave n_valid = 289 searched vectors, at
+        # most 288 apart
+        ts = generate(GenSpec(kind="white", n=300, seed=5))
+        for theiler in (288, 10**6):
+            with pytest.raises(ValidationError, match="excludes every pair of the 289"):
+                lyap_k(ts, EmbeddingParams(m=1, theiler=theiler))
+        # one pair left, (0, 288): the first and last references find each other
+        curve = lyap_k(ts, EmbeddingParams(m=1, theiler=287, eps=100.0, k_min=1))
+        assert curve.ref_counts.tolist() == [2] * 12
+
 
 class TestNeighbourSearch:
     """The sorted-window search against a scan of every embedded vector."""
@@ -337,6 +349,62 @@ class TestNeighbourSearch:
         # testing every reference's candidates in one pass allocates about
         # 180 MB here, and the chunked search about 5 MB
         assert peak < 64e6
+
+
+class _NumpyWithSort:
+    """numpy, with ``argsort`` replaced: the search's view of the module."""
+
+    def __init__(self, argsort):
+        self.argsort = argsort
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def reversed_ties_argsort(a):
+    """A sort order of ``a`` that reverses every run of equal values."""
+    return np.lexsort((-np.arange(a.size), a))
+
+
+class TestTieOrder:
+    """The curve does not depend on how the sort orders equal first coordinates."""
+
+    @pytest.mark.parametrize("eps", [0.01, 0.3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["ar1", "logistic"])
+    def test_any_order_of_ties_gives_the_same_bits(self, monkeypatch, kind, m, eps):
+        # one decimal, as in a cpc_table file: runs of tied first coordinates
+        # hundreds long, and eps = 0.01 lies below the quantum
+        extra = {"phi": 0.7, "seed": 3} if kind == "ar1" else {}
+        ts = generate(GenSpec(kind=kind, n=2000, **extra))
+        ts = ts.with_values(np.round(ts.values, 1))
+        params = EmbeddingParams(m=m, eps=eps, k_min=1)
+        too_few = EmbeddingParams(m=m, eps=eps, k_min=10**6)
+        n_valid = ts.values.size - (m - 1) - params.s + 1
+        first = standardize(ts).values[:n_valid]
+        assert not np.array_equal(reversed_ties_argsort(first), np.argsort(first, kind="stable"))
+
+        def outcome():
+            curve = lyap_k(ts, params)
+            with pytest.raises(EpsTooSmallError) as exc:
+                lyap_k(ts, too_few)
+            return curve.s_values, curve.ref_counts, exc.value.max_neighbors
+
+        default = outcome()
+        for argsort in (reversed_ties_argsort, functools.partial(np.argsort, kind="stable")):
+            calls = []
+
+            def counted(a, argsort=argsort):
+                calls.append(a.size)
+                return argsort(a)
+
+            monkeypatch.setattr(chaos, "np", _NumpyWithSort(counted))
+            s_values, ref_counts, max_neighbors = outcome()
+            monkeypatch.undo()
+            assert calls == [n_valid, n_valid]  # the search sorted with it, once per call
+            assert np.array_equal(s_values, default[0], equal_nan=True)
+            assert np.array_equal(ref_counts, default[1])
+            assert max_neighbors == default[2] > 0
 
 
 class TestLyapFit:

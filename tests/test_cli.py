@@ -872,6 +872,18 @@ class TestCurveOutputs:
         assert main(["lyap", "--input", path, "--grid", "epsilon=0.1"]) == 3
         capsys.readouterr()
 
+    def test_theiler_window_that_excludes_every_pair_exits_three(self, tmp_path, capsys):
+        # no radius helps, so this is a refused parameter (3), not a radius
+        # too small (4); a grid refuses it before its first curve
+        path = gen_file(tmp_path, "w.txt", n=300, seed=5)
+        out_path = tmp_path / "grid.txt"
+        for extra in (["--theiler", "1000000"], ["--grid", "theiler=12,1000000"]):
+            assert main(["lyap", "--input", path, *extra, "--out", str(out_path)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: theiler window 1000000 excludes every pair")
+            assert not out_path.exists()
+
     def test_permtest_curve_file(self, tmp_path, capsys):
         x = gen_file(tmp_path, "x.txt", n=80, seed=1)
         y = gen_file(tmp_path, "y.txt", n=80, seed=2)

@@ -215,9 +215,49 @@ class TestFgn:
             gamma[:2] = (1.0, 2.0)
             return gamma
 
+        # an earlier test may have cached the scale at (0.7, 64); lru_cache
+        # keeps no exception, so every call raises
+        synth._fgn_scale.cache_clear()
         monkeypatch.setattr(synth, "fgn_autocovariance", not_a_covariance)
-        with pytest.raises(NumericError, match="negative eigenvalue"):
-            generate(GenSpec(kind="fgn", n=64, seed=0, h=0.7))
+        for _ in range(2):
+            with pytest.raises(NumericError, match="negative eigenvalue"):
+                generate(GenSpec(kind="fgn", n=64, seed=0, h=0.7))
+        assert synth._fgn_scale.cache_info().currsize == 0
+
+
+class TestFgnScaleCache:
+    def test_warm_call_equals_cold_call(self):
+        spec = GenSpec(kind="fgn", n=4096, seed=21, h=0.7)
+        synth._fgn_scale.cache_clear()
+        cold = generate(spec).values
+        assert synth._fgn_scale.cache_info().currsize == 1
+        warm = generate(spec).values
+        assert synth._fgn_scale.cache_info().hits == 1
+        assert cold.tobytes() == warm.tobytes()
+
+    @pytest.mark.parametrize("n", [776, 4096, 100_000])
+    def test_paths_equal_the_uncached_paths(self, monkeypatch, n):
+        # a mixed-h ensemble, each h seen twice, through the cache and then
+        # with the scale computed afresh on every call
+        specs = [GenSpec(kind="fgn", n=n, seed=s, h=h) for s in (1, 2) for h in (0.2, 0.5, 0.9)]
+        cached = [generate(spec).values.tobytes() for spec in specs]
+        monkeypatch.setattr(synth, "_fgn_scale", synth._fgn_scale.__wrapped__)
+        assert [generate(spec).values.tobytes() for spec in specs] == cached
+
+    def test_cached_scale_cannot_be_mutated(self):
+        scale = synth._fgn_scale(0.7, 776)
+        before = scale.tobytes()
+        assert not scale.flags.writeable
+        with pytest.raises(ValueError):
+            scale[0] = 0.0
+        assert synth._fgn_scale(0.7, 776).tobytes() == before
+
+    def test_cache_is_bounded(self):
+        maxsize = synth._fgn_scale.cache_info().maxsize
+        assert maxsize is not None
+        for n in range(64, 64 + maxsize + 4):
+            synth._fgn_scale(0.7, n)
+        assert synth._fgn_scale.cache_info().currsize == maxsize
 
 
 class TestAr1:
