@@ -29,8 +29,9 @@ candidate's test is elementwise; and the hits are re-sorted by a unique
 key. The curve is the same bits whatever order a numpy build gives ties.
 References are processed in consecutive chunks whose windows
 together hold a bounded number of candidates, which bounds memory at
-any length; within a chunk the divergence stage is one vectorised pass
-per step, summing each reference's gaps with ``np.bincount``.
+any length. Within a chunk the divergence stage is one vectorised pass:
+every hit's next ``s`` gaps are gathered at once and ``np.bincount``
+sums them by (reference, step), adding each bin's gaps in index order.
 
 Exact ties (zero future distance) occur in quantized data and would put
 minus infinity into the log; tied pairs are dropped at the affected step
@@ -63,10 +64,12 @@ __all__ = list(_EXPORTS["chaos"])
 # Candidate pairs tested at once by the neighbour search. References are
 # processed in consecutive chunks whose windows together hold at most this
 # many candidates; a reference whose window is wider is a chunk of its
-# own. Memory is then O(budget + widest window), never O(n_ref * n). The
-# value is small so that a ``lyap`` run at the paper's length allocates
-# no more than the per-reference scan it replaced; chunks cost one pass
-# of numpy calls each, which at most n_ref chunks keeps cheap.
+# own. A chunk's divergence stage holds s gaps per hit at once, so memory
+# is O(s * (budget + widest window)), never O(n_ref * n); the gaps of one
+# chunk are not split, as that would change the order they are summed in.
+# The value is small so that a ``lyap`` run at the paper's length
+# allocates no more than the per-reference scan it replaced; chunks cost
+# one pass of numpy calls each, which at most n_ref chunks keeps cheap.
 _CANDIDATE_BUDGET = 1 << 12
 
 
@@ -186,8 +189,9 @@ def _neighbours(x, n_valid, refs, params):
     embedded vectors within ``eps`` (max norm) of the references in
     ``chunk`` and outside their Theiler windows, and ``owner`` is the
     position in ``chunk`` of each hit's reference. Hits are grouped by
-    reference and ascend in index within each group, the order a full scan
-    finds them. Coordinate c of embedded vector j is ``x[j + c*d]``.
+    reference, the groups in ``chunk``'s order, and ascend in index within
+    each group, the order a full scan finds them. Coordinate c of embedded
+    vector j is ``x[j + c*d]``.
     """
     eps = params.eps
     first = x[:n_valid]
@@ -232,8 +236,8 @@ def _neighbours(x, n_valid, refs, params):
         start = stop
 
 
-def _checked_length(n: int, params: EmbeddingParams) -> int:
-    """The embedding offset (m-1)*d, checked to leave ``params.s`` steps in ``n`` samples.
+def _checked_length(n: int, params: EmbeddingParams) -> tuple[int, int]:
+    """The offset (m-1)*d and n_valid, checked to leave ``params.s`` steps in ``n`` samples.
 
     The rules are (m-1)*d + s < n and theiler < n_valid - 1, where
     n_valid = n - (m-1)*d - s + 1 is the number of searched vectors: no
@@ -253,7 +257,7 @@ def _checked_length(n: int, params: EmbeddingParams) -> int:
             f"theiler window {params.theiler} excludes every pair of the {n_valid} "
             f"searched vectors of a series of length {n}; it must be below {n_valid - 1}"
         )
-    return offset
+    return offset, n_valid
 
 
 def lyap_k(ts: TimeSeries | np.ndarray, params: EmbeddingParams) -> DivergenceCurve:
@@ -266,12 +270,13 @@ def lyap_k(ts: TimeSeries | np.ndarray, params: EmbeddingParams) -> DivergenceCu
     found so the caller can widen the radius.
     """
     x = standardize(ts).values
-    n = x.size
-    offset = _checked_length(n, params)
-    n_valid = n - offset - params.s + 1
+    offset, n_valid = _checked_length(x.size, params)
     refs = _reference_indices(n_valid, params)
+    # row j is the last coordinate of vector j and its next s - 1 samples
+    ahead = np.lib.stride_tricks.sliding_window_view(x[offset:], params.s)
 
     blocks = []
+    ref_counts = np.zeros(params.s, dtype=np.intp)
     max_neighbors = 0
     for chunk, owner, hits in _neighbours(x, n_valid, refs, params):
         counts = np.bincount(owner, minlength=chunk.size)
@@ -279,22 +284,22 @@ def lyap_k(ts: TimeSeries | np.ndarray, params: EmbeddingParams) -> DivergenceCu
         kept = counts >= params.k_min
         if not kept.any():
             continue
-        # bincount adds each reference's gaps in index order, the same
-        # order and so the same bits as a sum over its neighbour rows
-        sums = np.empty((chunk.size, params.s))
-        live = np.empty((chunk.size, params.s))
-        hit_ref = chunk[owner]
-        for step in range(params.s):
-            future = x[offset + step :]
-            gaps = future[hits]
-            gaps -= future[hit_ref]
-            np.abs(gaps, out=gaps)
-            sums[:, step] = np.bincount(owner, weights=gaps, minlength=chunk.size)
-            live[:, step] = np.bincount(owner, weights=gaps != 0, minlength=chunk.size)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rows = np.log(sums / live)
-        rows[live == 0] = np.nan
-        blocks.append(rows[kept])
+        # the hits of the kept references, still grouped by reference
+        sizes, hits = counts[kept], hits[kept[owner]]
+        gaps = ahead[hits]
+        gaps -= np.repeat(ahead[chunk[kept]], sizes, axis=0)
+        np.abs(gaps, out=gaps)
+        # key row * s + step, row the reference's place among the kept ones:
+        # bincount adds each key's gaps in hit order, the index order and so
+        # the bits of a sum over the reference's neighbour rows
+        key = np.repeat(np.arange(sizes.size * params.s).reshape(-1, params.s), sizes, axis=0)
+        key, gaps = key.ravel(), gaps.ravel()
+        sums = np.bincount(key, weights=gaps).reshape(-1, params.s)
+        ties = np.bincount(key[gaps == 0], minlength=sums.size)
+        live = sizes[:, None] - ties.reshape(-1, params.s)
+        # a step whose gaps all tie is 0 = log 1 here and not counted
+        blocks.append(np.log(np.divide(sums, live, out=np.ones_like(sums), where=live > 0)))
+        ref_counts += np.count_nonzero(live, axis=0)
 
     if not blocks:
         raise EpsTooSmallError(
@@ -302,14 +307,8 @@ def lyap_k(ts: TimeSeries | np.ndarray, params: EmbeddingParams) -> DivergenceCu
             f"{params.eps}; largest neighborhood found held {max_neighbors}",
             max_neighbors=max_neighbors,
         )
-    stacked = np.concatenate(blocks)
-    counted = ~np.isnan(stacked)
-    ref_counts = np.count_nonzero(counted, axis=0)
-    # the arithmetic of np.nanmean, without its warning for a step that
-    # every reference sits out
-    with np.errstate(invalid="ignore"):
-        s_values = np.where(counted, stacked, 0.0).sum(axis=0) / ref_counts
-    s_values[ref_counts == 0] = np.nan
+    total = np.concatenate(blocks).sum(axis=0)
+    s_values = np.divide(total, ref_counts, out=np.full(params.s, np.nan), where=ref_counts > 0)
     return DivergenceCurve(s_values=s_values, ref_counts=ref_counts, params=params)
 
 

@@ -59,6 +59,32 @@ def frozen_copy(values, dtype=None) -> np.ndarray:
     return arr
 
 
+def _sample_array(values) -> np.ndarray:
+    """``values`` as a read-only float64 array, refused unless every sample is a real number.
+
+    ``_real``'s rule for samples: bools, strings, bytes and complex numbers
+    are refused, so ``True`` is not 1.0 and ``"1.5"`` is not 1.5, and so is
+    a value that float conversion fails on. An integer or float ndarray
+    pays only a dtype check; any other array dtype is refused, and other
+    input is checked by the types of its items.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind != "O":
+        if values.dtype.kind not in "iuf":
+            raise ValidationError(f"series samples of dtype {values.dtype} are not real numbers")
+        return frozen_copy(values, dtype=float)
+    items = np.asarray(values, dtype=object)
+    flat = items.ravel().tolist()
+    kinds = set(map(type, flat))
+    odd = {t for t in kinds if issubclass(t, bool) or not issubclass(t, numbers.Real)}
+    if odd:
+        i = next(i for i, v in enumerate(flat) if type(v) in odd)
+        raise ValidationError(f"series sample {i} is a {type(flat[i]).__name__}, not a real number")
+    try:
+        return frozen_copy(items, dtype=float)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise ValidationError(f"series samples must convert to float: {exc}") from None
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Ordered finite real samples, one a month, with an optional calendar anchor.
@@ -68,8 +94,10 @@ class TimeSeries:
 
     Parameters
     ----------
-    values : array-like of float
-        The samples. Must be a non-empty 1-d sequence of finite values.
+    values : array-like of real numbers
+        The samples. Must be a non-empty 1-d sequence of finite values;
+        bools, strings, bytes and complex numbers are not samples
+        (``_sample_array``).
     start : (year, month) pair of integers, optional
         Calendar anchor of the first sample, month in 1..12, kept as a
         tuple of ints. When present, sample ``i`` falls ``i`` months after
@@ -83,7 +111,7 @@ class TimeSeries:
     label: str = ""
 
     def __post_init__(self):
-        arr = frozen_copy(self.values, dtype=float)
+        arr = _sample_array(self.values)
         if arr.ndim != 1 or arr.size < 1:
             raise ValidationError("series must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(arr)):
@@ -127,6 +155,25 @@ def _seed(value, name: str = "seed") -> int:
         raise ValidationError(f"{name} must be non-negative, got {value}")
     if value >> 64:
         raise ValidationError(f"{name} must be below 2**64, got {value}")
+    return value
+
+
+def _count(value, name: str, factor: int = 1) -> int:
+    """``value`` as a Python int, refused when numpy cannot size the array it sets.
+
+    The one rule for every count that sets an array's length: an array of
+    ``factor * (value + 1)`` float64 values must stay within numpy's
+    largest array, ``np.iinfo(np.intp).max`` bytes. A larger count is
+    refused before anything is allocated; one below the bound that does
+    not fit in memory still raises ``MemoryError``. The caller checks its
+    own minimum.
+    """
+    value = _integer(value, name)
+    limit = np.iinfo(np.intp).max // (8 * factor) - 1
+    if value > limit:
+        raise ValidationError(
+            f"{name} {value} is too large: the most numpy can size an array for is {limit}"
+        )
     return value
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .core import TimeSeries, _dot, _integer, _moments, _seed, format_month, frozen_copy
+from .core import TimeSeries, _count, _dot, _moments, _seed, format_month, frozen_copy
 from .core import sample_values
 from .errors import NumericError, ValidationError
 
@@ -236,7 +236,7 @@ def nth_permutation(seed: int, index: int, n: int) -> np.ndarray:
     """
     seed = _seed(seed)
     index = _seed(index, "permutation index")
-    n = _integer(n, "permutation length")
+    n = _count(n, "permutation length")
     if n <= 0:
         raise ValidationError("permutation length must be positive")
     return next(_keyed(seed, (index,))).permutation(n)
@@ -281,7 +281,7 @@ def perm_test(
     """
     p, j = _paired(p, j)
     seed = _seed(seed)
-    n_perm = _integer(n_perm, "n_perm")
+    n_perm = _count(n_perm, "n_perm")
     if n_perm < 100:
         raise ValidationError("n_perm must be at least 100")
     if tail not in TAILS:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .core import TimeSeries, _integer, _real, _seed
+from .core import TimeSeries, _count, _integer, _real, _seed
 from .errors import NumericError, ValidationError
 
 __all__ = list(_EXPORTS["synth"])
@@ -72,7 +72,8 @@ class GenSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown generator kind {self.kind!r}")
-        object.__setattr__(self, "n", _integer(self.n, "n"))
+        # fgn's largest array is its complex spectrum of n + 1 values
+        object.__setattr__(self, "n", _count(self.n, "n", 2 if self.kind == "fgn" else 1))
         object.__setattr__(self, "seed", _seed(self.seed))
         if self.n < 2:
             raise ValidationError("n must be at least 2")

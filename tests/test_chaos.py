@@ -340,15 +340,19 @@ class TestNeighbourSearch:
 
     def test_memory_stays_bounded_at_1e5(self):
         ts = generate(GenSpec(kind="ar1", n=100_000, phi=0.7, seed=1))
-        tracemalloc.start()
-        try:
-            lyap_k(ts, EmbeddingParams())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # testing every reference's candidates in one pass allocates about
-        # 180 MB here, and the chunked search about 5 MB
-        assert peak < 64e6
+        for eps in (0.3, 1.0):
+            tracemalloc.start()
+            try:
+                lyap_k(ts, EmbeddingParams(eps=eps))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # testing every reference's candidates in one pass allocates
+            # about 180 MB at eps = 0.3, and the chunked search about 6 MB.
+            # At eps = 1.0 each window outgrows the budget, so each
+            # reference is a chunk of its own, and its s gaps per hit peak
+            # at about 22 MB
+            assert peak < 64e6, eps
 
 
 class _NumpyWithSort:

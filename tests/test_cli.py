@@ -1021,6 +1021,16 @@ class TestPermtestCommand:
         assert captured.out == ""
         assert captured.err == "error: not enough memory: Unable to allocate 16.0 KiB\n"
 
+    @pytest.mark.parametrize("n_perm", [str(2**60), "99999999999999999999"])
+    def test_n_perm_beyond_any_array_exits_three(self, tmp_path, capsys, n_perm):
+        x = gen_file(tmp_path, "x.txt", n=100, seed=1)
+        y = gen_file(tmp_path, "y.txt", n=100, seed=2)
+        assert main(["permtest", "--x", x, "--y", y, "--n-perm", n_perm]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: n_perm {n_perm} is too large: ")
+        assert captured.err.count("\n") == 1
+
     def test_mismatched_resultant_lengths_exit_three(self, tmp_path, capsys):
         x = gen_file(tmp_path, "x.txt", n=100, seed=1)
         u = gen_file(tmp_path, "u.txt", n=100, seed=2)
@@ -1080,6 +1090,18 @@ class TestGenCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: not enough memory: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", [str(2**60), "99999999999999999999"])
+    @pytest.mark.parametrize(
+        "kind_args", [["white"], ["sine", "--period", "12"], ["logistic"], ["fgn", "--h", "0.7"]]
+    )
+    def test_length_beyond_any_array_exits_three(self, capsys, kind_args, n):
+        # numpy could not size the array, so nothing is allocated
+        assert main(["gen", "--kind", *kind_args, "--n", n]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: n {n} is too large: ")
         assert captured.err.count("\n") == 1
 
     def test_parameters_the_kind_ignores_exit_three(self, tmp_path, capsys):

@@ -2,8 +2,10 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from longmem import (
     summarize,
 )
 from longmem.core import (
+    _count,
     _dot,
     _median_and_modes,
     _weighted_line_fit,
@@ -84,6 +87,13 @@ class TestTimeSeries:
             series([1.0, np.nan])
         with pytest.raises(ValidationError):
             series([1.0, np.inf])
+
+    def test_real_number_items_accepted(self):
+        items = [1, np.int8(2), np.float32(2.5), Fraction(7, 2), 4.25]
+        expected = [1.0, 2.0, 2.5, 3.5, 4.25]
+        for values in (items, tuple(items), np.array(items, dtype=object)):
+            assert TimeSeries(values).values.tolist() == expected
+        assert TimeSeries(np.arange(3, dtype=np.uint16)).values.tolist() == [0.0, 1.0, 2.0]
 
     def test_two_dimensional_rejected(self):
         with pytest.raises(ValidationError):
@@ -455,6 +465,17 @@ BAD_SAMPLES = {
     "inf": [1.0, np.inf, 3.0, 2.0, 4.0],
     "2-d": np.arange(10.0).reshape(5, 2),
     "empty": [],
+    # samples are real numbers, by the rule of every real parameter
+    "text": ["a", "b", "c", "d", "e"],
+    "numeric text": ["1.5", "2", "3", "4", "5"],
+    "bytes": [b"1.5", b"2", b"3", b"4", b"5"],
+    "bools": [True, False, True, True, False],
+    "a bool among floats": [1.0, 2.0, True, 3.0, 4.0],
+    "numpy bools": np.array([True, False, True, True, False]),
+    "complex": [1.0, 2.0, 3 + 0j, 4.0, 5.0],
+    "complex array": np.array([1.0, 2.0, 3.0, 4.0, 5.0 + 1j]),
+    "dicts": [{}, {}, {}, {}, {}],
+    "too large for a float": [1.0, 2.0, 10**400, 4.0, 5.0],
 }
 
 
@@ -777,6 +798,57 @@ class TestSeedRule:
         call(0)
         top = call(2**64 - 1)
         assert np.array_equal(call(np.uint64(2**64 - 1)), top)
+
+
+# Every count that sets an array's length, called with ``v`` in its slot.
+COUNT_PARAMETERS = {
+    **{
+        f"GenSpec n {kind}": lambda v, kind=kind: GenSpec(kind=kind, n=v, **extra)
+        for kind, extra in (
+            ("white", {}), ("sine", {"period": 12.0}), ("logistic", {}), ("fgn", {"h": 0.7}),
+        )
+    },
+    "perm_test n_perm": lambda v: perm_test(GOOD, GOOD[::-1], n_perm=v),
+    "nth_permutation n": lambda v: nth_permutation(0, 0, v),
+}
+
+
+class TestCountRule:
+    """One rule for counts: none so large that numpy cannot size its array."""
+
+    @pytest.mark.parametrize("value", [2**60, 10**20], ids=["2**60", "10**20"])
+    @pytest.mark.parametrize("parameter", COUNT_PARAMETERS)
+    def test_counts_beyond_any_array_refused_before_allocating(self, parameter, value):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=f" {value} is too large"):
+                COUNT_PARAMETERS[parameter](value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_bound_is_numpys_largest_array(self, factor):
+        top = np.iinfo(np.intp).max // (8 * factor) - 1
+        assert _count(top, "n", factor) == top
+        with pytest.raises(ValidationError, match=f"can size an array for is {top}$"):
+            _count(top + 1, "n", factor)
+        # at the bound numpy sizes the array and only the allocation fails,
+        # at once; one value more and numpy cannot describe it at all
+        with pytest.raises(MemoryError):
+            np.empty(factor * (top + 1))
+        with pytest.raises(ValueError, match="too big"):
+            np.empty(factor * (top + 2))
+
+    def test_fgn_bound_covers_its_complex_spectrum(self):
+        # n + 1 complex values, 16 bytes each: numpy sizes no such array
+        # once n + 1 reaches 2**59
+        with pytest.raises(ValidationError, match="too large"):
+            GenSpec(kind="fgn", n=2**59 - 1, h=0.7)
+        with pytest.raises(ValueError, match="too big"):
+            np.empty(2**59, dtype=complex)
+        assert GenSpec(kind="white", n=2**59 - 1).n == 2**59 - 1
 
 
 # Every real parameter of the public API, called with ``v`` in its slot,
