@@ -52,10 +52,10 @@ from .core import (
     _integer,
     _real,
     _seed,
+    _standardized,
     _weighted_line_fit,
     frozen_copy,
     sample_values,
-    standardize,
 )
 from .errors import EpsTooSmallError, ValidationError
 
@@ -171,15 +171,27 @@ def embed(x, m: int, d: int) -> np.ndarray:
 
 
 def _reference_indices(n_valid: int, params: EmbeddingParams) -> np.ndarray:
+    """``min(n_ref, n_valid)`` distinct reference indices below ``n_valid``, ascending."""
     count = min(params.n_ref, n_valid)
     if params.random_sample:
-        rng = np.random.default_rng(params.seed)
-        idx = rng.choice(n_valid, size=count, replace=False)
-    else:
-        idx = np.round(np.linspace(0, n_valid - 1, num=count)).astype(np.int64)
-    # np.unique, without the numpy.ma import it makes on first use
-    idx = np.sort(idx)
-    return idx[np.diff(idx, prepend=-1) > 0]
+        # a draw without replacement is distinct already; only its order is put right
+        idx = np.random.default_rng(params.seed).choice(n_valid, size=count, replace=False)
+        idx.sort()
+        return idx
+    idx = np.round(np.linspace(0, n_valid - 1, num=count)).astype(np.int64)
+    # Rounding and linspace's products i * spacing are monotone, so the
+    # indices ascend. The spacing (n_valid - 1)/(count - 1) is exactly 1,
+    # when every product is an exact integer, or exceeds 1 by at least
+    # 1/n_valid, more than the two products' rounding errors together
+    # (n_valid * 2**-52 at most) below 2**26 positions: then neighbours
+    # differ by more than 1 before rounding and are distinct after it.
+    # Beyond, they can coincide: at 3 * 2**26 positions and a count of
+    # n_valid - 1, two indices round to one.
+    if n_valid < 2**26:
+        return idx
+    distinct = np.ones(count, dtype=bool)
+    np.not_equal(idx[1:], idx[:-1], out=distinct[1:])
+    return idx[distinct]
 
 
 def _neighbours(x, n_valid, refs, params):
@@ -208,7 +220,7 @@ def _neighbours(x, n_valid, refs, params):
     # window holds every true neighbour, rounded bounds and all.
     lo = np.searchsorted(keys, centre - eps, side="left")
     width = np.searchsorted(keys, centre + eps, side="right") - lo
-    ends = np.cumsum(width)
+    ends = width.cumsum()
     start = 0
     while start < refs.size:
         base = ends[start] - width[start]
@@ -269,11 +281,15 @@ def lyap_k(ts: TimeSeries | np.ndarray, params: EmbeddingParams) -> DivergenceCu
     survives, an ``EpsTooSmallError`` reports the largest neighborhood
     found so the caller can widen the radius.
     """
-    x = standardize(ts).values
+    x = _standardized(sample_values(ts))
     offset, n_valid = _checked_length(x.size, params)
     refs = _reference_indices(n_valid, params)
-    # row j is the last coordinate of vector j and its next s - 1 samples
-    ahead = np.lib.stride_tricks.sliding_window_view(x[offset:], params.s)
+    # row j is the last coordinate of vector j and its next s - 1 samples:
+    # a read-only view of x, the rows one sample apart
+    step = x.strides[0]
+    ahead = np.lib.stride_tricks.as_strided(
+        x[offset:], shape=(n_valid, params.s), strides=(step, step), writeable=False
+    )
 
     blocks = []
     ref_counts = np.zeros(params.s, dtype=np.intp)

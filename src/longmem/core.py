@@ -4,6 +4,13 @@
 an immutable vector of finite samples, optionally anchored to a monthly
 calendar. ``summarize`` produces the descriptive table (mean, median,
 modes, dispersion) used for a first look at an index series.
+
+Calibration ensembles call the per-call paths here (``summarize``, the
+shared moments, standardization and line fit) thousands of times, so
+they use ufunc methods (``np.add.reduce``) and ndarray methods, not
+numpy's Python-level wrappers (``np.sum``, ``np.mean``, ``np.diff``,
+``np.errstate``). Each replacement runs the reduction or comparison its
+wrapper ran, so no result changes by a bit.
 """
 
 from __future__ import annotations
@@ -114,7 +121,7 @@ class TimeSeries:
         arr = _sample_array(self.values)
         if arr.ndim != 1 or arr.size < 1:
             raise ValidationError("series must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValidationError("series contains non-finite values")
         if self.start is not None:
             object.__setattr__(self, "start", _checked_start(self.start))
@@ -379,19 +386,27 @@ def _median_and_modes(values: np.ndarray, resolution: float) -> tuple[float, flo
     picks the smallest key among equal counts. A grid index of 2**53 or
     more is refused: from there it is no longer an exact integer.
     """
-    ordered = np.sort(values)
+    ordered = values.copy()
+    ordered.sort()
     k = ordered.size // 2
     middle = ordered[k] if ordered.size % 2 else (ordered[k - 1] + ordered[k]) / 2
-    with np.errstate(over="ignore"):  # an index that overflows is inf, refused
-        keys = ordered / resolution
-    if max(-keys[0], keys[-1]) >= 2.0**53:
+    # the extremes' indices on Python floats, before numpy divides: an index
+    # that overflows is inf there, refused, and no warning state is touched
+    if max(-float(ordered[0]), float(ordered[-1])) / resolution >= 2.0**53:
         raise ValidationError(
             f"mode_resolution {resolution!r} is too fine for this series: "
             "its grid index reaches 2**53"
         )
+    keys = ordered / resolution
     np.rint(keys, out=keys)
-    ends = np.append(np.flatnonzero(np.diff(keys)), keys.size - 1)  # last index of each run
-    counts = np.diff(ends, prepend=-1)
+    # a run ends where the next key differs, and at the last index
+    edge = np.empty(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=edge[:-1])
+    edge[-1] = True
+    ends = edge.nonzero()[0]
+    counts = ends.copy()  # the run lengths: the gaps between consecutive ends
+    counts[1:] -= ends[:-1]
+    counts[0] += 1
     first = counts.argmax()
     median, mode_first = float(middle + 0.0), float(keys[ends[first]] * resolution + 0.0)
     if ends.size == 1:
@@ -448,11 +463,20 @@ def standardize(ts: TimeSeries | np.ndarray) -> TimeSeries:
     ``sample_values``. Raises ``NumericError`` on a constant series.
     """
     ts = _as_series(ts)
-    x = sample_values(ts)
-    _, centred, variance, flat = _moments(x)
+    return ts.with_values(_standardized(sample_values(ts)))
+
+
+def _standardized(values: np.ndarray) -> np.ndarray:
+    """Checked samples shifted and scaled to sample mean 0 and sample std 1.
+
+    ``standardize``'s arithmetic on a 1-d array that ``sample_values``
+    returned, whose magnitude bounds keep the result finite. Raises
+    ``NumericError`` on a constant series.
+    """
+    _, centred, variance, flat = _moments(values)
     if flat.size:
         raise NumericError("cannot standardize a constant series")
-    return ts.with_values(centred / np.sqrt(variance))
+    return centred / np.sqrt(variance)
 
 
 def _weighted_line_fit(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None):
@@ -463,18 +487,20 @@ def _weighted_line_fit(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None 
     treated as relative, so the slope standard error is invariant under
     rescaling them.
     """
-    w = np.ones(x.size) if weights is None else weights / np.mean(weights)
-    sw = np.sum(w)
-    x_bar = np.sum(w * x) / sw
-    y_bar = np.sum(w * y) / sw
-    sxx = np.sum(w * (x - x_bar) ** 2)
+    # np.add.reduce is the reduction np.sum and np.mean run, without their wrappers
+    add = np.add.reduce
+    w = np.ones(x.size) if weights is None else weights / (add(weights) / weights.size)
+    sw = add(w)
+    x_bar = add(w * x) / sw
+    y_bar = add(w * y) / sw
+    sxx = add(w * (x - x_bar) ** 2)
     if sxx == 0.0:
         raise ValidationError("all fit points share one window; slope undefined")
-    slope = np.sum(w * (x - x_bar) * (y - y_bar)) / sxx
+    slope = add(w * (x - x_bar) * (y - y_bar)) / sxx
     intercept = y_bar - slope * x_bar
     residuals = y - (intercept + slope * x)
-    sse = float(np.sum(w * residuals**2))
-    ssm = float(np.sum(w * (y - y_bar) ** 2))
+    sse = float(add(w * residuals**2))
+    ssm = float(add(w * (y - y_bar) ** 2))
     dof = x.size - 2
     std_err = math.sqrt((sse / dof) / sxx) if dof > 0 else 0.0
     r_squared = 1.0 - sse / ssm if ssm > 0.0 else 1.0

@@ -157,7 +157,7 @@ def _block_rs_values(x: np.ndarray, window: int) -> tuple[np.ndarray, int]:
     _, deviations, variance, flat = _moments(x[: nb * window].reshape(nb, window))
     if flat.size:
         deviations, variance = np.delete(deviations, flat, 0), np.delete(variance, flat)
-    np.cumsum(deviations, axis=1, out=deviations)
+    deviations.cumsum(axis=1, out=deviations)
     r = np.maximum.reduce(deviations, axis=1) - np.minimum.reduce(deviations, axis=1)
     return r / np.sqrt(variance), flat.size
 

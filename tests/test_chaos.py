@@ -254,18 +254,39 @@ class TestLyapK:
         assert_matches_full_scan(ts, params)
 
     @pytest.mark.parametrize("random_sample", [False, True])
-    @pytest.mark.parametrize("n_ref, n_valid", [(200, 50), (200, 199), (200, 765), (7, 7)])
+    @pytest.mark.parametrize(
+        "n_ref, n_valid",
+        # 4993: the benchmark's calibration call; 2**26 + 5: past the length
+        # below which the even spacing is proven distinct without a check
+        [(200, 50), (200, 199), (200, 201), (200, 765), (776, 776), (200, 4993), (7, 7),
+         (200, 2**26 + 5)],
+    )
     def test_reference_indices_are_unique_and_sorted(self, n_ref, n_valid, random_sample):
         params = EmbeddingParams(n_ref=n_ref, random_sample=random_sample, seed=n_valid)
         rng = np.random.default_rng(params.seed)
-        drawn = (
-            rng.choice(n_valid, size=min(n_ref, n_valid), replace=False)
-            if random_sample
-            else np.round(np.linspace(0, n_valid - 1, num=min(n_ref, n_valid)))
-        )
         refs = chaos._reference_indices(n_valid, params)
         assert refs.dtype == np.int64
-        assert np.array_equal(refs, np.unique(drawn.astype(np.int64)))
+        if random_sample:
+            # a draw without replacement is only sorted
+            drawn = rng.choice(n_valid, size=min(n_ref, n_valid), replace=False)
+            assert np.array_equal(refs, np.sort(drawn))
+        else:
+            drawn = np.round(np.linspace(0, n_valid - 1, num=min(n_ref, n_valid)))
+            assert np.array_equal(refs, np.unique(drawn.astype(np.int64)))
+        assert (refs[1:] > refs[:-1]).all()
+
+    def test_even_reference_indices_need_no_sort(self):
+        # the spacing (n_valid - 1)/(count - 1) is at least 1, so the rounded
+        # indices come out ascending and distinct without a sort or a
+        # de-duplication, at every count the parameters allow
+        params = [EmbeddingParams(n_ref=count) for count in range(1, 401)]
+        for n_valid in range(1, 401):
+            for count in range(1, n_valid + 1):
+                refs = chaos._reference_indices(n_valid, params[count - 1])
+                assert refs.dtype == np.int64
+                # all count rounded values, strictly ascending: np.unique of them
+                assert (refs[1:] > refs[:-1]).all()
+                assert np.array_equal(refs, np.round(np.linspace(0, n_valid - 1, num=count)))
 
     def test_constant_series_rejected(self):
         with pytest.raises(NumericError):

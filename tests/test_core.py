@@ -27,6 +27,7 @@ from longmem import (
     embed,
     expected_rescaled_range,
     fgn_autocovariance,
+    fit_h,
     fractal_correlation,
     fractal_dimension,
     generate,
@@ -46,6 +47,7 @@ from longmem.core import (
     _count,
     _dot,
     _median_and_modes,
+    _standardized,
     _weighted_line_fit,
     calendar_month,
     format_month,
@@ -414,6 +416,24 @@ class TestStandardize:
         with pytest.raises(NumericError):
             standardize(series([2.0, 2.0, 2.0]))
 
+    # unit scale, just under sample_values' upper bound 2**500/n and just
+    # above its lower bound 2**-400
+    @pytest.mark.parametrize("peak", [1.0, 0.99 * 2.0**500 / 776, 1.01 * 2.0**-400])
+    def test_private_helper_is_standardize_without_the_series(self, peak):
+        # lyap_k standardizes by _standardized(sample_values(ts)), without
+        # building and checking a second TimeSeries: the bounds that
+        # sample_values enforces already keep the result finite
+        x = np.random.default_rng(6).standard_normal(776)
+        ts = series(x * (peak / np.abs(x).max()))
+        got = _standardized(sample_values(ts))
+        assert got.tobytes() == standardize(ts).values.tobytes()
+        assert np.isfinite(got).all()
+        flat = series(np.full(776, peak))
+        with pytest.raises(NumericError):
+            _standardized(sample_values(flat))
+        with pytest.raises(NumericError):
+            standardize(flat)
+
 
 class TestCalendar:
     @pytest.mark.parametrize(
@@ -701,6 +721,57 @@ class TestLineFit:
     def test_one_distinct_x_rejected(self):
         with pytest.raises(ValidationError, match="slope undefined"):
             _weighted_line_fit(np.ones(4), np.arange(4.0))
+
+    @staticmethod
+    def numpy_spelling(x, y, weights=None):
+        """The fit written with ``np.sum`` and ``np.mean``: the oracle of its bits."""
+        w = np.ones(x.size) if weights is None else weights / np.mean(weights)
+        sw = np.sum(w)
+        x_bar = np.sum(w * x) / sw
+        y_bar = np.sum(w * y) / sw
+        sxx = np.sum(w * (x - x_bar) ** 2)
+        slope = np.sum(w * (x - x_bar) * (y - y_bar)) / sxx
+        intercept = y_bar - slope * x_bar
+        residuals = y - (intercept + slope * x)
+        sse = float(np.sum(w * residuals**2))
+        ssm = float(np.sum(w * (y - y_bar) ** 2))
+        dof = x.size - 2
+        std_err = math.sqrt((sse / dof) / sxx) if dof > 0 else 0.0
+        r_squared = 1.0 - sse / ssm if ssm > 0.0 else 1.0
+        return float(slope), float(intercept), std_err, r_squared
+
+    @staticmethod
+    def hexes(values):
+        return [float(v).hex() for v in values]
+
+    @pytest.mark.parametrize("size", [3, 7, 12, 40, 257])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bits_equal_numpy_spelling(self, size, weighted):
+        # the fit sums with np.add.reduce, the reduction np.sum and np.mean
+        # run for a 1-d float64 array; the numpy floor's CI job checks that
+        rng = np.random.default_rng(size)
+        x, y = rng.uniform(-3.0, 9.0, size), rng.standard_normal(size)
+        weights = rng.uniform(0.01, 50.0, size) if weighted else None
+        got = _weighted_line_fit(x, y, weights)
+        assert self.hexes(got) == self.hexes(self.numpy_spelling(x, y, weights))
+
+    def test_fit_h_weights_with_a_zero_scatter_point_match_numpy_spelling(self):
+        # the default ladder's last window holds one block, whose scatter
+        # is 0, so fit_h gives that point the largest finite weight
+        table = rs_table(generate(GenSpec(kind="fgn", n=4096, seed=2, h=0.7)))
+        stds = np.array([p.std_rs for p in table.points])
+        nonzero = stds > 0.0
+        assert nonzero.tolist() == [True] * (stds.size - 1) + [False]
+        weights = np.empty(stds.size)
+        weights[nonzero] = 1.0 / stds[nonzero] ** 2
+        weights[~nonzero] = weights[nonzero].max()
+        x = np.log2([p.window for p in table.points])
+        y = np.log2([p.mean_rs for p in table.points])
+        slope, _, std_err, r_squared = self.numpy_spelling(x, y, weights)
+        est = fit_h(table, weighted=True)
+        assert self.hexes([est.h, est.std_err, est.r_squared]) == self.hexes(
+            [slope, std_err, r_squared]
+        )
 
 
 CURVE = DivergenceCurve(
