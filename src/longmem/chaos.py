@@ -178,17 +178,10 @@ def _reference_indices(n_valid: int, params: EmbeddingParams) -> np.ndarray:
         idx = np.random.default_rng(params.seed).choice(n_valid, size=count, replace=False)
         idx.sort()
         return idx
+    # spaced at least 1 apart, the rounded indices ascend without a sort;
+    # linspace's rounding errors can still bring two to one integer on very
+    # long series, so repeats are dropped
     idx = np.round(np.linspace(0, n_valid - 1, num=count)).astype(np.int64)
-    # Rounding and linspace's products i * spacing are monotone, so the
-    # indices ascend. The spacing (n_valid - 1)/(count - 1) is exactly 1,
-    # when every product is an exact integer, or exceeds 1 by at least
-    # 1/n_valid, more than the two products' rounding errors together
-    # (n_valid * 2**-52 at most) below 2**26 positions: then neighbours
-    # differ by more than 1 before rounding and are distinct after it.
-    # Beyond, they can coincide: at 3 * 2**26 positions and a count of
-    # n_valid - 1, two indices round to one.
-    if n_valid < 2**26:
-        return idx
     distinct = np.ones(count, dtype=bool)
     np.not_equal(idx[1:], idx[:-1], out=distinct[1:])
     return idx[distinct]
@@ -285,7 +278,10 @@ def lyap_k(ts: TimeSeries | np.ndarray, params: EmbeddingParams) -> DivergenceCu
     offset, n_valid = _checked_length(x.size, params)
     refs = _reference_indices(n_valid, params)
     # row j is the last coordinate of vector j and its next s - 1 samples:
-    # a read-only view of x, the rows one sample apart
+    # a read-only view of x, the rows one sample apart. as_strided checks no
+    # bounds; _checked_length's n_valid = x.size - offset - s + 1 ends the
+    # last row at x's last sample
+    assert x.size - offset == n_valid + params.s - 1
     step = x.strides[0]
     ahead = np.lib.stride_tricks.as_strided(
         x[offset:], shape=(n_valid, params.s), strides=(step, step), writeable=False

@@ -256,8 +256,7 @@ class TestLyapK:
     @pytest.mark.parametrize("random_sample", [False, True])
     @pytest.mark.parametrize(
         "n_ref, n_valid",
-        # 4993: the benchmark's calibration call; 2**26 + 5: past the length
-        # below which the even spacing is proven distinct without a check
+        # 4993: the benchmark's calibration call; 2**26 + 5: a very long series
         [(200, 50), (200, 199), (200, 201), (200, 765), (776, 776), (200, 4993), (7, 7),
          (200, 2**26 + 5)],
     )
@@ -277,10 +276,10 @@ class TestLyapK:
 
     def test_even_reference_indices_need_no_sort(self):
         # the spacing (n_valid - 1)/(count - 1) is at least 1, so the rounded
-        # indices come out ascending and distinct without a sort or a
-        # de-duplication, at every count the parameters allow
-        params = [EmbeddingParams(n_ref=count) for count in range(1, 401)]
-        for n_valid in range(1, 401):
+        # indices come out ascending and distinct without a sort, at every
+        # count the parameters allow: the de-duplication drops none of them
+        params = [EmbeddingParams(n_ref=count) for count in range(1, 121)]
+        for n_valid in range(1, 121):
             for count in range(1, n_valid + 1):
                 refs = chaos._reference_indices(n_valid, params[count - 1])
                 assert refs.dtype == np.int64
