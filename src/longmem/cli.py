@@ -172,9 +172,8 @@ def _acf_options(p: argparse.ArgumentParser) -> None:
         "--method",
         choices=("fft", "direct"),
         default="fft",
-        help="fft (default) or direct, one dot product per lag: its time grows "
-        "as length x max-lag, and at 776 000 samples 4000 lags take about "
-        "13 times as long as by fft",
+        help="fft (default) or direct, one dot product per lag: the cross-check "
+        "of fft, whose time grows as length x max-lag",
     )
     p.add_argument(
         "--band",
@@ -227,7 +226,7 @@ def _lyap_options(p: argparse.ArgumentParser) -> None:
 
 
 def _permtest_options(p: argparse.ArgumentParser) -> None:
-    from .permtest import TAILS
+    from .permtest import _MAX_BLOCKS, _THREADED_MIN_N, TAILS
 
     p.add_argument("--x", required=True, help="first series file")
     group = p.add_mutually_exclusive_group(required=True)
@@ -244,8 +243,8 @@ def _permtest_options(p: argparse.ArgumentParser) -> None:
         type=int,
         default=10000,
         help="number of permutations (default 10000); time grows with "
-        "length x n-perm. From 2048 samples up they run on up to 4 threads, "
-        "one per usable CPU, with the same result on any number",
+        f"length x n-perm. From {_THREADED_MIN_N} samples up they run on up to "
+        f"{_MAX_BLOCKS} threads, one per usable CPU, with the same result on any number",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tail", choices=TAILS, default="two")
@@ -309,8 +308,7 @@ def _load_series(
     """Each file's series and ``inputs`` digest, and the parser's warnings.
 
     A file is read once, as bytes: its digest is that of the bytes on disk,
-    as ``sha256sum`` prints it, and the text parsed is their UTF-8 decoding,
-    less a leading byte-order mark (spreadsheet programs write one).
+    as ``sha256sum`` prints it, and the text parsed is their UTF-8 decoding.
     """
     opts = IngestOptions(
         format=ns.input_format,
@@ -326,11 +324,10 @@ def _load_series(
         except OSError as exc:
             raise ValidationError(f"cannot read {path}: {exc}") from None
         try:
-            text = data.decode("utf-8-sig")
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            # the offset counts from after a byte-order mark; the file's is wanted
-            at = exc.start + len(data) - len(exc.object)
-            raise ParseError(f"{path} is not UTF-8 text: byte {at} is {data[at]:#04x}") from None
+            bad = f"byte {exc.start} is {data[exc.start]:#04x}"
+            raise ParseError(f"{path} is not UTF-8 text: {bad}") from None
         result = _lib.parse(text, opts)
         series.append(result.series)
         inputs.append(

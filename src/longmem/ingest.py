@@ -4,14 +4,14 @@ Three formats are understood:
 
 * ``cpc_table``: the climate-center monthly layout, one row per year with
   13 whitespace-separated tokens (``year v1 .. v12``). Header or caption
-  lines before the first data row are ignored; once data rows begin,
-  malformed rows are errors.
+  lines before the first data row are ignored, but not a row of twelve
+  values with a bad year; once data rows begin, malformed rows are errors.
 * ``csv_pair``: ``YYYY-MM,value`` rows.
 * ``column``: one value per line, no calendar anchor.
 
-Blank lines and ``#`` comment lines are skipped in every layout, before,
-between and after the data rows. ``format="auto"`` picks one of the three
-from the first data-looking line.
+A leading byte-order mark is dropped, and blank and ``#`` comment lines are
+skipped in every layout, before, between and after the data rows.
+``format="auto"`` picks one of the three from the first data-looking line.
 
 Values within 1e-6 of the missing sentinel (default -999.9; a tolerance
 because files are decimal text) are absent, and so are the months a
@@ -124,10 +124,10 @@ def _resolve_gaps(
     return values[:gap], anchor, [truncated]
 
 
-def _data_lines(text: str) -> Iterator[tuple[int, str]]:
+def _data_lines(lines: list[str]) -> Iterator[tuple[int, str]]:
     """``(1-based line number, stripped line)`` of each line that is neither
     blank nor a ``#`` comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line
@@ -141,7 +141,7 @@ def _value(token: str, lineno: int) -> float:
         raise ParseError(f"bad value {token!r}", lineno) from None
 
 
-def _sniff_format(text: str) -> str:
+def _sniff_format(lines: list[str]) -> str:
     """Guess the file layout from its first data-looking line.
 
     When no line matches a layout, the first line that starts like a
@@ -150,7 +150,7 @@ def _sniff_format(text: str) -> str:
     other start is an unsupported layout.
     """
     first_data: tuple[int, str] | None = None
-    for lineno, line in _data_lines(text):
+    for lineno, line in _data_lines(lines):
         left, sep, _ = line.partition(",")
         if sep and left.strip().count("-") == 1:
             return "csv_pair"
@@ -184,17 +184,27 @@ def _sniff_format(text: str) -> str:
     return "cpc_table"
 
 
-def _parse_cpc_table(text: str) -> tuple[list[float], tuple[int, int]]:
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_cpc_table(lines: list[str]) -> tuple[list[float], tuple[int, int]]:
     values: list[float] = []
     start_year: int | None = None
     prev_year: int | None = None
-    for lineno, line in _data_lines(text):
+    for lineno, line in _data_lines(lines):
         tokens = line.split()
         try:
             year = int(tokens[0])
         except ValueError:
-            if prev_year is None:
-                continue  # preamble / caption line
+            if prev_year is None and not (
+                len(tokens) == 13 and all(map(_is_number, tokens[1:]))
+            ):
+                continue  # a caption line, not a year row with a bad year
             raise ParseError(f"expected a year row, got {tokens[0]!r}", lineno)
         if len(tokens) != 13:
             raise ParseError(f"expected 13 tokens (year + 12 values), got {len(tokens)}", lineno)
@@ -214,11 +224,14 @@ def _parse_cpc_table(text: str) -> tuple[list[float], tuple[int, int]]:
     return values, (start_year, 1)
 
 
-def _parse_csv_pair(text: str) -> tuple[list[int], list[float]]:
-    """The month number and the value of each row."""
-    months: list[int] = []
+def _parse_csv_pair(
+    lines: list[str], sentinel: float
+) -> tuple[list[float], tuple[int, int] | None]:
+    """Each month's value from the first row's month on, and that month; a
+    month the file skips holds ``sentinel``, so it is absent too."""
     values: list[float] = []
-    for lineno, line in _data_lines(text):
+    first, last = None, 0
+    for lineno, line in _data_lines(lines):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise ParseError(f"expected 'YYYY-MM,value', got {line!r}", lineno)
@@ -227,22 +240,18 @@ def _parse_csv_pair(text: str) -> tuple[list[int], list[float]]:
             raise ParseError(f"bad date {parts[0]!r}", lineno)
         value = _value(parts[1], lineno)
         month = month_number(date)
-        if months and month <= months[-1]:
+        if first is None:
+            first, last = date, month - 1
+        elif month <= last:
             raise ParseError("dates must be strictly increasing", lineno)
-        months.append(month)
+        values += [sentinel] * (month - last - 1)
         values.append(value)
-    if not months:
-        raise ParseError("no data rows found")
-    return months, values
+        last = month
+    return values, first
 
 
-def _parse_column(text: str) -> list[float]:
-    values: list[float] = []
-    for lineno, line in _data_lines(text):
-        values.append(_value(line, lineno))
-    if not values:
-        raise ParseError("no data rows found")
-    return values
+def _parse_column(lines: list[str]) -> list[float]:
+    return [_value(line, lineno) for lineno, line in _data_lines(lines)]
 
 
 def select_range(
@@ -272,20 +281,20 @@ def parse(text: str, opts: IngestOptions) -> ParseResult:
     selection, when requested, is applied after gap resolution and is
     inclusive on both ends.
     """
+    text = text.removeprefix("\ufeff")  # spreadsheet programs write a byte-order mark
     if not text.strip():
         raise ValidationError("document is empty")
-    fmt = _sniff_format(text) if opts.format == "auto" else opts.format
-    anchor: tuple[int, int] | None = None
+    lines = text.splitlines()
+    fmt = _sniff_format(lines) if opts.format == "auto" else opts.format
     if fmt == "cpc_table":
-        raw, anchor = _parse_cpc_table(text)
+        raw, anchor = _parse_cpc_table(lines)
     elif fmt == "csv_pair":
-        months, rows = _parse_csv_pair(text)
-        anchor = calendar_month(months[0])
-        # a month the file skips holds the sentinel, so it is absent too
-        raw = np.full(months[-1] - months[0] + 1, opts.missing_sentinel, dtype=float)
-        raw[np.asarray(months) - months[0]] = rows
+        raw, anchor = _parse_csv_pair(lines, opts.missing_sentinel)
     else:
-        raw = _parse_column(text)
+        raw, anchor = _parse_column(lines), None
+    del lines  # held on while the values are built, they would raise the peak
+    if not raw:
+        raise ParseError("no data rows found")
     values = np.asarray(raw, dtype=float)
     # the sentinel is finite, so nan and inf are never absent; a difference
     # that overflows is inf and so not absent either

@@ -253,7 +253,9 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         capsys.readouterr()
 
-    def test_help_lists_every_subcommand_and_library_choice(self, capsys):
+    def test_help_lists_every_subcommand_and_library_choice(self, capsys, monkeypatch):
+        from longmem import permtest
+
         # a run adds only its own subcommand's options; help must not show it
         assert main(["--help"]) == 0
         assert "{stats,acf,hurst,suite,lyap,permtest,gen}" in capsys.readouterr().out
@@ -262,8 +264,35 @@ class TestExitCodes:
         assert "--kind {" + ",".join(KINDS) + "}" in gen_help
         for name, text in PARAMS.items():  # "--h H fgn: target h in (0, 1)"
             assert f"--{name} {name.upper()} {text}" in gen_help
+        # the --n-perm help states permtest's threading constants, patched here
+        monkeypatch.setattr(permtest, "_THREADED_MIN_N", 3000)
+        monkeypatch.setattr(permtest, "_MAX_BLOCKS", 6)
         assert main(["permtest", "--help"]) == 0
-        assert "--tail {" + ",".join(TAILS) + "}" in capsys.readouterr().out
+        permtest_help = " ".join(capsys.readouterr().out.split())
+        assert "--tail {" + ",".join(TAILS) + "}" in permtest_help
+        assert "From 3000 samples up they run on up to 6 threads" in permtest_help
+
+    @pytest.mark.parametrize(
+        "args, value",
+        [(["acf", "--max-lag", "5", "--band", "1-2"], "1-2"), (["lyap", "--fit", "1-4"], "1-4")],
+        ids=["acf band", "lyap fit"],
+    )
+    def test_bad_integer_pair_exits_two(self, tmp_path, capsys, args, value):
+        path = gen_file(tmp_path, "w.txt", n=64)
+        assert main([args[0], "--input", path, *args[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"expected LO:HI integers, got {value!r}" in captured.err
+
+    @pytest.mark.parametrize("year", ["1951.0", "l951"])
+    def test_malformed_first_year_row_exits_two(self, tmp_path, capsys, year):
+        # twelve values after a bad year are a year row, not a caption to skip
+        values = " 0.1 0.2 0.3 0.4 0.5 0.6 0.7 0.8 0.9 1.0 1.1 1.2\n"
+        path = write(tmp_path, "bad.txt", f"{year}{values}1952{values}")
+        assert main(["stats", "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line 1: expected a year row, got {year!r}\n"
 
     def test_malformed_table_exits_two(self, tmp_path, capsys):
         path = write(
@@ -392,12 +421,18 @@ class TestExitCodes:
             (["lyap", "--grid", ""], "bad grid axis ''"),
             (["lyap", "--grid", "eps=0.3,0.30"], "grid axis 'eps' repeats a value"),
             (["lyap", "--grid", "m=2,3;refs=50,050"], "grid axis 'refs' repeats a value"),
+            (["lyap", "--grid", "m=a"], "bad grid values in 'm=a'"),
+            (["lyap", "--grid", "m="], "empty grid axis 'm='"),
+            # the curve file is written before the envelope, so nothing is printed
+            (["acf", "--max-lag", "5", "--out", "missing/c.txt"], "cannot write missing/c.txt"),
         ],
         ids=["resolution inf", "resolution 1e-300", "range month 13", "dt inf", "dt 1e-320",
              "eps inf", "grid eps inf", "grid eps nan", "grid axis twice", "grid empty",
-             "grid eps value twice", "grid refs value twice"],
+             "grid eps value twice", "grid refs value twice", "grid bad value",
+             "grid axis without values", "out in a missing directory"],
     )
-    def test_refused_parameter_exits_three(self, tmp_path, capsys, args, message):
+    def test_refused_parameter_exits_three(self, tmp_path, capsys, monkeypatch, args, message):
+        monkeypatch.chdir(tmp_path)  # relative paths resolve in the test's directory
         path = gen_file(tmp_path, "log.txt", kind="logistic", n=2000)
         if "--range" in args:
             path = write(tmp_path, "soi.txt", CPC_TEXT)

@@ -15,6 +15,7 @@ from longmem import (
     serialize_column,
 )
 from longmem.errors import WARN_RANGE_CLIPPED, WARN_TRUNCATED_AT_GAP
+from longmem.ingest import FORMATS
 
 ROW_2014 = "2014  0.1  0.2  0.3  0.4  0.5  0.6  0.7  0.8  0.9  1.0  1.1  1.2"
 ROW_2015 = "2015  1.3  1.4  1.5  1.6  1.7  1.8  1.9  2.0  -999.9 -999.9 -999.9 -999.9"
@@ -37,10 +38,22 @@ class TestCpcTable:
         assert result.warnings == ()
 
     def test_preamble_lines_skipped(self):
-        text = "STANDARDIZED DATA\n(BASE 1951-2015)\nYEAR JAN ...\n" + ROW_2014
+        # the header has 13 words, as a year row has 13 tokens
+        header = "YEAR JAN FEB MAR APR MAY JUN JUL AUG SEP OCT NOV DEC"
+        text = f"STANDARDIZED DATA\n(BASE 1951-2015)\n{header}\n{ROW_2014}"
         ts = cpc(text).series
         assert len(ts) == 12
         assert ts.start == (2014, 1)
+
+    @pytest.mark.parametrize("fmt", ["cpc_table", "auto"])
+    @pytest.mark.parametrize("year", ["1951.0", "l951"])
+    def test_malformed_first_year_row_is_refused_not_skipped(self, fmt, year):
+        # a row of twelve values is no caption: skipped, it would lose a year
+        values = ROW_2014.split(maxsplit=1)[1]
+        text = f"{year} {values}\n1952 {values}\n"
+        with pytest.raises(ParseError) as err:
+            parse(text, IngestOptions(format=fmt))
+        assert str(err.value) == f"line 1: expected a year row, got {year!r}"
 
     def test_malformed_row_after_data_reports_line(self):
         text = ROW_2014 + "\nnot-a-year 1 2 3\n"
@@ -407,6 +420,39 @@ class TestSniffing:
         with pytest.raises(ParseError) as err:
             auto("CAPTION\n(STANDARDIZED DATA)\n")
         assert str(err.value) == "no data rows found"
+
+
+def outcome(text, opts):
+    result = parse(text, opts)
+    return result.series.values.tobytes(), result.series.start, result.warnings
+
+
+class TestByteOrderMark:
+    """A leading U+FEFF, which spreadsheet programs write, is not part of the text."""
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["auto", "explicit"])
+    @pytest.mark.parametrize(
+        "layout, text, kwargs",
+        [
+            ("cpc_table", f"{ROW_2014}\n{ROW_2015}\n", {"range": ((2014, 1), (2015, 12))}),
+            ("cpc_table", f"SOI\n\n{ROW_2014}\n{ROW_2015}\n", {}),
+            ("csv_pair", "1951-01,1.5\n1951-02,0.7\n1951-04,0.2\n",
+             {"on_gap": "truncate_at_first_gap"}),
+            ("column", "1.0\n-999.9\n2.0\n", {"on_gap": "truncate_at_first_gap"}),
+            ("column", "# monthly index\n1.0\n2.0\n", {}),
+        ],
+        ids=["cpc_table", "cpc_table captioned", "csv_pair", "column", "comment first"],
+    )
+    def test_marked_text_parses_as_text(self, explicit, layout, text, kwargs):
+        opts = IngestOptions(format=layout if explicit else "auto", **kwargs)
+        assert outcome("\ufeff" + text, opts) == outcome(text, opts)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_mark_and_whitespace_is_an_empty_document(self, fmt):
+        with pytest.raises(ValidationError) as err:
+            parse("\ufeff \n\t\n", IngestOptions(format=fmt))
+        assert type(err.value) is ValidationError
+        assert str(err.value) == "document is empty"
 
 
 class TestOptionsValidation:
