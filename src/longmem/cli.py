@@ -46,7 +46,6 @@ from . import __getattr__ as _package_lookup
 from .core import TimeSeries, parse_month
 from .errors import (
     WARN_EPS_TOO_SMALL,
-    WARN_SKIPPED_BLOCKS,
     EpsTooSmallError,
     NumericError,
     ParseError,
@@ -328,15 +327,11 @@ def _load_series(
         except UnicodeDecodeError as exc:
             bad = f"byte {exc.start} is {data[exc.start]:#04x}"
             raise ParseError(f"{path} is not UTF-8 text: {bad}") from None
+        digest = hashlib.sha256(data).hexdigest()
+        del data  # held on while the text is parsed, the bytes would raise the peak
         result = _lib.parse(text, opts)
         series.append(result.series)
-        inputs.append(
-            {
-                "path": path,
-                "sha256": hashlib.sha256(data).hexdigest(),
-                "rows": len(result.series),
-            }
-        )
+        inputs.append({"path": path, "sha256": digest, "rows": len(result.series)})
         warnings.extend(result.warnings)
     return series, inputs, warnings
 
@@ -472,13 +467,7 @@ def _cmd_hurst(ns) -> _Report:
     table = _lib.rs_table(series, min_window=ns.min_window)
     estimate = _lib.fit_h(table, weighted=ns.weighted)
     warnings.extend(estimate.warnings)
-    if table.skipped_blocks:
-        warnings.append(
-            WarningRecord(
-                code=WARN_SKIPPED_BLOCKS,
-                message=f"{table.skipped_blocks} zero-variance blocks skipped",
-            )
-        )
+    warnings.extend(table.warnings)
     results = asdict(estimate)
     del results["warnings"]  # reported with the run's other warnings
     results["skipped_blocks"] = table.skipped_blocks

@@ -20,12 +20,14 @@ empirical statistic against this i.i.d. expectation removes the strong
 positive small-sample bias of the raw fit.
 
 Every R/S value comes from one pass per block length over all of that
-length's blocks, laid out as the rows of a matrix. Each row is centred
-once: its standard deviation and the range of its running sums are both
-read off the same centred values, with the arithmetic of ``np.std`` and
-``rs_statistic``, so the values are bit-identical to a per-block loop.
-The suite's divisor ladder and the expectations on it depend only on the
-series length, and a small cache keeps them for the lengths used last.
+length's blocks, laid out as the rows of a matrix; ``rs_statistic`` is
+that pass on one block. Each row is centred once: its standard deviation
+and the range of its running sums are both read off the same centred
+values, with the arithmetic of ``np.std``, so the values are
+bit-identical to a per-block loop. Every exponent comes from one log-log
+line fit. The suite's divisor ladder and the expectations on it depend
+only on the series length, and a small cache keeps them for the lengths
+used last.
 
 Related fractal quantities: a process with exponent h has fractal
 dimension 1/h, and its successive increments are correlated with
@@ -43,7 +45,13 @@ import numpy as np
 
 from . import _EXPORTS
 from .core import TimeSeries, _integer, _moments, _real, _weighted_line_fit, sample_values
-from .errors import WARN_H_OUT_OF_RANGE, NumericError, ValidationError, WarningRecord
+from .errors import (
+    WARN_H_OUT_OF_RANGE,
+    WARN_SKIPPED_BLOCKS,
+    NumericError,
+    ValidationError,
+    WarningRecord,
+)
 
 __all__ = list(_EXPORTS["hurst"])
 
@@ -72,11 +80,13 @@ class RsTable:
 
     ``skipped_blocks`` counts the blocks whose values are all equal (or
     whose variance comes out exactly 0), which were excluded from their
-    scale's aggregate (flat stretches in real data).
+    scale's aggregate (flat stretches in real data). When it is positive,
+    ``warnings`` holds one ``SKIPPED_BLOCKS`` record that says so.
     """
 
     points: tuple[RsPoint, ...]
     skipped_blocks: int = 0
+    warnings: tuple[WarningRecord, ...] = ()
 
     def __iter__(self):
         return iter(self.points)
@@ -127,18 +137,17 @@ def rs_statistic(x: TimeSeries | Sequence[float] | np.ndarray) -> float:
     """Rescaled adjusted range R/S of one block.
 
     R is the range of the mean-adjusted partial sums, S the sample
-    standard deviation (n-1 divisor). Raises ``NumericError`` on a
+    standard deviation (n-1 divisor): the block pass of ``rs_table`` with
+    the whole block as its one block. Raises ``NumericError`` on a
     constant block, where S vanishes.
     """
     arr = sample_values(x)
     if arr.size < 2:
         raise ValidationError("rs_statistic requires a block of length >= 2")
-    _, centred, variance, flat = _moments(arr)
-    if flat.size:
+    values, skipped = _block_rs_values(arr, arr.size)
+    if skipped:
         raise NumericError("rescaled range undefined for a constant block")
-    deviations = np.cumsum(centred)
-    r = np.max(deviations) - np.min(deviations)
-    return float(r / np.sqrt(variance))
+    return float(values[0])
 
 
 def _block_rs_values(x: np.ndarray, window: int) -> tuple[np.ndarray, int]:
@@ -147,11 +156,9 @@ def _block_rs_values(x: np.ndarray, window: int) -> tuple[np.ndarray, int]:
     One row-wise pass over the blocks laid out as the rows of a
     (blocks, window) matrix, which centres each block once: S is taken
     from the centred rows, and the range from their running sums, written
-    over the same buffer. Each row goes through the arithmetic of
-    ``rs_statistic`` on that block, so the values are bit-identical to it.
-    Constant rows, by ``core._moments``' rule, are dropped, by a copy only
-    when there is one. Returns the values of the other blocks and the
-    count of skipped (constant) blocks.
+    over the same buffer. Constant rows, by ``core._moments``' rule, are
+    dropped, by a copy only when there is one. Returns the values of the
+    other blocks and the count of skipped (constant) blocks.
     """
     nb = x.size // window
     _, deviations, variance, flat = _moments(x[: nb * window].reshape(nb, window))
@@ -230,7 +237,9 @@ def rs_table(
     points, skipped_total = _rs_points(x, windows)
     if not points:
         raise NumericError("no block had positive variance; series is constant")
-    return RsTable(points=tuple(points), skipped_blocks=skipped_total)
+    message = f"{skipped_total} zero-variance blocks skipped"
+    warnings = (WarningRecord(WARN_SKIPPED_BLOCKS, message),) if skipped_total else ()
+    return RsTable(points=tuple(points), skipped_blocks=skipped_total, warnings=warnings)
 
 
 def fit_h(points: RsTable | Iterable[RsPoint], weighted: bool = False) -> HurstEstimate:
@@ -241,22 +250,21 @@ def fit_h(points: RsTable | Iterable[RsPoint], weighted: bool = False) -> HurstE
     scatter (single block) receive the largest finite weight present.
     Exponents outside (0, 1.5) are reported with a warning, not clamped:
     trending or otherwise non-stationary input legitimately produces them
-    and the value is diagnostic.
+    and the value is diagnostic. ``RsTable.warnings`` are not repeated
+    in the estimate's.
     """
     pts = tuple(points.points if isinstance(points, RsTable) else points)
     if len({p.window for p in pts}) < 3:
         raise ValidationError("fit requires at least 3 points with distinct windows")
-    x = np.log2([p.window for p in pts])
-    y = np.log2([p.mean_rs for p in pts])
+    windows, means, stds = _columns(pts)
     weights = None  # unit weights, as when no scale has scatter
     if weighted:
-        stds = np.asarray([p.std_rs for p in pts])
         nonzero = stds > 0.0
         if nonzero.any():
             weights = np.empty(len(pts))
             weights[nonzero] = 1.0 / stds[nonzero] ** 2
-            weights[~nonzero] = np.max(weights[nonzero])
-    slope, _, std_err, r_squared = _weighted_line_fit(x, y, weights)
+            weights[~nonzero] = weights[nonzero].max()
+    slope, _, std_err, r_squared = _log_fit(windows, means, weights)
     warnings = []
     if not 0.0 < slope < 1.5:
         warnings.append(
@@ -276,6 +284,22 @@ def fit_h(points: RsTable | Iterable[RsPoint], weighted: bool = False) -> HurstE
         points_used=len(pts),
         warnings=tuple(warnings),
     )
+
+
+def _columns(points: Sequence[RsPoint]) -> np.ndarray:
+    """Windows, mean R/S and their scatter of ``points``, as three float rows."""
+    return np.array([(p.window, p.mean_rs, p.std_rs) for p in points]).reshape(-1, 3).T
+
+
+def _log_fit(windows: np.ndarray, values: np.ndarray, weights: np.ndarray | None = None):
+    """The R/S layer's one line fit: log2(values) on log2(windows).
+
+    Returns ``core._weighted_line_fit``'s (slope, intercept, slope
+    standard error, r_squared); fewer than 3 points raise ``NumericError``.
+    """
+    if windows.size < 3:
+        raise NumericError("fewer than 3 usable scales; series may be degenerate")
+    return _weighted_line_fit(np.log2(windows), np.log2(values), weights)
 
 
 def _where_defined(quantity, h: float) -> float | None:
@@ -303,14 +327,6 @@ def expected_rescaled_range(window: int) -> float:
         return scaled / math.sqrt(0.5 * math.pi * w)
     prefactor = math.exp(math.lgamma(0.5 * (w - 1)) - math.lgamma(0.5 * w))
     return prefactor * scaled / math.sqrt(math.pi)
-
-
-def _log_slope(windows: Sequence[int], values: Sequence[float]) -> float:
-    if len(windows) < 3:
-        raise NumericError("fewer than 3 usable scales; series may be degenerate")
-    x = np.log2(np.asarray(windows, dtype=float))
-    y = np.log2(np.asarray(values, dtype=float))
-    return _weighted_line_fit(x, y)[0]
 
 
 def _halving_ladder(n: int) -> list[int]:
@@ -390,24 +406,18 @@ def hurst_suite(ts: TimeSeries | np.ndarray) -> HurstSuite:
     if n < 32:
         raise ValidationError(f"hurst_suite requires at least 32 samples, got {n}")
 
-    simple, _ = _rs_points(x, _halving_ladder(n))
-    h_simple = _log_slope([p.window for p in simple], [p.mean_rs for p in simple])
+    windows, means, _ = _columns(_rs_points(x, _halving_ladder(n))[0])
+    h_simple = _log_fit(windows, means)[0]
 
-    opt_n, ladder, ladder_expected = _suite_ladder(n)
-    points, _ = _rs_points(x[n - opt_n :], ladder)
-    windows = [p.window for p in points]
-    mean_arr = np.asarray([p.mean_rs for p in points])
-    expected_of = dict(zip(ladder, ladder_expected))
-    expected = np.asarray([expected_of[w] for w in windows])
-    w_arr = np.asarray(windows, dtype=float)
-
-    h_empirical = _log_slope(windows, mean_arr)
-    h_theoretical = _log_slope(windows, expected)
-    corrected = mean_arr - expected + np.sqrt(0.5 * math.pi * w_arr)
+    opt_n, ladder, expected = _suite_ladder(n)
+    windows, means, _ = _columns(_rs_points(x[n - opt_n :], ladder)[0])
+    # the ladder ascends; keep the expectations of the windows with a varying block
+    expected = np.array(expected)[np.array(ladder).searchsorted(windows)]
+    h_empirical = _log_fit(windows, means)[0]
+    h_theoretical = _log_fit(windows, expected)[0]
+    corrected = means - expected + np.sqrt(0.5 * math.pi * windows)
     usable = corrected > 0.0
-    h_corrected_rs = _log_slope(
-        [w for w, u in zip(windows, usable) if u], corrected[usable]
-    )
+    h_corrected_rs = _log_fit(windows[usable], corrected[usable])[0]
     return HurstSuite(
         h_simple=h_simple,
         h_corrected_rs=h_corrected_rs,

@@ -155,38 +155,29 @@ def _sniff_format(lines: list[str]) -> str:
         if sep and left.strip().count("-") == 1:
             return "csv_pair"
         tokens = line.split()
-        if len(tokens) == 13:
-            try:
-                int(tokens[0])
-                return "cpc_table"
-            except ValueError:
-                pass
-        if len(tokens) == 1:
-            try:
-                float(tokens[0])
-                return "column"
-            except ValueError:
-                pass
+        if len(tokens) == 13 and _is_number(tokens[0], int):
+            return "cpc_table"
+        if len(tokens) == 1 and _is_number(tokens[0]):
+            return "column"
         if first_data is None and _NUMBER_START_RE.match(line):
             first_data = lineno, tokens[0]
     if first_data is None:
         raise ParseError("no data rows found")
     lineno, token = first_data
-    try:
-        int(token)
-    except ValueError:
+    if not _is_number(token, int):
         raise ParseError(
             f"unsupported layout starting {token!r}; expected cpc_table rows "
             "'YEAR v1 .. v12', csv_pair rows 'YYYY-MM,value' or a column "
             "of one value per line",
             lineno,
-        ) from None
+        )
     return "cpc_table"
 
 
-def _is_number(token: str) -> bool:
+def _is_number(token: str, kind: type = float) -> bool:
+    """Whether ``kind(token)``, ``float`` or ``int``, reads ``token``."""
     try:
-        float(token)
+        kind(token)
     except ValueError:
         return False
     return True

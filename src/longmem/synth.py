@@ -219,11 +219,10 @@ def generate(spec: GenSpec) -> TimeSeries:
         steps = itertools.accumulate(eps[1:].tolist(), lambda v, e: phi * v + e, initial=x0)
         values = np.fromiter(steps, dtype=float, count=n)
     elif kind == "logistic":
-        r, x = spec.r, spec.x0
-        values = np.empty(n)
-        for t in range(n):
-            x = r * x * (1.0 - x)
-            values[t] = x
+        r = spec.r
+        steps = itertools.accumulate(range(n), lambda x, _: r * x * (1.0 - x), initial=spec.x0)
+        next(steps)  # x0 itself is not an output
+        values = np.fromiter(steps, dtype=float, count=n)
     else:  # sine
         values = np.sin(2.0 * np.pi * np.arange(n) / spec.period)
     label = f"synthetic {kind} (n={n}, seed={spec.seed})"

@@ -326,6 +326,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: line 1: unsupported layout starting '1951/01,1.0'")
 
+    @pytest.mark.parametrize("fmt", ["auto", "csv_pair"])
+    def test_csv_row_with_three_fields_exits_two(self, tmp_path, capsys, fmt):
+        path = write(tmp_path, "three.csv", "1951-01,1.0\n1951-02,2.0,3.0\n")
+        assert main(["stats", "--input", path, "--input-format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: line 2: expected 'YYYY-MM,value', got '1951-02,2.0,3.0'\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["column", "csv_pair"])
+    def test_comment_only_document_exits_two(self, tmp_path, capsys, fmt):
+        path = write(tmp_path, "empty.txt", "# monthly index\n\n# no rows yet\n")
+        assert main(["stats", "--input", path, "--input-format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no data rows found\n"
+
     def test_missing_file_exits_three(self, tmp_path, capsys):
         assert main(["stats", "--input", str(tmp_path / "nope.txt")]) == 3
         capsys.readouterr()
@@ -423,13 +441,14 @@ class TestExitCodes:
             (["lyap", "--grid", "m=2,3;refs=50,050"], "grid axis 'refs' repeats a value"),
             (["lyap", "--grid", "m=a"], "bad grid values in 'm=a'"),
             (["lyap", "--grid", "m="], "empty grid axis 'm='"),
+            (["hurst", "--min-window", "1"], "min_window must be at least 2"),
             # the curve file is written before the envelope, so nothing is printed
             (["acf", "--max-lag", "5", "--out", "missing/c.txt"], "cannot write missing/c.txt"),
         ],
         ids=["resolution inf", "resolution 1e-300", "range month 13", "dt inf", "dt 1e-320",
              "eps inf", "grid eps inf", "grid eps nan", "grid axis twice", "grid empty",
              "grid eps value twice", "grid refs value twice", "grid bad value",
-             "grid axis without values", "out in a missing directory"],
+             "grid axis without values", "hurst min-window 1", "out in a missing directory"],
     )
     def test_refused_parameter_exits_three(self, tmp_path, capsys, monkeypatch, args, message):
         monkeypatch.chdir(tmp_path)  # relative paths resolve in the test's directory
@@ -731,6 +750,19 @@ class TestWarnings:
         assert results["h"] < 0.0
         assert results["fractal_dimension"] is None
         assert results["fractal_correlation"] is None
+
+    def test_fit_warning_comes_before_the_tables(self, tmp_path, capsys):
+        # a sine of period 3 whose last block of 8 is flat fits h = -0.068
+        x = generate(GenSpec(kind="sine", n=776, period=3.0)).values.copy()
+        x[-8:] = x[:-8].mean()
+        path = write(tmp_path, "s.txt", "".join(f"{v!r}\n" for v in x.tolist()))
+        _, as_json = run(capsys, "hurst", "--input", path, "--format", "json")
+        assert [(w["code"], w["message"][:16]) for w in json.loads(as_json)["warnings"]] == [
+            ("H_OUT_OF_RANGE", "fitted exponent "),
+            ("SKIPPED_BLOCKS", "1 zero-variance "),
+        ]
+        _, table = run(capsys, "hurst", "--input", path)
+        assert table.index("[H_OUT_OF_RANGE]") < table.index("[SKIPPED_BLOCKS]")
 
 
 class TestFormatsAndRange:

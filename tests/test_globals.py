@@ -1,6 +1,7 @@
 """Checks over the package's source: every global name a function reads is
-bound in its module, every inner product is ``core._dot``, and only
-``permtest._keyed`` builds or re-keys a Philox generator."""
+bound in its module, every inner product is ``core._dot``, only
+``permtest._keyed`` builds or re-keys a Philox generator, and the R/S
+layer has one line fit and the one home of its skipped-block warning."""
 
 import ast
 import builtins
@@ -161,3 +162,42 @@ def test_keyed_itself_is_exempt_and_reading_state_is_not_found():
     source = "s = g.state\ndef _keyed(seed):\n    g.state = {}\n    return Philox(seed)\n"
     assert spelled(source, "_keyed", is_philox) == []
     assert spelled(source, None, is_philox) == [3, 4]
+
+
+def is_name(name: str):
+    """``found`` for ``spelled``: ``name`` as a name, an attribute or an import."""
+
+    def found(node: ast.AST) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id == name
+        if isinstance(node, ast.Attribute):
+            return node.attr == name
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            return any(alias.name.split(".")[-1] == name for alias in node.names)
+        return False
+
+    return found
+
+
+def is_call_of(name: str):
+    """``found`` for ``spelled``: a call of ``name``, bare or as an attribute."""
+    named = is_name(name)
+    return lambda node: isinstance(node, ast.Call) and named(node.func)
+
+
+def package_source(name: str) -> str:
+    return (Path(longmem.__file__).parent / name).read_text(encoding="utf-8")
+
+
+def test_hurst_fits_every_exponent_in_one_place():
+    assert len(spelled(package_source("hurst.py"), None, is_call_of("_weighted_line_fit"))) == 1
+
+
+def test_cli_leaves_the_skipped_block_warning_to_rs_table():
+    assert spelled(package_source("cli.py"), None, is_name("WARN_SKIPPED_BLOCKS")) == []
+
+
+def test_calls_and_names_are_found():
+    source = "from .errors import (\n    f,\n)\na = f(x)\nb = m.f(y)\nc = f\n"
+    assert sorted(spelled(source, None, is_call_of("f"))) == [4, 5]
+    assert sorted(spelled(source, None, is_name("f"))) == [1, 4, 5, 6]

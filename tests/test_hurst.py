@@ -28,6 +28,7 @@ from longmem import hurst
 from longmem.core import _moments
 from longmem.hurst import (
     WARN_H_OUT_OF_RANGE,
+    WARN_SKIPPED_BLOCKS,
     _block_rs_values,
     _divisor_ladder,
     _rs_points,
@@ -115,6 +116,24 @@ class TestRsTable:
     def test_too_short_rejected(self):
         with pytest.raises(ValidationError):
             rs_table(series(np.arange(10.0)), min_window=8)
+
+    @pytest.mark.parametrize("min_window", [1, 0, -8])
+    def test_min_window_below_two_rejected(self, min_window):
+        x = generate(GenSpec(kind="white", n=64, seed=3)).values
+        with pytest.raises(ValidationError, match="^min_window must be at least 2$"):
+            rs_table(x, min_window=min_window)
+
+    # a flat head of 24 is three blocks of 8 and one of 16
+    @pytest.mark.parametrize("flat, skipped", [(0, 0), (8, 1), (24, 4)])
+    def test_warns_exactly_when_blocks_are_skipped(self, flat, skipped):
+        x = generate(GenSpec(kind="white", n=64, seed=5)).values.copy()
+        x[:flat] = 0.5
+        table = rs_table(x)
+        assert table.skipped_blocks == skipped
+        want = [(WARN_SKIPPED_BLOCKS, f"{skipped} zero-variance blocks skipped")] * (skipped > 0)
+        assert [(w.code, w.message) for w in table.warnings] == want
+        # the fit does not repeat the table's warning
+        assert WARN_SKIPPED_BLOCKS not in [w.code for w in fit_h(table).warnings]
 
     def test_scheme_bounds_checked(self):
         ts = series(np.random.default_rng(1).standard_normal(64))
@@ -273,6 +292,11 @@ class TestSingleCentringOracle:
             values, skipped = _block_rs_values(x, w)
             want_values, want_skipped = two_pass_block_rs_values(x, w)
             assert (values.tobytes(), skipped) == (want_values.tobytes(), want_skipped), w
+        if want_skipped:
+            with pytest.raises(NumericError):
+                rs_statistic(x)
+        else:  # rs_statistic is the pass at w = n
+            assert rs_statistic(x).hex() == want_values[0].hex()
         for scheme in (None, [2, 3, n]):
             table = rs_table(x, scheme=scheme)
             windows = [p.window for p in table] if scheme is None else scheme
@@ -354,6 +378,23 @@ class TestSuiteLadderCache:
         with pytest.raises(TypeError):
             expected[0] = 0.0
         assert _suite_ladder(4096) == (opt_n, ladder, expected)
+
+    def test_a_window_without_a_varying_block_drops_its_expectation(self):
+        n = 1000
+        opt_n, ladder, _ = _suite_ladder(n)
+        step = ladder[1]  # every block of this window is flat, of no other
+        levels = generate(GenSpec(kind="white", n=opt_n // step, seed=2)).values
+        x = np.concatenate([np.arange(n - opt_n, dtype=float), np.repeat(levels, step)])
+        kept = [p.window for p in rs_table(x[n - opt_n :], scheme=ladder)]
+        assert kept == [w for w in ladder if w != step]
+
+        def theoretical(windows):
+            expected = [expected_rescaled_range(w) for w in windows]
+            return np.polyfit(np.log2(windows), np.log2(expected), 1)[0]
+
+        h = hurst_suite(x).h_theoretical
+        assert h == pytest.approx(theoretical(kept), abs=1e-12)
+        assert h != pytest.approx(theoretical(ladder), abs=1e-6)
 
     def test_cache_is_bounded(self):
         maxsize = _suite_ladder.cache_info().maxsize

@@ -167,6 +167,19 @@ class TestCsvPair:
         text = "# header\n\n1951-01,1.0\n1951-02,2.0\n"
         assert len(parse(text, self.opts()).series) == 2
 
+    @pytest.mark.parametrize("fmt", ["auto", "csv_pair"])
+    def test_row_with_three_fields_rejected(self, fmt):
+        with pytest.raises(ParseError) as err:
+            parse("1951-01,1.0\n1951-02,2.0,3.0\n", IngestOptions(format=fmt))
+        assert str(err.value) == "line 2: expected 'YYYY-MM,value', got '1951-02,2.0,3.0'"
+
+
+@pytest.mark.parametrize("fmt", ["column", "csv_pair"])
+def test_comment_only_document_has_no_data_rows(fmt):
+    with pytest.raises(ParseError) as err:
+        parse("# monthly index\n\n# no rows yet\n", IngestOptions(format=fmt))
+    assert str(err.value) == "no data rows found"
+
 
 class TestColumn:
     def opts(self, **kwargs):
