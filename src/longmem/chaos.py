@@ -42,6 +42,7 @@ can therefore dip at steps dominated by ties.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -350,12 +351,12 @@ def lyap_fit(curve: DivergenceCurve, start: int, end: int, dt: float = 1.0) -> L
     A ``dt`` so small that this rate overflows is refused.
     """
     start, end, dt = _checked_fit(start, end, dt, curve.s_values.size)
-    if np.any(curve.ref_counts[start : end + 1] == 0):
+    if (curve.ref_counts[start : end + 1] == 0).any():
         raise ValidationError("fit range includes steps with no surviving reference")
     delta = np.arange(start, end + 1, dtype=float)
     slope, _, _, r_squared = _weighted_line_fit(delta, curve.s_values[start : end + 1])
     lambda1 = slope / dt
-    if not np.isfinite(lambda1):
+    if not math.isfinite(lambda1):
         raise ValidationError(f"dt {dt!r} is too small: slope {slope!r} / dt overflows")
     return LyapunovFit(
         lambda1=lambda1,

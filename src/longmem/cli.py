@@ -489,7 +489,7 @@ def _cmd_suite(ns) -> _Report:
 
 
 def _parse_grid(spec: str) -> list[dict]:
-    axes: list[tuple[str, list]] = []
+    axes: dict[str, list] = {}  # EmbeddingParams field -> its values
     for part in spec.split(";"):
         name, sep, raw = part.partition("=")
         name = name.strip()
@@ -499,7 +499,7 @@ def _parse_grid(spec: str) -> list[dict]:
                 f"{', '.join(sorted(_GRID_FIELDS))}"
             )
         field, cast, _ = _GRID_FIELDS[name]
-        if any(field == seen for seen, _ in axes):
+        if field in axes:
             raise ValidationError(f"grid axis {name!r} given twice")
         try:
             values = [cast(v) for v in raw.split(",") if v.strip()]
@@ -509,12 +509,8 @@ def _parse_grid(spec: str) -> list[dict]:
             raise ValidationError(f"empty grid axis {part!r}")
         if len(set(values)) < len(values):
             raise ValidationError(f"grid axis {name!r} repeats a value in {part!r}")
-        axes.append((field, values))
-    names = [name for name, _ in axes]
-    return [
-        dict(zip(names, combo))
-        for combo in itertools.product(*(values for _, values in axes))
-    ]
+        axes[field] = values
+    return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
 
 
 def _cmd_lyap(ns) -> _Report:
@@ -531,6 +527,8 @@ def _cmd_lyap(ns) -> _Report:
         _checked_length(len(series), params)
         if ns.fit is not None:
             _checked_fit(*ns.fit, ns.dt, params.s)
+    # each combination adds one block to each output: a blank line, its
+    # header, then its error or its curve; the first blank is cut at the end
     payloads, lines, curve_lines, failures = [], [], [], []
     for params in grid:
         payload = {
@@ -544,21 +542,20 @@ def _cmd_lyap(ns) -> _Report:
                 "k_min": params.k_min,
             },
         }
-        header = "# " + " ".join(
+        label = " ".join(
             f"{name}={getattr(params, field)}" for name, (field, *_) in _GRID_FIELDS.items()
         )
-        lines.append(header)
-        if len(overrides) > 1:
-            curve_lines.append(header)
+        lines += ["", f"# {label}"]
+        curve_lines.append("")
+        if len(grid) > 1:
+            curve_lines.append(f"# {label}")
         try:
             curve = _lib.lyap_k(series, params)
         except EpsTooSmallError as exc:
             # one radius too small for this combination spoils only its curve
             failures.append(exc)
             payload["error"] = str(exc)
-            warnings.append(
-                WarningRecord(code=WARN_EPS_TOO_SMALL, message=f"{header[2:]}: {exc}")
-            )
+            warnings.append(WarningRecord(code=WARN_EPS_TOO_SMALL, message=f"{label}: {exc}"))
             lines.append(f"error: {exc}")
             curve_lines.append(f"# error: {exc}")
         else:
@@ -571,17 +568,11 @@ def _cmd_lyap(ns) -> _Report:
                 payload["fit"] = {**asdict(fit), "chaos_consistent": fit.chaos_consistent}
                 lines.append("")
                 lines.extend(_kv_lines(payload["fit"]))
-            curve_lines.extend(
-                f"{step} {float(s)!r}" for step, s in enumerate(curve.s_values)
-            )
-        lines.append("")
-        curve_lines.append("")
+            curve_lines.extend(f"{step} {float(s)!r}" for step, s in enumerate(curve.s_values))
         payloads.append(payload)
-    if len(failures) == len(overrides):
+    if len(failures) == len(grid):
         raise failures[0]
-    # a blank line separates the curves; none follows the last
-    del lines[-1], curve_lines[-1]
-    return _Report(inputs, {"curves": payloads}, warnings, lines, curve_lines)
+    return _Report(inputs, {"curves": payloads}, warnings, lines[1:], curve_lines[1:])
 
 
 def _cmd_permtest(ns) -> _Report:

@@ -253,7 +253,7 @@ def fit_h(points: RsTable | Iterable[RsPoint], weighted: bool = False) -> HurstE
     and the value is diagnostic. ``RsTable.warnings`` are not repeated
     in the estimate's.
     """
-    pts = tuple(points.points if isinstance(points, RsTable) else points)
+    pts = tuple(points)
     if len({p.window for p in pts}) < 3:
         raise ValidationError("fit requires at least 3 points with distinct windows")
     windows, means, stds = _columns(pts)

@@ -183,9 +183,9 @@ def _is_number(token: str, kind: type = float) -> bool:
     return True
 
 
-def _parse_cpc_table(lines: list[str]) -> tuple[list[float], tuple[int, int]]:
+def _parse_cpc_table(lines: list[str]) -> tuple[list[float], tuple[int, int] | None]:
     values: list[float] = []
-    start_year: int | None = None
+    anchor: tuple[int, int] | None = None
     prev_year: int | None = None
     for lineno, line in _data_lines(lines):
         tokens = line.split()
@@ -206,13 +206,11 @@ def _parse_cpc_table(lines: list[str]) -> tuple[list[float], tuple[int, int]]:
                 lineno,
             )
         row = [_value(t, lineno) for t in tokens[1:]]
-        if start_year is None:
-            start_year = year
+        if anchor is None:
+            anchor = (year, 1)
         prev_year = year
         values.extend(row)
-    if start_year is None:
-        raise ParseError("no data rows found")
-    return values, (start_year, 1)
+    return values, anchor
 
 
 def _parse_csv_pair(

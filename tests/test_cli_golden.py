@@ -112,6 +112,12 @@ CASES = [
         True,
     ),
     (
+        "lyap_grid_partial",
+        ["lyap", "--input", "logistic.txt", "--m", "1", "--theiler", "10", "--steps", "5",
+         "--grid", "eps=1e-9,0.01", "--fit", "1:4"],
+        True,
+    ),
+    (
         "permtest_y",
         ["permtest", "--x", "x.csv", "--y", "y.csv", "--n-perm", "200", "--seed", "3"],
         True,
