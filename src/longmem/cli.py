@@ -246,7 +246,13 @@ def _permtest_options(p: argparse.ArgumentParser) -> None:
         f"{_MAX_BLOCKS} threads, one per usable CPU, with the same result on any number",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tail", choices=TAILS, default="two")
+    p.add_argument(
+        "--tail",
+        choices=TAILS,
+        default="two",
+        help="the add-one p-value that decides, rejecting at <= 0.05: lower counts "
+        "r_k <= r_obs, upper r_k >= r_obs, two |r_k| >= |r_obs| (default two)",
+    )
     _add_output_options(p)
     # permtest reads whole files: no calendar slice, and gaps are errors
     p.set_defaults(range=None, on_gap="error")
@@ -692,7 +698,3 @@ def _run(argv: list[str]) -> int:
     except MemoryError as exc:
         print(f"error: not enough memory: {exc}", file=sys.stderr)
         return ValidationError.exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -399,7 +399,9 @@ def hurst_suite(ts: TimeSeries | np.ndarray) -> HurstSuite:
 
     The divisor ladder and its expectations are cached by length (the 32
     most recent lengths), so after the first call at a length a suite
-    pays only for the R/S passes and the fits.
+    pays only for the R/S passes and the fits. Left out without a warning:
+    flat blocks (``rs_table`` warns ``SKIPPED_BLOCKS``), and from
+    ``h_corrected_rs`` the windows whose corrected R/S is <= 0.
     """
     x = sample_values(ts)
     n = x.size

@@ -246,7 +246,8 @@ def _parse_column(lines: list[str]) -> list[float]:
 def select_range(
     ts: TimeSeries, start: tuple[int, int], end: tuple[int, int]
 ) -> TimeSeries:
-    """Inclusive calendar slice of an anchored monthly series."""
+    """Inclusive calendar slice of an anchored monthly series, cut to the
+    data without a warning (``parse(range=...)`` warns ``RANGE_CLIPPED``)."""
     start, end = _calendar_span(start, end)
     if ts.start is None:
         raise ValidationError("range selection requires a calendar anchor")

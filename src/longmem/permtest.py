@@ -24,12 +24,12 @@ from which it splits a dot over its own threads. So the result depends
 neither on the number of permutation threads nor on OpenBLAS's thread
 count.
 
-Critical values follow the sorted-position convention: with the permuted
-correlations sorted ascending, the lower 5% critical value sits at
-1-indexed position ``ceil(0.05 * n_perm)`` and the upper at
-``floor(0.95 * n_perm)`` (positions 500 and 9500 for the default 10000).
-p-values use the add-one rule ``(count + 1) / (n_perm + 1)`` so they are
-never exactly zero.
+p-values use the add-one rule ``(count + 1) / (n_perm + 1)``, never zero,
+and the test rejects at 5% exactly when the chosen tail's p-value is at
+most 0.05, which keeps its size at or below 5% for every ``n_perm``. The
+critical values are reported order statistics that decide nothing: the
+ascending sort's 1-indexed positions ``ceil(0.05 * n_perm)`` and
+``floor(0.95 * n_perm)`` (500 and 9500 for the default 10000).
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ _MAX_BLOCKS = 4
 
 @dataclass(frozen=True)
 class PermutationResult:
-    """Outcome of a permutation test at the 5% level."""
+    """Outcome of a 5% permutation test; ``decision_5pct`` reads only ``tail``'s p-value."""
 
     r_obs: float
     n: int
@@ -269,10 +269,10 @@ def perm_test(
     The inputs pair as in ``pearson``: by position, and two anchored
     series only when they start in the same month.
 
-    ``tail`` selects the 5% decision rule: ``lower`` rejects when the
-    observed correlation falls below the lower critical value, ``upper``
-    when it exceeds the upper one, and ``two`` splits the level across
-    both tails (2.5% each).
+    ``tail`` picks which p-value decides at 5%: ``lower`` counts permuted
+    correlations r_k <= r_obs, ``upper`` counts r_k >= r_obs, and ``two``
+    counts |r_k| >= |r_obs|. The test rejects when that p-value is at
+    most 0.05.
 
     From 2048 samples up the permutations run on up to four threads, one
     per CPU the process may use; the result is the same bit for bit on
@@ -305,14 +305,7 @@ def perm_test(
     p_upper = (int(np.count_nonzero(r_perm >= r_obs)) + 1) / (n_perm + 1)
     p_two = (int(np.count_nonzero(np.abs(r_perm) >= abs(r_obs))) + 1) / (n_perm + 1)
 
-    if tail == "lower":
-        reject = r_obs < r_crit_lower
-    elif tail == "upper":
-        reject = r_obs > r_crit_upper
-    else:
-        lo = float(r_sorted[math.ceil(0.025 * n_perm) - 1])
-        hi = float(r_sorted[math.floor(0.975 * n_perm) - 1])
-        reject = r_obs < lo or r_obs > hi
+    p_tail = {"lower": p_lower, "upper": p_upper, "two": p_two}[tail]
     summary = {name: _sorted_quantile(r_sorted, q) for name, q in _SUMMARY_QUANTILES}
     return PermutationResult(
         r_obs=r_obs,
@@ -327,5 +320,5 @@ def perm_test(
         p_lower=p_lower,
         p_upper=p_upper,
         p_two_sided=p_two,
-        decision_5pct="reject" if reject else "fail-to-reject",
+        decision_5pct="reject" if p_tail <= 0.05 else "fail-to-reject",
     )

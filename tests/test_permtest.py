@@ -64,22 +64,19 @@ def full_index_perm_test(p, j, n_perm, seed, tail):
         gen.shuffle(perm)
         r_perm[k] = p_unit @ j_unit[perm]
     r_sorted = np.sort(r_perm)
-    if tail == "lower":
-        reject = r_obs < r_sorted[math.ceil(0.05 * n_perm) - 1]
-    elif tail == "upper":
-        reject = r_obs > r_sorted[math.floor(0.95 * n_perm) - 1]
-    else:
-        lo = r_sorted[math.ceil(0.025 * n_perm) - 1]
-        hi = r_sorted[math.floor(0.975 * n_perm) - 1]
-        reject = r_obs < lo or r_obs > hi
+    p = {
+        "lower": (int(np.count_nonzero(r_perm <= r_obs)) + 1) / (n_perm + 1),
+        "upper": (int(np.count_nonzero(r_perm >= r_obs)) + 1) / (n_perm + 1),
+        "two": (int(np.count_nonzero(np.abs(r_perm) >= abs(r_obs))) + 1) / (n_perm + 1),
+    }
     return {
         "r_sorted": [float(r).hex() for r in r_sorted],
         "r_crit_lower": float(r_sorted[math.ceil(0.05 * n_perm) - 1]).hex(),
         "r_crit_upper": float(r_sorted[math.floor(0.95 * n_perm) - 1]).hex(),
-        "p_lower": (int(np.count_nonzero(r_perm <= r_obs)) + 1) / (n_perm + 1),
-        "p_upper": (int(np.count_nonzero(r_perm >= r_obs)) + 1) / (n_perm + 1),
-        "p_two_sided": (int(np.count_nonzero(np.abs(r_perm) >= abs(r_obs))) + 1) / (n_perm + 1),
-        "decision_5pct": "reject" if reject else "fail-to-reject",
+        "p_lower": p["lower"],
+        "p_upper": p["upper"],
+        "p_two_sided": p["two"],
+        "decision_5pct": "reject" if p[tail] <= 0.05 else "fail-to-reject",
     }
 
 
@@ -578,6 +575,46 @@ class TestPermTest:
         assert upper.decision_5pct == "fail-to-reject"
         assert lower.p_lower < 0.01
         assert upper.p_upper > 0.95
+
+    @staticmethod
+    def tail_p(res):
+        return {"lower": res.p_lower, "upper": res.p_upper, "two": res.p_two_sided}[res.tail]
+
+    @pytest.mark.parametrize("n_perm", [100, 150, 999, 1000])
+    @pytest.mark.parametrize("tail", TAILS)
+    def test_decision_is_the_chosen_tails_p_value(self, tail, n_perm):
+        # skewed pairs at n = 60, where an order-statistic rule and the
+        # add-one p disagree most; s = 0, K = 999, two: p_two_sided 0.048
+        for s in range(10):
+            rng = np.random.default_rng(s)
+            x = np.exp(1.5 * rng.standard_normal(60))
+            y = np.exp(1.5 * rng.standard_normal(60)) + 0.6 * x * rng.uniform(0, 1, 60)
+            res = perm_test(x, y, n_perm=n_perm, seed=0, tail=tail)
+            expected = "reject" if self.tail_p(res) <= 0.05 else "fail-to-reject"
+            assert res.decision_5pct == expected, (s, self.tail_p(res))
+
+    @pytest.mark.parametrize(
+        "tail, k, decision",
+        [
+            ("upper", 8, "fail-to-reject"),  # p = 9/151, about 0.060
+            ("lower", 7, "fail-to-reject"),  # p = 8/151, about 0.053
+            ("upper", 6, "reject"),  # p = 7/151, about 0.046
+            ("lower", 6, "reject"),
+        ],
+    )
+    def test_level_boundary_at_150_permutations(self, monkeypatch, tail, k, decision):
+        # a null with exactly k permuted r at or beyond r_obs, and none in
+        # the other tail
+        p, j = self.gaussian_pair()
+        r_obs = pearson(p, j)
+        sign = 1.0 if tail == "upper" else -1.0
+        beyond = r_obs + sign * np.linspace(0.01, 0.02, k)
+        inside = r_obs - sign * np.linspace(0.001, 0.3, 150 - k)
+        null = np.concatenate([beyond, inside])
+        monkeypatch.setattr(permtest, "_permuted_correlations", lambda *args: null.copy())
+        res = perm_test(p, j, n_perm=150, seed=0, tail=tail)
+        assert self.tail_p(res) == (k + 1) / 151
+        assert res.decision_5pct == decision
 
     def test_p_values_cover_both_tails(self):
         p, j = self.gaussian_pair()
