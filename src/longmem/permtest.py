@@ -27,9 +27,9 @@ count.
 p-values use the add-one rule ``(count + 1) / (n_perm + 1)``, never zero,
 and the test rejects at 5% exactly when the chosen tail's p-value is at
 most 0.05, which keeps its size at or below 5% for every ``n_perm``. The
-critical values are reported order statistics that decide nothing: the
-ascending sort's 1-indexed positions ``ceil(0.05 * n_perm)`` and
-``floor(0.95 * n_perm)`` (500 and 9500 for the default 10000).
+critical values decide nothing: they are the null's 5% and 95% quantiles
+by numpy's linear rule (R's default, type 7), ``r_sorted_summary``'s
+``q05`` and ``q95``, read off the one sorted array the counts also use.
 """
 
 from __future__ import annotations
@@ -75,7 +75,11 @@ _MAX_BLOCKS = 4
 
 @dataclass(frozen=True)
 class PermutationResult:
-    """Outcome of a 5% permutation test; ``decision_5pct`` reads only ``tail``'s p-value."""
+    """Outcome of a 5% permutation test; ``decision_5pct`` reads only ``tail``'s p-value.
+
+    ``r_crit_*`` are ``r_sorted_summary``'s ``q05``/``q95`` (numpy's linear rule, R's
+    type 7) and decide nothing.
+    """
 
     r_obs: float
     n: int
@@ -292,18 +296,12 @@ def perm_test(
     r_obs = _dot(p_unit, j_unit)
 
     n = p.size
-    r_perm = _permuted_correlations(p_unit, j_unit, seed, n_perm)
-    r_sorted = np.sort(r_perm)
+    r_sorted = _permuted_correlations(p_unit, j_unit, seed, n_perm)
+    r_sorted.sort()
 
-    # 1-indexed order statistics of the ascending sort.
-    lower_pos = math.ceil(0.05 * n_perm)
-    upper_pos = math.floor(0.95 * n_perm)
-    r_crit_lower = float(r_sorted[lower_pos - 1])
-    r_crit_upper = float(r_sorted[upper_pos - 1])
-
-    p_lower = (int(np.count_nonzero(r_perm <= r_obs)) + 1) / (n_perm + 1)
-    p_upper = (int(np.count_nonzero(r_perm >= r_obs)) + 1) / (n_perm + 1)
-    p_two = (int(np.count_nonzero(np.abs(r_perm) >= abs(r_obs))) + 1) / (n_perm + 1)
+    p_lower = (int(np.count_nonzero(r_sorted <= r_obs)) + 1) / (n_perm + 1)
+    p_upper = (int(np.count_nonzero(r_sorted >= r_obs)) + 1) / (n_perm + 1)
+    p_two = (int(np.count_nonzero(np.abs(r_sorted) >= abs(r_obs))) + 1) / (n_perm + 1)
 
     p_tail = {"lower": p_lower, "upper": p_upper, "two": p_two}[tail]
     summary = {name: _sorted_quantile(r_sorted, q) for name, q in _SUMMARY_QUANTILES}
@@ -315,8 +313,8 @@ def perm_test(
         tail=tail,
         r_sorted=r_sorted,
         r_sorted_summary=summary,
-        r_crit_lower=r_crit_lower,
-        r_crit_upper=r_crit_upper,
+        r_crit_lower=summary["q05"],
+        r_crit_upper=summary["q95"],
         p_lower=p_lower,
         p_upper=p_upper,
         p_two_sided=p_two,

@@ -1,6 +1,7 @@
 """Checks over the package's source: every global name a function reads is
 bound in its module, every inner product is ``core._dot``, only
-``permtest._keyed`` builds or re-keys a Philox generator, and the R/S
+``permtest._keyed`` builds or re-keys a Philox generator, only
+``permtest._sorted_quantile`` rounds a quantile's index, and the R/S
 layer has one line fit and the one home of its skipped-block warning."""
 
 import ast
@@ -195,6 +196,14 @@ def test_hurst_fits_every_exponent_in_one_place():
 
 def test_cli_leaves_the_skipped_block_warning_to_rs_table():
     assert spelled(package_source("cli.py"), None, is_name("WARN_SKIPPED_BLOCKS")) == []
+
+
+def test_permtest_rounds_a_quantile_index_only_in_sorted_quantile():
+    # every number perm_test reports about its null is an add-one count
+    # or a _sorted_quantile of the one sorted array
+    source = package_source("permtest.py")
+    for name in ("ceil", "floor"):
+        assert spelled(source, "_sorted_quantile", is_call_of(name)) == []
 
 
 def test_calls_and_names_are_found():

@@ -71,8 +71,8 @@ def full_index_perm_test(p, j, n_perm, seed, tail):
     }
     return {
         "r_sorted": [float(r).hex() for r in r_sorted],
-        "r_crit_lower": float(r_sorted[math.ceil(0.05 * n_perm) - 1]).hex(),
-        "r_crit_upper": float(r_sorted[math.floor(0.95 * n_perm) - 1]).hex(),
+        "r_crit_lower": float(np.quantile(r_sorted, 0.05)).hex(),
+        "r_crit_upper": float(np.quantile(r_sorted, 0.95)).hex(),
         "p_lower": p["lower"],
         "p_upper": p["upper"],
         "p_two_sided": p["two"],
@@ -514,18 +514,15 @@ class TestPermTest:
         assert not again.r_sorted.flags.writeable
         assert np.array_equal(again.r_sorted, mine)
 
-    def test_critical_values_are_order_statistics(self):
-        # 1-indexed positions ceil(0.05 n) and floor(0.95 n): 5 and 95
-        p, j = self.gaussian_pair()
-        res = perm_test(p, j, n_perm=100, seed=3)
-        assert res.r_crit_lower == res.r_sorted[4]
-        assert res.r_crit_upper == res.r_sorted[94]
-
-    def test_default_positions_five_hundred(self):
+    @pytest.mark.parametrize("n_perm", [100, 150, 200, 999, 1000, 10000])
+    def test_critical_values_are_the_summarys_five_and_ninety_five(self, n_perm):
+        # numpy's linear rule, one array: no order statistic of its own
         p, j = self.gaussian_pair(n=60)
-        res = perm_test(p, j, n_perm=10000, seed=1)
-        assert res.r_crit_lower == res.r_sorted[499]
-        assert res.r_crit_upper == res.r_sorted[9499]
+        res = perm_test(p, j, n_perm=n_perm, seed=1)
+        for crit, name, q in ((res.r_crit_lower, "q05", 0.05), (res.r_crit_upper, "q95", 0.95)):
+            assert type(crit) is float
+            assert crit.hex() == res.r_sorted_summary[name].hex()
+            assert crit.hex() == float(np.quantile(res.r_sorted, q)).hex()
 
     def test_rebuild_from_substreams_matches_bit_for_bit(self):
         # every permuted correlation can be regenerated standalone, in any
