@@ -225,7 +225,7 @@ def _lyap_options(p: argparse.ArgumentParser) -> None:
 
 
 def _permtest_options(p: argparse.ArgumentParser) -> None:
-    from .permtest import _MAX_BLOCKS, _THREADED_MIN_N, TAILS
+    from .permtest import _BLOCK_SAMPLES, _MAX_THREADS, TAILS
 
     p.add_argument("--x", required=True, help="first series file")
     group = p.add_mutually_exclusive_group(required=True)
@@ -242,8 +242,9 @@ def _permtest_options(p: argparse.ArgumentParser) -> None:
         type=int,
         default=10000,
         help="number of permutations (default 10000); time grows with "
-        f"length x n-perm. From {_THREADED_MIN_N} samples up they run on up to "
-        f"{_MAX_BLOCKS} threads, one per usable CPU, with the same result on any number",
+        f"length x n-perm. They are drawn in blocks of max(1, {_BLOCK_SAMPLES} // "
+        f"length) on up to {_MAX_THREADS} threads, one per usable CPU, with the same "
+        "result on any number",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(

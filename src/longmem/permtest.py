@@ -2,27 +2,32 @@
 
 The observed Pearson correlation is compared against the distribution
 obtained by correlating one series with ``n_perm`` uniform random
-permutations of the other. Permutation ``k`` is the shuffle drawn by a
-counter-based Philox generator keyed by ``(seed, k)``, by the rule
-``_keyed`` states: the same bit pattern whether it is drawn inside
-``perm_test``, alone by ``nth_permutation``, or in any order.
-``perm_test`` builds one generator per block of permutations and re-keys
-it for each permutation rather than building one generator per
-permutation, which would cost as much as the shuffle. It shuffles a copy
-of the second series' unit residual in place of drawing an index
-permutation and gathering through it: the shuffle's draws depend only on
-the length, and it moves items without reading them, so the copy comes
-out as that gather, bit for bit, and no index array or gathered array is
-made per permutation. What is left per permutation is numpy's shuffle, a
-copy and one dot product. From 2048 samples up the permutations are
-split into contiguous blocks of ``k`` that run on up to four threads,
-one per usable CPU, each block with its own generator and buffer;
-numpy's shuffle releases the GIL. Every correlation, observed or
-permuted, is ``core._dot``, whichever thread computes it, and that dot
-never gives OpenBLAS more than 8192 samples at once, below the length
-from which it splits a dot over its own threads. So the result depends
-neither on the number of permutation threads nor on OpenBLAS's thread
-count.
+permutations of the other. The permutations are drawn in blocks of
+B(n) = max(1, 4095 // n) for a series of n samples: block ``b`` is drawn
+by a counter-based Philox generator keyed by ``(seed, b)``, by the rule
+``_keyed`` states, as B successive shuffles, and permutation ``k`` is
+draw ``k mod B`` of block ``k div B``. From 2048 samples up B is 1 and
+permutation ``k`` is the shuffle keyed ``(seed, k)``. Permutation ``k``
+depends on neither ``n_perm`` nor the thread count, and
+``nth_permutation`` replays it alone, in any order.
+
+``perm_test`` builds one generator per thread and re-keys it for each
+block rather than building one generator per block. It draws a block of
+B > 1 in one ``Generator.permuted`` call over B rows that each hold the
+second series' unit residual, and a block of one as a copy of that
+residual shuffled in place, in place of drawing index permutations and
+gathering through them: the shuffle's draws depend only on the length,
+and it moves items without reading them, so each row comes out as that
+gather, bit for bit. What is left per permutation is numpy's shuffle of
+one row and one dot product. The blocks are split into contiguous runs
+that run on up to four threads, one per usable CPU and never more than
+there are blocks, each with its own generator and rows; numpy releases
+the GIL once for a whole block of B shuffles. Every correlation,
+observed or permuted, is ``core._dot``, whichever thread computes it,
+and that dot never gives OpenBLAS more than 8192 samples at once, below
+the length from which it splits a dot over its own threads. So the
+result depends neither on the number of permutation threads nor on
+OpenBLAS's thread count.
 
 p-values use the add-one rule ``(count + 1) / (n_perm + 1)``, never zero,
 and the test rejects at 5% exactly when the chosen tail's p-value is at
@@ -63,14 +68,14 @@ _SUMMARY_QUANTILES = (
     ("max", 1.0),
 )
 
-# perm_test runs on the calling thread alone below this length: the
-# threads' start and the GIL-held part of each permutation (about an
-# eighth at n = 2048) cost more than a second core saves.
-_THREADED_MIN_N = 2048
-# At most this many blocks: with an eighth of each permutation under the
-# GIL, more threads would mostly wait for it. Only 1 and 2 cores were
-# measured; the gain above 2 is untested.
-_MAX_BLOCKS = 4
+# A block holds max(1, _BLOCK_SAMPLES // n) permutations of n samples: one
+# key per block rather than per permutation, so a thread takes the GIL
+# back once per block of shuffles, not after each. From 2048 samples up a
+# block is one permutation, and permutation k is keyed (seed, k).
+_BLOCK_SAMPLES = 4095
+# At most this many threads. Only 1 and 2 cores were measured; the gain
+# above 2 is untested.
+_MAX_THREADS = 4
 
 
 @dataclass(frozen=True)
@@ -180,39 +185,64 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _block_size(n: int) -> int:
+    """B(n), the permutations of ``n`` samples drawn by one keyed generator."""
+    return max(1, _BLOCK_SAMPLES // n)
+
+
 def _permuted_correlations(
     p_unit: np.ndarray, j_unit: np.ndarray, seed: int, n_perm: int
 ) -> np.ndarray:
     """``_dot(p_unit, j_unit shuffled by permutation k)`` for each ``k`` in ``range(n_perm)``.
 
-    ``range(n_perm)`` is split into contiguous blocks, one per usable CPU
-    up to ``_MAX_BLOCKS`` and a single block below ``_THREADED_MIN_N``
-    samples. The calling thread runs block 0 and a ``threading.Thread``
-    each other block, with its own generator and buffer. Each correlation
-    is the same ``_dot`` wherever it runs (a 2-d product may round
-    differently), so the output does not depend on the split. The first
-    exception raised in any block, a ``MemoryError`` for a buffer or a
-    ``KeyboardInterrupt`` included, stops every block at its next
-    permutation and is raised again here once all threads have ended.
+    Block ``b`` holds permutations ``b * B`` up to ``(b + 1) * B``, the
+    last block fewer, drawn by the generator keyed ``(seed, b)``: in one
+    ``permuted`` call, or at B = 1 as one ``shuffle``, which draws the
+    same row; ``permuted`` of one row ran about 10% slower on two threads
+    at 2048 and 4096 samples (numpy 2.4, a shared 2-vCPU x86 machine).
+    The blocks are split into contiguous runs, one per usable CPU, up to
+    ``_MAX_THREADS`` and never more than there are blocks. The calling
+    thread runs the first run and a ``threading.Thread`` each other run,
+    with its own generator and rows. Each correlation is the same
+    ``_dot`` wherever it runs (a 2-d product may round differently), so
+    the output does not depend on the split. The first exception raised
+    in any run, a ``MemoryError`` for the rows or a ``KeyboardInterrupt``
+    included, stops every run at its next block and is raised again here
+    once all threads have ended.
     """
-    blocks = 1 if j_unit.size < _THREADED_MIN_N else min(_usable_cpus(), _MAX_BLOCKS)
-    bounds = [n_perm * b // blocks for b in range(blocks + 1)]
+    n = j_unit.size
+    size = _block_size(n)
+    blocks = -(-n_perm // size)
+    runs = min(_usable_cpus(), _MAX_THREADS, blocks)
+    bounds = [blocks * t // runs for t in range(runs + 1)]
     r_perm = np.empty(n_perm)
-    errors: list[BaseException] = []  # any entry stops every block
+    unshuffled = np.broadcast_to(j_unit, (size, n))  # a read-only view, no copy
+    errors: list[BaseException] = []  # any entry stops every run
 
     def run(lo: int, hi: int) -> None:
         try:
-            buf = np.empty_like(j_unit)
-            for k, gen in enumerate(_keyed(seed, range(lo, hi)), lo):
+            rows = np.empty((size, n))
+            # views and slices made once, not per block: at B = 1 this body
+            # runs once per permutation, holding the GIL
+            src, out, views = unshuffled, rows, list(rows)
+            for b, gen in enumerate(_keyed(seed, range(lo, hi)), lo):
                 if errors:
                     return
-                np.copyto(buf, j_unit)
-                gen.shuffle(buf)
-                r_perm[k] = _dot(p_unit, buf)
+                first = b * size
+                m = n_perm - first
+                if m < size:  # the last block is short
+                    src, out, views = src[:m], out[:m], views[:m]
+                if size > 1:
+                    gen.permuted(src, axis=1, out=out)
+                else:
+                    np.copyto(views[0], j_unit)
+                    gen.shuffle(views[0])
+                for k, row in enumerate(views, first):
+                    r_perm[k] = _dot(p_unit, row)
         except BaseException as exc:
             errors.append(exc)
 
-    threads = [threading.Thread(target=run, args=bounds[b : b + 2]) for b in range(1, blocks)]
+    threads = [threading.Thread(target=run, args=bounds[t : t + 2]) for t in range(1, runs)]
     try:
         for thread in threads:
             thread.start()
@@ -233,17 +263,25 @@ def _permuted_correlations(
 def nth_permutation(seed: int, index: int, n: int) -> np.ndarray:
     """The ``index``-th permutation of ``range(n)`` under a master seed.
 
-    Backed by a counter-based generator keyed on ``(seed, index)``, so any
-    single permutation can be regenerated without drawing its
-    predecessors. It is bit-identical to permutation ``index`` of
-    ``perm_test`` with the same seed.
+    Draw ``index mod B`` of the successive permutations that a
+    counter-based generator keyed on ``(seed, index div B)`` draws, with
+    B = max(1, 4095 // n), so any single permutation can be regenerated
+    without drawing the other blocks; replaying its own block's earlier
+    draws costs at most 4094 samples of shuffling. From 2048 samples up B
+    is 1 and the key is ``(seed, index)``. It is bit-identical to
+    permutation ``index`` of ``perm_test`` with the same seed, whatever
+    that test's ``n_perm``.
     """
     seed = _seed(seed)
     index = _seed(index, "permutation index")
     n = _count(n, "permutation length")
     if n <= 0:
         raise ValidationError("permutation length must be positive")
-    return next(_keyed(seed, (index,))).permutation(n)
+    block, draw = divmod(index, _block_size(n))
+    gen = next(_keyed(seed, (block,)))
+    for _ in range(draw):  # the block's earlier draws, each as one row of ``permuted``
+        gen.permutation(n)
+    return gen.permutation(n)
 
 
 def _sorted_quantile(ascending: np.ndarray, q: float) -> float:
@@ -278,10 +316,12 @@ def perm_test(
     counts |r_k| >= |r_obs|. The test rejects when that p-value is at
     most 0.05.
 
-    From 2048 samples up the permutations run on up to four threads, one
-    per CPU the process may use; the result is the same bit for bit on
-    any number of them, and a machine or affinity mask with one usable
-    CPU runs them all on the calling thread.
+    The permutations run in keyed blocks of B = max(1, 4095 // n) on up
+    to four threads, one per CPU the process may use and never more than
+    there are blocks; the result is the same bit for bit on any number of
+    them, and a machine or affinity mask with one usable CPU runs them all
+    on the calling thread. Permutation ``k`` is ``nth_permutation(seed, k,
+    n)`` whatever ``n_perm`` is.
     """
     p, j = _paired(p, j)
     seed = _seed(seed)

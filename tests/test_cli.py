@@ -264,13 +264,13 @@ class TestExitCodes:
         assert "--kind {" + ",".join(KINDS) + "}" in gen_help
         for name, text in PARAMS.items():  # "--h H fgn: target h in (0, 1)"
             assert f"--{name} {name.upper()} {text}" in gen_help
-        # the --n-perm help states permtest's threading constants, patched here
-        monkeypatch.setattr(permtest, "_THREADED_MIN_N", 3000)
-        monkeypatch.setattr(permtest, "_MAX_BLOCKS", 6)
+        # the --n-perm help states permtest's block and thread constants, patched here
+        monkeypatch.setattr(permtest, "_BLOCK_SAMPLES", 5000)
+        monkeypatch.setattr(permtest, "_MAX_THREADS", 6)
         assert main(["permtest", "--help"]) == 0
         permtest_help = " ".join(capsys.readouterr().out.split())
         assert "--tail {" + ",".join(TAILS) + "}" in permtest_help
-        assert "From 3000 samples up they run on up to 6 threads" in permtest_help
+        assert "in blocks of max(1, 5000 // length) on up to 6 threads" in permtest_help
 
     @pytest.mark.parametrize(
         "args, value",
