@@ -3,13 +3,13 @@
 The observed Pearson correlation is compared against the distribution
 obtained by correlating one series with ``n_perm`` uniform random
 permutations of the other. The permutations are drawn in blocks of
-B(n) = max(1, 4095 // n) for a series of n samples: block ``b`` is drawn
-by a counter-based Philox generator keyed by ``(seed, b)``, by the rule
-``_keyed`` states, as B successive shuffles, and permutation ``k`` is
-draw ``k mod B`` of block ``k div B``. From 2048 samples up B is 1 and
-permutation ``k`` is the shuffle keyed ``(seed, k)``. Permutation ``k``
-depends on neither ``n_perm`` nor the thread count, and
-``nth_permutation`` replays it alone, in any order.
+B(n) = max(1, 32767 // n) for a series of n samples: block ``b`` is
+drawn, as B successive shuffles, by an SFC64 generator seeded from a
+counter-based Philox keyed by ``(seed, b)``, by the rule ``_keyed``
+states, and permutation ``k`` is draw ``k mod B`` of block ``k div B``.
+From 16384 samples up B is 1 and permutation ``k`` is the shuffle keyed
+``(seed, k)``. Permutation ``k`` depends on neither ``n_perm`` nor the
+thread count, and ``nth_permutation`` replays it alone, in any order.
 
 ``perm_test`` builds one generator per thread and re-keys it for each
 block rather than building one generator per block. It draws a block of
@@ -70,9 +70,10 @@ _SUMMARY_QUANTILES = (
 
 # A block holds max(1, _BLOCK_SAMPLES // n) permutations of n samples: one
 # key per block rather than per permutation, so a thread takes the GIL
-# back once per block of shuffles, not after each. From 2048 samples up a
-# block is one permutation, and permutation k is keyed (seed, k).
-_BLOCK_SAMPLES = 4095
+# back once per block of shuffles, not after each, and a block's rows stay
+# within 256 KB. From 16384 samples up a block is one permutation, and
+# permutation k is keyed (seed, k).
+_BLOCK_SAMPLES = 32767
 # At most this many threads. Only 1 and 2 cores were measured; the gain
 # above 2 is untested.
 _MAX_THREADS = 4
@@ -146,24 +147,28 @@ def pearson(p, j) -> float:
 
 
 def _keyed(seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]:
-    """A generator in the state of a fresh one keyed ``(seed, k)``, for each ``k`` in ``indices``.
+    """A generator over an SFC64 seeded by the Philox key ``(seed, k)``, for each ``k`` in ``indices``.
 
-    The one rule by which the package keys its draws: the generator for
-    ``k`` draws what ``Generator(Philox(key=np.array([seed, k],
-    dtype=np.uint64)))`` draws, both keys as given, in [0, 2**64) by the
-    callers' checks. (A list key with a word above 2**63 - 1 would pass
-    through float64 and key another generator.) One Philox is built per
-    call and, for each ``k``, set to the state such a fresh generator
-    starts in: key, counter 0, an empty output buffer, no cached 32-bit
-    half. It is the same generator object every time, so a caller draws
-    from it before asking for the next.
+    The one rule by which the package keys its draws. Philox keys,
+    SFC64 draws: for each ``k``, ``Philox(key=np.array([seed, k],
+    dtype=np.uint64))``, both keys as given, in [0, 2**64) by the
+    callers' checks, gives its first three 64-bit outputs (its first
+    ``random_raw(3)``). They are words a, b and c of an SFC64 state whose
+    counter w is 1, and the SFC64 discards its first 12 outputs: numpy's
+    own SFC64 seeding, with Philox in place of ``SeedSequence``. (A list
+    key with a word above 2**63 - 1 would pass through float64 and key
+    another generator.) One Philox, one SFC64 and one ``Generator`` over
+    it are built per call, and both bit generators are set by state for
+    each ``k``, each as a fresh one starts: Philox with counter 0 and an
+    empty output buffer, SFC64 with no cached 32-bit half. It is the same
+    generator object every time, so a caller draws from it before asking
+    for the next.
     """
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
+    philox = np.random.Philox(0)
     key = [seed, 0]
     zeros = [0, 0, 0, 0]
     # lists, not arrays: numpy takes a state of lists in less than half the time
-    state = {
+    keying = {
         "bit_generator": "Philox",
         "state": {"counter": zeros, "key": key},
         "buffer": zeros,
@@ -171,9 +176,19 @@ def _keyed(seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]:
         "has_uint32": 0,
         "uinteger": 0,
     }
+    sfc = np.random.SFC64(0)
+    gen = np.random.Generator(sfc)
+    words = {"state": None}
+    seeded = {"bit_generator": "SFC64", "state": words, "has_uint32": 0, "uinteger": 0}
     for k in indices:
         key[1] = k
-        bitgen.state = state
+        philox.state = keying
+        # a, b and c, and a fourth word from the same Philox block in
+        # place of w: overwriting it is cheaper than building a new array
+        words["state"] = abcw = philox.random_raw(4)
+        abcw[3] = 1
+        sfc.state = seeded
+        sfc.random_raw(12)  # with output: about 3x faster than output=False
         yield gen
 
 
@@ -199,7 +214,8 @@ def _permuted_correlations(
     last block fewer, drawn by the generator keyed ``(seed, b)``: in one
     ``permuted`` call, or at B = 1 as one ``shuffle``, which draws the
     same row; ``permuted`` of one row ran about 10% slower on two threads
-    at 2048 and 4096 samples (numpy 2.4, a shared 2-vCPU x86 machine).
+    at 2048 and 4096 samples (numpy 2.4, a shared 2-vCPU x86 machine,
+    under the Philox draws of blocks of 4095 samples).
     The blocks are split into contiguous runs, one per usable CPU, up to
     ``_MAX_THREADS`` and never more than there are blocks. The calling
     thread runs the first run and a ``threading.Thread`` each other run,
@@ -263,14 +279,15 @@ def _permuted_correlations(
 def nth_permutation(seed: int, index: int, n: int) -> np.ndarray:
     """The ``index``-th permutation of ``range(n)`` under a master seed.
 
-    Draw ``index mod B`` of the successive permutations that a
-    counter-based generator keyed on ``(seed, index div B)`` draws, with
-    B = max(1, 4095 // n), so any single permutation can be regenerated
-    without drawing the other blocks; replaying its own block's earlier
-    draws costs at most 4094 samples of shuffling. From 2048 samples up B
-    is 1 and the key is ``(seed, index)``. It is bit-identical to
-    permutation ``index`` of ``perm_test`` with the same seed, whatever
-    that test's ``n_perm``.
+    Draw ``index mod B`` of the successive permutations that the
+    generator ``_keyed`` builds for ``(seed, index div B)`` draws, with
+    B = max(1, 32767 // n), so any single permutation can be regenerated
+    without drawing the other blocks. The block's rows up to this one are
+    drawn in one ``Generator.permuted`` call, as ``perm_test`` draws
+    them, so replaying its own block's earlier draws costs at most 32766
+    samples of shuffling. From 16384 samples up B is 1 and the key is
+    ``(seed, index)``. It is bit-identical to permutation ``index`` of
+    ``perm_test`` with the same seed, whatever that test's ``n_perm``.
     """
     seed = _seed(seed)
     index = _seed(index, "permutation index")
@@ -279,9 +296,9 @@ def nth_permutation(seed: int, index: int, n: int) -> np.ndarray:
         raise ValidationError("permutation length must be positive")
     block, draw = divmod(index, _block_size(n))
     gen = next(_keyed(seed, (block,)))
-    for _ in range(draw):  # the block's earlier draws, each as one row of ``permuted``
-        gen.permutation(n)
-    return gen.permutation(n)
+    # the block's rows up to this one, as perm_test draws them, in one call
+    rows = gen.permuted(np.broadcast_to(np.arange(n), (draw + 1, n)), axis=1)
+    return rows[-1].copy()  # not a view that keeps the earlier rows alive
 
 
 def _sorted_quantile(ascending: np.ndarray, q: float) -> float:
@@ -316,7 +333,7 @@ def perm_test(
     counts |r_k| >= |r_obs|. The test rejects when that p-value is at
     most 0.05.
 
-    The permutations run in keyed blocks of B = max(1, 4095 // n) on up
+    The permutations run in keyed blocks of B = max(1, 32767 // n) on up
     to four threads, one per CPU the process may use and never more than
     there are blocks; the result is the same bit for bit on any number of
     them, and a machine or affinity mask with one usable CPU runs them all

@@ -1,6 +1,6 @@
 """Checks over the package's source: every global name a function reads is
 bound in its module, every inner product is ``core._dot``, only
-``permtest._keyed`` builds or re-keys a Philox generator, only
+``permtest._keyed`` builds or re-keys a Philox or SFC64 generator, only
 ``permtest._sorted_quantile`` rounds a quantile's index, and the R/S
 layer has one line fit and the one home of its skipped-block warning."""
 
@@ -109,19 +109,24 @@ def test_core_dot_itself_is_exempt():
     assert dot_spellings(source) == [5]
 
 
+# the bit generators of the keying rule: Philox keys, SFC64 draws
+KEYED_BIT_GENERATORS = {"Philox", "SFC64"}
+
+
 def is_philox(node: ast.AST) -> bool:
-    """A spelling of ``Philox`` as a name, attribute, import or string, or
-    an assignment to a ``.state`` attribute, ``setattr`` included."""
+    """A spelling of ``Philox`` or ``SFC64`` as a name, attribute, import or
+    string, or an assignment to a ``.state`` attribute, ``setattr``
+    included."""
     if isinstance(node, ast.Name):
-        return node.id == "Philox"
+        return node.id in KEYED_BIT_GENERATORS
     if isinstance(node, ast.Attribute):
-        return node.attr == "Philox" or (
+        return node.attr in KEYED_BIT_GENERATORS or (
             node.attr == "state" and isinstance(node.ctx, (ast.Store, ast.Del))
         )
     if isinstance(node, (ast.Import, ast.ImportFrom)):
-        return any(alias.name.split(".")[-1] == "Philox" for alias in node.names)
+        return any(alias.name.split(".")[-1] in KEYED_BIT_GENERATORS for alias in node.names)
     if isinstance(node, ast.Constant):
-        return node.value == "Philox"
+        return node.value in KEYED_BIT_GENERATORS
     if isinstance(node, ast.Call):
         return (
             isinstance(node.func, ast.Name)
@@ -153,6 +158,12 @@ def test_only_permtest_keyed_knows_philox(path):
         "del g.state",
         "setattr(g, 'state', s)",
         "def _keyed(seed):\n    return Philox(seed)\ng = Philox(0)",
+        "g = np.random.SFC64(0)",
+        "g = SFC64(0)",
+        "from numpy.random import SFC64",
+        "import numpy.random.SFC64",
+        "state = {'bit_generator': 'SFC64'}",
+        "def _keyed(seed):\n    return SFC64(seed)\ng = SFC64(0)",
     ],
 )
 def test_each_philox_spelling_is_found(source):
@@ -160,9 +171,12 @@ def test_each_philox_spelling_is_found(source):
 
 
 def test_keyed_itself_is_exempt_and_reading_state_is_not_found():
-    source = "s = g.state\ndef _keyed(seed):\n    g.state = {}\n    return Philox(seed)\n"
+    source = (
+        "s = g.state\ndef _keyed(seed):\n    g.state = {}\n    h = SFC64(0)\n"
+        "    return Philox(seed)\n"
+    )
     assert spelled(source, "_keyed", is_philox) == []
-    assert spelled(source, None, is_philox) == [3, 4]
+    assert spelled(source, None, is_philox) == [3, 4, 5]
 
 
 def is_name(name: str):

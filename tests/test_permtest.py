@@ -27,20 +27,36 @@ SEEDS = [0, 1, 2**63, 2**64 - 1]
 
 
 def block_size(n):
-    """Permutations of n samples drawn by one key: 1 from 2048 samples up."""
-    return max(1, 4095 // n)
+    """Permutations of n samples drawn by one key: 1 from 16384 samples up."""
+    return max(1, 32767 // n)
 
 
-def fresh_philox(seed, key):
-    """A new generator keyed on (seed, key) as given."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, key], dtype=np.uint64)))
+def sfc64_from_words(a, b, c):
+    """An SFC64 seeded as numpy seeds one: words a, b, c, counter w = 1,
+    and its first 12 outputs discarded."""
+    sfc = np.random.SFC64(0)
+    sfc.state = {
+        "bit_generator": "SFC64",
+        "state": {"state": np.array([a, b, c, 1], dtype=np.uint64)},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    sfc.random_raw(12)
+    return sfc
 
 
-def fresh_philox_permutation(seed, index, n):
+def fresh_keyed(seed, key):
+    """A new generator by the keying rule: an SFC64 seeded with the first
+    three outputs of a new Philox keyed on (seed, key) as given."""
+    philox = np.random.Philox(key=np.array([seed, key], dtype=np.uint64))
+    return np.random.Generator(sfc64_from_words(*philox.random_raw(3)))
+
+
+def fresh_keyed_permutation(seed, index, n):
     """Reference: draw ``index mod B`` of the successive ``permutation(n)``
     draws of a new generator keyed on (seed, index div B)."""
     block, draw = divmod(index, block_size(n))
-    gen = fresh_philox(seed, block)
+    gen = fresh_keyed(seed, block)
     for _ in range(draw):
         gen.permutation(n)
     return gen.permutation(n)
@@ -50,7 +66,7 @@ def full_index_perm_test(p, j, n_perm, seed, tail):
     """Reference: the permutation test as an index permutation and a gather.
 
     Permutation ``k`` of ``range(n)`` is the ``k mod B``-th successive
-    shuffle of one Philox re-keyed to ``(seed, k div B)``, and each
+    shuffle of a new generator keyed on ``(seed, k div B)``, and each
     permuted correlation is ``p_unit @ j_unit[perm]``, one 1-d dot.
     ``perm_test`` shuffles rows that hold ``j_unit`` instead, which must
     give the same bits. Returns the fields that depend on the permuted
@@ -60,23 +76,13 @@ def full_index_perm_test(p, j, n_perm, seed, tail):
     j_unit = (j - j.mean()) / np.linalg.norm(j - j.mean())
     r_obs = float(p_unit @ j_unit)
     n = p.size
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
     base = np.arange(n)
     perm = np.empty_like(base)
-    zeros = [0, 0, 0, 0]
     r_perm = np.empty(n_perm)
     for k in range(n_perm):
         block, draw = divmod(k, block_size(n))
         if draw == 0:
-            bitgen.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": zeros, "key": [seed, block]},
-                "buffer": zeros,
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+            gen = fresh_keyed(seed, block)
         np.copyto(perm, base)
         gen.shuffle(perm)
         r_perm[k] = p_unit @ j_unit[perm]
@@ -97,16 +103,21 @@ def full_index_perm_test(p, j, n_perm, seed, tail):
     }
 
 
-# n x n_perm x tail, with the edge seeds cycled over the cells; 2047 and
-# 2048 sit either side of the length from which a block holds one
-# permutation. The last cells end in a short block: 1001 is not a
-# multiple of 68 (n = 60) nor 1003 of 5 (n = 776)
+# n x n_perm x tail, with the edge seeds cycled over the cells. 1001 is
+# not a multiple of 546 (n = 60) nor 1003 of 42 (n = 776), so those cells
+# end in a short block; 16383 and 16384 sit either side of the length
+# from which a block holds one permutation
 PARITY_GRID = [
     (n, n_perm, tail, SEEDS[i % len(SEEDS)])
     for i, (n, n_perm, tail) in enumerate(
         itertools.product((3, 776, 2047, 2048, 4097), (100, 1000), ("lower", "upper", "two"))
     )
-] + [(60, 1001, "two", 2**64 - 1), (776, 1003, "lower", 2**63)]
+] + [
+    (60, 1001, "two", 2**64 - 1),
+    (776, 1003, "lower", 2**63),
+    (16383, 301, "upper", 1),
+    (16384, 300, "two", 2**64 - 1),
+]
 
 
 class TestPearson:
@@ -204,29 +215,31 @@ class TestNthPermutation:
     @pytest.mark.parametrize("n", [1, 2, 776])
     @pytest.mark.parametrize("index", [0, 1, 2**32 + 1])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_matches_fresh_philox_keyed_on_seed_and_index(self, seed, index, n):
-        # below 2048 samples: draw index mod B of the block a fresh Philox
-        # keyed on (seed, index div B) draws
-        expected = fresh_philox_permutation(seed, index, n)
+    def test_matches_fresh_keyed_generator_on_seed_and_index(self, seed, index, n):
+        # below 16384 samples: draw index mod B of the block a fresh
+        # generator keyed on (seed, index div B) draws
+        expected = fresh_keyed_permutation(seed, index, n)
         perm = nth_permutation(seed, index, n)
         assert perm.dtype == expected.dtype
         assert np.array_equal(perm, expected)
 
-    @pytest.mark.parametrize("n", [1, 60, 776, 2047])
+    @pytest.mark.parametrize("n", [1, 4, 60, 776, 2047, 16383])
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_block_boundary_and_the_last_index(self, seed, n):
+        # index B - 1 replays the whole block but its last row: 32766 rows
+        # at n = 1, 8190 at n = 4, 41 at n = 776
         size = block_size(n)
         for index in (size - 1, size, 2**64 - 1):
             assert np.array_equal(
-                nth_permutation(seed, index, n), fresh_philox_permutation(seed, index, n)
+                nth_permutation(seed, index, n), fresh_keyed_permutation(seed, index, n)
             )
 
-    @pytest.mark.parametrize("n", [2048, 4097])
+    @pytest.mark.parametrize("n", [16384, 40000])
     @pytest.mark.parametrize("index", [0, 1, 2**64 - 1])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_from_2048_samples_a_fresh_philox_keyed_on_seed_and_index(self, seed, index, n):
+    def test_from_16384_samples_a_fresh_keyed_generator_on_seed_and_index(self, seed, index, n):
         # one permutation per block: the key is the index itself
-        expected = fresh_philox(seed, index).permutation(n)
+        expected = fresh_keyed(seed, index).permutation(n)
         perm = nth_permutation(seed, index, n)
         assert perm.dtype == expected.dtype
         assert np.array_equal(perm, expected)
@@ -251,7 +264,7 @@ class TestNthPermutation:
         first[:] = 0
         assert np.array_equal(second, kept)
         assert np.array_equal(nth_permutation(2, 6, 100), kept)
-        assert np.array_equal(nth_permutation(2, 5, 100), fresh_philox_permutation(2, 5, 100))
+        assert np.array_equal(nth_permutation(2, 5, 100), fresh_keyed_permutation(2, 5, 100))
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -299,20 +312,56 @@ def draws(gen):
 
 
 class TestKeyed:
+    @pytest.mark.parametrize("entropy", [0, 1, 2**64 - 1, 2**128 + 5])
+    def test_seeding_from_words_is_numpys_own(self, entropy):
+        # the oracle's seeding is numpy's, with SeedSequence's words
+        words = np.random.SeedSequence(entropy).generate_state(3, np.uint64)
+        expected = np.random.SFC64(np.random.SeedSequence(entropy))
+        assert draws(np.random.Generator(sfc64_from_words(*words))) == draws(
+            np.random.Generator(expected)
+        )
+
     @pytest.mark.parametrize("k", [0, 1, 2**64 - 1])
     @pytest.mark.parametrize("seed", [0, 2**63 + 1, 2**64 - 1])
-    def test_draws_as_a_fresh_philox_keyed_on_seed_and_k(self, seed, k):
-        key = np.array([seed, k], dtype=np.uint64)
-        expected = draws(np.random.Generator(np.random.Philox(key=key)))
+    def test_draws_as_an_sfc64_seeded_by_a_fresh_philox_keyed_on_seed_and_k(self, seed, k):
+        expected = draws(fresh_keyed(seed, k))
         assert draws(next(_keyed(seed, (k,)))) == expected
-        # the key before left a partial output buffer and a cached 32-bit
-        # half behind; neither may reach the draws for k
+        # the key before left a cached 32-bit half behind; it may not reach
+        # the draws for k
         keyed = _keyed(seed, (5, k))
         gen = next(keyed)
         gen.integers(0, 2**32, size=5, dtype=np.uint32)
-        state = gen.bit_generator.state
-        assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+        assert gen.bit_generator.state["has_uint32"] == 1
         assert draws(next(keyed)) == expected
+
+    def test_block_stream_orders_of_four_are_uniform(self):
+        # 24 000 permutations of 4 samples as perm_test draws them: blocks
+        # of B(4) = 8191 rows, each block one permuted call. Chi-squared
+        # over the 24 orders stays below 49.7, the 0.999 point for 23
+        # degrees of freedom
+        n, n_perm = 4, 24000
+        size = block_size(n)
+        rows = []
+        for block, gen in enumerate(_keyed(2**63 + 7, range(-(-n_perm // size)))):
+            m = min(size, n_perm - block * size)
+            rows.append(gen.permuted(np.broadcast_to(np.arange(n), (m, n)), axis=1))
+        codes = np.concatenate(rows) @ (n ** np.arange(n))
+        orders = [sum(v * n**i for i, v in enumerate(o)) for o in itertools.permutations(range(n))]
+        counts = np.array([np.count_nonzero(codes == code) for code in orders])
+        assert counts.sum() == n_perm
+        expected = n_perm / len(orders)
+        assert ((counts - expected) ** 2 / expected).sum() < 49.7
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [((11, 0), (11, 1)), ((11, 0), (12, 0)), ((2**63, 2**32), (2**63, 2**32 + 1))],
+    )
+    def test_neighbouring_keys_draw_uncorrelated_streams(self, first, second):
+        # 10**5 doubles per key: |r| < 5 / sqrt(10**5), about 0.0158
+        size = 10**5
+        a, b = (next(_keyed(seed, (k,))).random(size) for seed, k in (first, second))
+        r = np.corrcoef(a, b)[0, 1]
+        assert abs(r) < 5 / math.sqrt(size)
 
 
 class TestShuffledCopy:
@@ -329,6 +378,8 @@ class TestShuffledCopy:
     @example(seed=0, k=0, n=1, data_seed=0)
     @example(seed=2**64 - 1, k=2**64 - 1, n=776, data_seed=1)
     @example(seed=2**63, k=2**63 + 3, n=5000, data_seed=2)
+    @example(seed=3, k=8190, n=4, data_seed=3)  # the last row of a block, B(4) = 8191
+    @example(seed=2**64 - 1, k=41, n=776, data_seed=4)  # B(776) = 42
     def test_shuffled_copy_is_the_gather(self, seed, k, n, data_seed):
         # any 64-bit pattern, nan payloads and signed zeros included, is
         # moved as it is: the shuffle never reads the items. Row k mod B of
@@ -342,7 +393,7 @@ class TestShuffledCopy:
         shuffled = rows[draw]
         assert shuffled.dtype == np.float64
         assert shuffled.tobytes() == values[nth_permutation(seed, k, n)].tobytes()
-        assert shuffled.tobytes() == values[fresh_philox_permutation(seed, k, n)].tobytes()
+        assert shuffled.tobytes() == values[fresh_keyed_permutation(seed, k, n)].tobytes()
 
     @pytest.mark.parametrize("n, n_perm, tail, seed", PARITY_GRID)
     def test_perm_test_matches_full_index_loop(self, n, n_perm, tail, seed):
@@ -407,22 +458,24 @@ class TestThreadedBlocks:
         monkeypatch.setattr(permtest, "_keyed", recording)
         return calls
 
-    @pytest.mark.parametrize("n, n_perm", [(2048, 1000), (4097, 301)])
+    @pytest.mark.parametrize("n, n_perm", [(2048, 1000), (4097, 301), (16384, 301)])
     @pytest.mark.parametrize("tail", TAILS)
     def test_one_two_and_three_blocks_agree_bit_for_bit(self, monkeypatch, n, n_perm, tail):
+        # 67, 43 and 301 blocks: 15 and 7 permutations per block, and one
         p, j = self.pair(n)
+        blocks = -(-n_perm // block_size(n))
         results = {}
         for cpus in (1, 2, 3):
             self.force_cpus(monkeypatch, cpus)
             calls = self.record_blocks(monkeypatch)
             results[cpus] = outcome(perm_test(p, j, n_perm=n_perm, seed=2**63 + 1, tail=tail))
             monkeypatch.undo()
-            # contiguous blocks that cover range(n_perm), block 0 on the caller
-            blocks = sorted(calls, key=lambda call: call[1].start)
-            assert [indices for _, indices in blocks] == [
-                range(n_perm * b // cpus, n_perm * (b + 1) // cpus) for b in range(cpus)
+            # contiguous runs that cover every block, block 0 on the caller
+            runs = sorted(calls, key=lambda call: call[1].start)
+            assert [indices for _, indices in runs] == [
+                range(blocks * t // cpus, blocks * (t + 1) // cpus) for t in range(cpus)
             ]
-            assert blocks[0][0] is threading.current_thread()
+            assert runs[0][0] is threading.current_thread()
             assert len({thread for thread, _ in calls}) == cpus
         assert results[2] == results[1]
         assert results[3] == results[1]
@@ -430,8 +483,8 @@ class TestThreadedBlocks:
     def test_four_blocks_under_a_short_switch_interval(self, monkeypatch):
         # more threads than this machine's cores, switching as often as the
         # interpreter allows: a write lost to another block would show, one
-        # permutation per block (2048) or five (776)
-        for n in (2048, 776):
+        # permutation per block (16384) or 42 (776)
+        for n in (16384, 776):
             p, j = self.pair(n)
             self.force_cpus(monkeypatch, 64)
             calls = self.record_blocks(monkeypatch)
@@ -449,7 +502,7 @@ class TestThreadedBlocks:
 
     @pytest.mark.parametrize("n, n_perm", [(3, 1000), (40, 100)])
     def test_one_block_starts_no_thread(self, monkeypatch, n, n_perm):
-        # B = 1365 at n = 3 and 102 at n = 40: every permutation in block 0
+        # B = 10922 at n = 3 and 819 at n = 40: every permutation in block 0
         class NoThread:
             def __init__(self, *args, **kwargs):
                 raise AssertionError("perm_test started a thread")
@@ -472,8 +525,9 @@ class TestThreadedBlocks:
             monkeypatch.undo()
         assert len(results) == 1
 
-    @pytest.mark.parametrize("n, n_perm", [(60, 1001), (776, 1003), (776, 100)])
+    @pytest.mark.parametrize("n, n_perm", [(60, 1001), (776, 1003), (776, 100), (60, 2500)])
     def test_threads_run_contiguous_runs_of_blocks(self, monkeypatch, n, n_perm):
+        # 2, 24, 3 and 5 blocks: never more runs than blocks
         p, j = self.pair(n)
         blocks = -(-n_perm // block_size(n))
         for cpus in (1, 2, 3, 4):
@@ -482,16 +536,18 @@ class TestThreadedBlocks:
             perm_test(p, j, n_perm=n_perm, seed=0)
             monkeypatch.undo()
             runs = sorted(calls, key=lambda call: call[1].start)
+            count = min(cpus, blocks)
             assert [indices for _, indices in runs] == [
-                range(blocks * t // cpus, blocks * (t + 1) // cpus) for t in range(cpus)
+                range(blocks * t // count, blocks * (t + 1) // count) for t in range(count)
             ]
             assert runs[0][0] is threading.current_thread()
-            assert len({thread for thread, _ in calls}) == cpus
+            assert len({thread for thread, _ in calls}) == count
 
     @pytest.mark.parametrize("n, m", [(60, 333), (776, 333), (2048, 333)])
     def test_permutation_k_does_not_depend_on_n_perm(self, n, m):
-        # 333 is a multiple of neither 68 (n = 60) nor 5 (n = 776): the
-        # shorter run ends inside a block the longer one draws whole
+        # 333 is a multiple of none of 546 (n = 60), 42 (n = 776) and 15
+        # (n = 2048): the shorter run ends inside a block the longer one
+        # draws whole
         p, j = self.pair(n)
         p_unit = permtest._unit_residual(p, "p")
         j_unit = permtest._unit_residual(j, "j")
@@ -505,6 +561,7 @@ class TestThreadedBlocks:
     ):
         p, j = self.pair(2048)
         n_perm = 30000
+        blocks = -(-n_perm // block_size(2048))
         self.force_cpus(monkeypatch, 3)
         real = permtest._keyed
         done = []
@@ -514,7 +571,7 @@ class TestThreadedBlocks:
 
         def failing(seed, indices):
             for k, gen in zip(indices, real(seed, indices)):
-                if indices.start == n_perm * failing_block // 3:
+                if indices.start == blocks * failing_block // 3:
                     raise BlockFailed(k)
                 done.append(k)
                 yield gen
@@ -523,8 +580,8 @@ class TestThreadedBlocks:
         before = threading.active_count()
         with pytest.raises(BlockFailed) as caught:
             perm_test(p, j, n_perm=n_perm, seed=0)
-        assert caught.value.args == (n_perm * failing_block // 3,)
-        assert len(done) < n_perm - n_perm // 3
+        assert caught.value.args == (blocks * failing_block // 3,)
+        assert len(done) < blocks - blocks // 3
         assert threading.active_count() == before
 
     def test_thread_that_cannot_start_is_an_error(self, monkeypatch):
@@ -553,13 +610,13 @@ class TestPermTest:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_r_sorted_matches_fresh_generator_per_permutation(self, seed):
-        # from 2048 samples up a block is one permutation: permutation k is
+        # from 16384 samples up a block is one permutation: permutation k is
         # the shuffle of a fresh generator keyed (seed, k)
-        p, j = self.gaussian_pair(n=4096, data_seed=4)
+        p, j = self.gaussian_pair(n=16384, data_seed=4)
         res = perm_test(p, j, n_perm=300, seed=seed)
         p_unit = (p - p.mean()) / np.linalg.norm(p - p.mean())
         j_unit = (j - j.mean()) / np.linalg.norm(j - j.mean())
-        rebuilt = [p_unit @ j_unit[fresh_philox(seed, k).permutation(4096)] for k in range(300)]
+        rebuilt = [p_unit @ j_unit[fresh_keyed(seed, k).permutation(16384)] for k in range(300)]
         assert np.array_equal(np.sort(rebuilt), res.r_sorted)
 
     def test_interleaved_calls_agree(self):
