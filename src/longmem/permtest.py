@@ -3,19 +3,18 @@
 The observed Pearson correlation is compared against the distribution
 obtained by correlating one series with ``n_perm`` uniform random
 permutations of the other. The permutations are drawn in blocks of
-B(n) = max(1, 32767 // n) for a series of n samples: block ``b`` is
+B(n) = max(1, 16383 // n) for a series of n samples: block ``b`` is
 drawn, as B successive shuffles, by an SFC64 generator seeded from a
 counter-based Philox keyed by ``(seed, b)``, by the rule ``_keyed``
 states, and permutation ``k`` is draw ``k mod B`` of block ``k div B``.
-From 16384 samples up B is 1 and permutation ``k`` is the shuffle keyed
+From 8192 samples up B is 1 and permutation ``k`` is the shuffle keyed
 ``(seed, k)``. Permutation ``k`` depends on neither ``n_perm`` nor the
 thread count, and ``nth_permutation`` replays it alone, in any order.
 
 ``perm_test`` builds one generator per thread and re-keys it for each
-block rather than building one generator per block. It draws a block of
-B > 1 in one ``Generator.permuted`` call over B rows that each hold the
-second series' unit residual, and a block of one as a copy of that
-residual shuffled in place, in place of drawing index permutations and
+block rather than building one generator per block. It draws each block
+in one ``Generator.permuted`` call over B rows that each hold the second
+series' unit residual, in place of drawing index permutations and
 gathering through them: the shuffle's draws depend only on the length,
 and it moves items without reading them, so each row comes out as that
 gather, bit for bit. What is left per permutation is numpy's shuffle of
@@ -70,10 +69,13 @@ _SUMMARY_QUANTILES = (
 
 # A block holds max(1, _BLOCK_SAMPLES // n) permutations of n samples: one
 # key per block rather than per permutation, so a thread takes the GIL
-# back once per block of shuffles, not after each, and a block's rows stay
-# within 256 KB. From 16384 samples up a block is one permutation, and
-# permutation k is keyed (seed, k).
-_BLOCK_SAMPLES = 32767
+# back once per block of shuffles, not after each. A block of more than one
+# row holds at most 16383 samples, 128 KB; from 8192 samples up a block is
+# one row of n samples, and permutation k is keyed (seed, k). The smallest
+# size that pays at 4096 samples on two threads: blocks of one or two rows
+# (4095, 8191) drew little faster than Philox, three rows as fast as seven
+# (32767). README "Determinism and randomness" has the sweep.
+_BLOCK_SAMPLES = 16383
 # At most this many threads. Only 1 and 2 cores were measured; the gain
 # above 2 is untested.
 _MAX_THREADS = 4
@@ -211,20 +213,16 @@ def _permuted_correlations(
     """``_dot(p_unit, j_unit shuffled by permutation k)`` for each ``k`` in ``range(n_perm)``.
 
     Block ``b`` holds permutations ``b * B`` up to ``(b + 1) * B``, the
-    last block fewer, drawn by the generator keyed ``(seed, b)``: in one
-    ``permuted`` call, or at B = 1 as one ``shuffle``, which draws the
-    same row; ``permuted`` of one row ran about 10% slower on two threads
-    at 2048 and 4096 samples (numpy 2.4, a shared 2-vCPU x86 machine,
-    under the Philox draws of blocks of 4095 samples).
-    The blocks are split into contiguous runs, one per usable CPU, up to
-    ``_MAX_THREADS`` and never more than there are blocks. The calling
-    thread runs the first run and a ``threading.Thread`` each other run,
-    with its own generator and rows. Each correlation is the same
-    ``_dot`` wherever it runs (a 2-d product may round differently), so
-    the output does not depend on the split. The first exception raised
-    in any run, a ``MemoryError`` for the rows or a ``KeyboardInterrupt``
-    included, stops every run at its next block and is raised again here
-    once all threads have ended.
+    last block fewer, drawn by the generator keyed ``(seed, b)`` in one
+    ``permuted`` call. The blocks are split into contiguous runs, one
+    per usable CPU, up to ``_MAX_THREADS`` and never more than there are
+    blocks. The calling thread runs the first run and a
+    ``threading.Thread`` each other run, with its own generator and
+    rows. Each correlation is the same ``_dot`` wherever it runs (a 2-d
+    product may round differently), so the output does not depend on
+    the split. The first exception raised in any run, a ``MemoryError``
+    for the rows or a ``KeyboardInterrupt`` included, stops every run at
+    its next block and is raised again here once all threads have ended.
     """
     n = j_unit.size
     size = _block_size(n)
@@ -248,11 +246,7 @@ def _permuted_correlations(
                 m = n_perm - first
                 if m < size:  # the last block is short
                     src, out, views = src[:m], out[:m], views[:m]
-                if size > 1:
-                    gen.permuted(src, axis=1, out=out)
-                else:
-                    np.copyto(views[0], j_unit)
-                    gen.shuffle(views[0])
+                gen.permuted(src, axis=1, out=out)
                 for k, row in enumerate(views, first):
                     r_perm[k] = _dot(p_unit, row)
         except BaseException as exc:
@@ -281,11 +275,11 @@ def nth_permutation(seed: int, index: int, n: int) -> np.ndarray:
 
     Draw ``index mod B`` of the successive permutations that the
     generator ``_keyed`` builds for ``(seed, index div B)`` draws, with
-    B = max(1, 32767 // n), so any single permutation can be regenerated
+    B = max(1, 16383 // n), so any single permutation can be regenerated
     without drawing the other blocks. The block's rows up to this one are
     drawn in one ``Generator.permuted`` call, as ``perm_test`` draws
-    them, so replaying its own block's earlier draws costs at most 32766
-    samples of shuffling. From 16384 samples up B is 1 and the key is
+    them, so replaying its own block's earlier draws costs at most 16382
+    samples of shuffling. From 8192 samples up B is 1 and the key is
     ``(seed, index)``. It is bit-identical to permutation ``index`` of
     ``perm_test`` with the same seed, whatever that test's ``n_perm``.
     """
@@ -333,7 +327,7 @@ def perm_test(
     counts |r_k| >= |r_obs|. The test rejects when that p-value is at
     most 0.05.
 
-    The permutations run in keyed blocks of B = max(1, 32767 // n) on up
+    The permutations run in keyed blocks of B = max(1, 16383 // n) on up
     to four threads, one per CPU the process may use and never more than
     there are blocks; the result is the same bit for bit on any number of
     them, and a machine or affinity mask with one usable CPU runs them all

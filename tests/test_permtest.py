@@ -27,8 +27,8 @@ SEEDS = [0, 1, 2**63, 2**64 - 1]
 
 
 def block_size(n):
-    """Permutations of n samples drawn by one key: 1 from 16384 samples up."""
-    return max(1, 32767 // n)
+    """Permutations of n samples drawn by one key: 1 from 8192 samples up."""
+    return max(1, 16383 // n)
 
 
 def sfc64_from_words(a, b, c):
@@ -104,9 +104,9 @@ def full_index_perm_test(p, j, n_perm, seed, tail):
 
 
 # n x n_perm x tail, with the edge seeds cycled over the cells. 1001 is
-# not a multiple of 546 (n = 60) nor 1003 of 42 (n = 776), so those cells
-# end in a short block; 16383 and 16384 sit either side of the length
-# from which a block holds one permutation
+# not a multiple of 273 (n = 60) nor 1003 of 21 (n = 776), so those cells
+# end in a short block; 8191 and 8192 sit either side of the length from
+# which a block holds one permutation
 PARITY_GRID = [
     (n, n_perm, tail, SEEDS[i % len(SEEDS)])
     for i, (n, n_perm, tail) in enumerate(
@@ -115,8 +115,8 @@ PARITY_GRID = [
 ] + [
     (60, 1001, "two", 2**64 - 1),
     (776, 1003, "lower", 2**63),
-    (16383, 301, "upper", 1),
-    (16384, 300, "two", 2**64 - 1),
+    (8191, 301, "upper", 1),
+    (8192, 300, "two", 2**64 - 1),
 ]
 
 
@@ -216,28 +216,28 @@ class TestNthPermutation:
     @pytest.mark.parametrize("index", [0, 1, 2**32 + 1])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_fresh_keyed_generator_on_seed_and_index(self, seed, index, n):
-        # below 16384 samples: draw index mod B of the block a fresh
+        # below 8192 samples: draw index mod B of the block a fresh
         # generator keyed on (seed, index div B) draws
         expected = fresh_keyed_permutation(seed, index, n)
         perm = nth_permutation(seed, index, n)
         assert perm.dtype == expected.dtype
         assert np.array_equal(perm, expected)
 
-    @pytest.mark.parametrize("n", [1, 4, 60, 776, 2047, 16383])
+    @pytest.mark.parametrize("n", [1, 4, 60, 776, 2047, 8191])
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_block_boundary_and_the_last_index(self, seed, n):
-        # index B - 1 replays the whole block but its last row: 32766 rows
-        # at n = 1, 8190 at n = 4, 41 at n = 776
+        # index B - 1 replays the whole block but its last row: 16382 rows
+        # at n = 1, 4094 at n = 4, 20 at n = 776
         size = block_size(n)
         for index in (size - 1, size, 2**64 - 1):
             assert np.array_equal(
                 nth_permutation(seed, index, n), fresh_keyed_permutation(seed, index, n)
             )
 
-    @pytest.mark.parametrize("n", [16384, 40000])
+    @pytest.mark.parametrize("n", [8192, 40000])
     @pytest.mark.parametrize("index", [0, 1, 2**64 - 1])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_from_16384_samples_a_fresh_keyed_generator_on_seed_and_index(self, seed, index, n):
+    def test_from_8192_samples_a_fresh_keyed_generator_on_seed_and_index(self, seed, index, n):
         # one permutation per block: the key is the index itself
         expected = fresh_keyed(seed, index).permutation(n)
         perm = nth_permutation(seed, index, n)
@@ -336,7 +336,7 @@ class TestKeyed:
 
     def test_block_stream_orders_of_four_are_uniform(self):
         # 24 000 permutations of 4 samples as perm_test draws them: blocks
-        # of B(4) = 8191 rows, each block one permuted call. Chi-squared
+        # of B(4) = 4095 rows, each block one permuted call. Chi-squared
         # over the 24 orders stays below 49.7, the 0.999 point for 23
         # degrees of freedom
         n, n_perm = 4, 24000
@@ -378,8 +378,8 @@ class TestShuffledCopy:
     @example(seed=0, k=0, n=1, data_seed=0)
     @example(seed=2**64 - 1, k=2**64 - 1, n=776, data_seed=1)
     @example(seed=2**63, k=2**63 + 3, n=5000, data_seed=2)
-    @example(seed=3, k=8190, n=4, data_seed=3)  # the last row of a block, B(4) = 8191
-    @example(seed=2**64 - 1, k=41, n=776, data_seed=4)  # B(776) = 42
+    @example(seed=3, k=4094, n=4, data_seed=3)  # the last row of a block, B(4) = 4095
+    @example(seed=2**64 - 1, k=20, n=776, data_seed=4)  # B(776) = 21
     def test_shuffled_copy_is_the_gather(self, seed, k, n, data_seed):
         # any 64-bit pattern, nan payloads and signed zeros included, is
         # moved as it is: the shuffle never reads the items. Row k mod B of
@@ -461,7 +461,7 @@ class TestThreadedBlocks:
     @pytest.mark.parametrize("n, n_perm", [(2048, 1000), (4097, 301), (16384, 301)])
     @pytest.mark.parametrize("tail", TAILS)
     def test_one_two_and_three_blocks_agree_bit_for_bit(self, monkeypatch, n, n_perm, tail):
-        # 67, 43 and 301 blocks: 15 and 7 permutations per block, and one
+        # 143, 101 and 301 blocks: 7 and 3 permutations per block, and one
         p, j = self.pair(n)
         blocks = -(-n_perm // block_size(n))
         results = {}
@@ -483,7 +483,7 @@ class TestThreadedBlocks:
     def test_four_blocks_under_a_short_switch_interval(self, monkeypatch):
         # more threads than this machine's cores, switching as often as the
         # interpreter allows: a write lost to another block would show, one
-        # permutation per block (16384) or 42 (776)
+        # permutation per block (16384) or 21 (776)
         for n in (16384, 776):
             p, j = self.pair(n)
             self.force_cpus(monkeypatch, 64)
@@ -502,7 +502,7 @@ class TestThreadedBlocks:
 
     @pytest.mark.parametrize("n, n_perm", [(3, 1000), (40, 100)])
     def test_one_block_starts_no_thread(self, monkeypatch, n, n_perm):
-        # B = 10922 at n = 3 and 819 at n = 40: every permutation in block 0
+        # B = 5461 at n = 3 and 409 at n = 40: every permutation in block 0
         class NoThread:
             def __init__(self, *args, **kwargs):
                 raise AssertionError("perm_test started a thread")
@@ -525,9 +525,11 @@ class TestThreadedBlocks:
             monkeypatch.undo()
         assert len(results) == 1
 
-    @pytest.mark.parametrize("n, n_perm", [(60, 1001), (776, 1003), (776, 100), (60, 2500)])
+    @pytest.mark.parametrize(
+        "n, n_perm", [(60, 1001), (776, 1003), (776, 100), (60, 2500), (60, 300), (200, 200)]
+    )
     def test_threads_run_contiguous_runs_of_blocks(self, monkeypatch, n, n_perm):
-        # 2, 24, 3 and 5 blocks: never more runs than blocks
+        # 4, 48, 5, 10, 2 and 3 blocks: never more runs than blocks
         p, j = self.pair(n)
         blocks = -(-n_perm // block_size(n))
         for cpus in (1, 2, 3, 4):
@@ -545,7 +547,7 @@ class TestThreadedBlocks:
 
     @pytest.mark.parametrize("n, m", [(60, 333), (776, 333), (2048, 333)])
     def test_permutation_k_does_not_depend_on_n_perm(self, n, m):
-        # 333 is a multiple of none of 546 (n = 60), 42 (n = 776) and 15
+        # 333 is a multiple of none of 273 (n = 60), 21 (n = 776) and 7
         # (n = 2048): the shorter run ends inside a block the longer one
         # draws whole
         p, j = self.pair(n)
@@ -610,7 +612,7 @@ class TestPermTest:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_r_sorted_matches_fresh_generator_per_permutation(self, seed):
-        # from 16384 samples up a block is one permutation: permutation k is
+        # from 8192 samples up a block is one permutation: permutation k is
         # the shuffle of a fresh generator keyed (seed, k)
         p, j = self.gaussian_pair(n=16384, data_seed=4)
         res = perm_test(p, j, n_perm=300, seed=seed)
