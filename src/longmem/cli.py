@@ -166,7 +166,7 @@ def _stats_options(p: argparse.ArgumentParser) -> None:
 
 def _acf_options(p: argparse.ArgumentParser) -> None:
     _add_analysis_options(p)
-    p.add_argument("--max-lag", type=int, required=True)
+    p.add_argument("--max-lag", type=int, required=True, help="largest lag of the autocorrelation")
     p.add_argument(
         "--method",
         choices=("fft", "direct"),
@@ -185,7 +185,12 @@ def _acf_options(p: argparse.ArgumentParser) -> None:
 
 def _hurst_options(p: argparse.ArgumentParser) -> None:
     _add_analysis_options(p)
-    p.add_argument("--min-window", type=int, default=8)
+    p.add_argument(
+        "--min-window",
+        type=int,
+        default=8,
+        help="smallest window of the factor-2 ladder (default 8)",
+    )
     p.add_argument(
         "--weighted",
         action="store_true",
@@ -246,7 +251,7 @@ def _permtest_options(p: argparse.ArgumentParser) -> None:
         f"length) on up to {_MAX_THREADS} threads, one per usable CPU, with the same "
         "result on any number",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="key of the permutation draws (default 0)")
     p.add_argument(
         "--tail",
         choices=TAILS,
@@ -262,9 +267,9 @@ def _permtest_options(p: argparse.ArgumentParser) -> None:
 def _gen_options(p: argparse.ArgumentParser) -> None:
     from .synth import KINDS, PARAMS
 
-    p.add_argument("--kind", choices=KINDS, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--kind", choices=KINDS, required=True, help="process to draw")
+    p.add_argument("--n", type=int, required=True, help="number of samples to draw")
+    p.add_argument("--seed", type=int, default=0, help="seed of the stochastic kinds (default 0)")
     for name, help in PARAMS.items():
         p.add_argument(f"--{name}", type=float, default=None, help=help)
     _add_output_options(p)
@@ -589,11 +594,6 @@ def _cmd_permtest(ns) -> _Report:
         y = series[1]
     else:
         u_series, v_series = series[1:]
-        if len(u_series) != len(v_series):
-            raise ValidationError(
-                "resultant component files must have equal length "
-                f"({len(u_series)} vs {len(v_series)})"
-            )
         from .permtest import _paired
 
         # U and V pair by the library's rule, and the resultant keeps their anchor

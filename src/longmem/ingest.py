@@ -11,7 +11,9 @@ Three formats are understood:
 
 A leading byte-order mark is dropped, and blank and ``#`` comment lines are
 skipped in every layout, before, between and after the data rows.
-``format="auto"`` picks one of the three from the first data-looking line.
+``format="auto"`` picks the layout whose row test, the one its reader
+applies, reads the first data line that any of them reads. Every value and
+year is read by one number rule, ``_number``: decimal text, without ``_``.
 
 Values within 1e-6 of the missing sentinel (default -999.9; a tolerance
 because files are decimal text) are absent, and so are the months a
@@ -133,54 +135,69 @@ def _data_lines(lines: list[str]) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def _value(token: str, lineno: int) -> float:
-    """``token`` read as a float; a ``ParseError`` naming it otherwise."""
+def _number(token: str, kind: type = float) -> float | int | None:
+    """``token`` read as decimal text by ``kind``, ``float`` or ``int``, or None.
+
+    The one number rule of every layout and of the sniffer. Python's
+    readers also take ``_`` between digits (``0_5`` is 5.0), which no data
+    file means, so a token with ``_`` is no number.
+    """
     try:
-        return float(token)
+        return None if "_" in token else kind(token)
     except ValueError:
-        raise ParseError(f"bad value {token!r}", lineno) from None
+        return None
+
+
+def _value(token: str, lineno: int) -> float:
+    """``token`` read by the number rule; a ``ParseError`` naming it otherwise."""
+    value = _number(token)
+    if value is None:
+        raise ParseError(f"bad value {token!r}", lineno)
+    return value
+
+
+def _cpc_year(tokens: list[str]) -> int | None:
+    """The year of a ``cpc_table`` row, its first token read as an integer,
+    or None: the row test of the reader and of the sniffer."""
+    return _number(tokens[0], int)
+
+
+def _csv_month(line: str) -> tuple[int, int] | None:
+    """The month of a ``csv_pair`` row, the ``YYYY-MM`` date before its first
+    comma, or None: the row test of the reader and of the sniffer."""
+    date = parse_month(line.partition(",")[0].strip())
+    return date if date is not None and 1 <= date[1] <= 12 else None
 
 
 def _sniff_format(lines: list[str]) -> str:
-    """Guess the file layout from its first data-looking line.
+    """The layout whose row test reads the first data line that any reads.
 
-    When no line matches a layout, the first line that starts like a
-    number decides: an integer year token leaves the file to the
-    ``cpc_table`` parser, which reports what is wrong with the row; any
-    other start is an unsupported layout.
+    Each test is its reader's: a ``YYYY-MM`` date before the first comma
+    (``csv_pair``), one number (``column``), or an integer year before
+    other tokens (``cpc_table``, whose reader names what is wrong with a
+    short row). A line no test reads is a caption; when every line is,
+    the first that starts like a number is an unsupported layout.
     """
     first_data: tuple[int, str] | None = None
     for lineno, line in _data_lines(lines):
-        left, sep, _ = line.partition(",")
-        if sep and left.strip().count("-") == 1:
+        if _csv_month(line) is not None:
             return "csv_pair"
-        tokens = line.split()
-        if len(tokens) == 13 and _is_number(tokens[0], int):
-            return "cpc_table"
-        if len(tokens) == 1 and _is_number(tokens[0]):
+        if _number(line) is not None:
             return "column"
+        tokens = line.split()
+        if _cpc_year(tokens) is not None:
+            return "cpc_table"
         if first_data is None and _NUMBER_START_RE.match(line):
             first_data = lineno, tokens[0]
     if first_data is None:
         raise ParseError("no data rows found")
     lineno, token = first_data
-    if not _is_number(token, int):
-        raise ParseError(
-            f"unsupported layout starting {token!r}; expected cpc_table rows "
-            "'YEAR v1 .. v12', csv_pair rows 'YYYY-MM,value' or a column "
-            "of one value per line",
-            lineno,
-        )
-    return "cpc_table"
-
-
-def _is_number(token: str, kind: type = float) -> bool:
-    """Whether ``kind(token)``, ``float`` or ``int``, reads ``token``."""
-    try:
-        kind(token)
-    except ValueError:
-        return False
-    return True
+    raise ParseError(
+        f"unsupported layout starting {token!r}; expected cpc_table rows "
+        "'YEAR v1 .. v12', csv_pair rows 'YYYY-MM,value' or a column "
+        "of one value per line",
+        lineno,
+    )
 
 
 def _parse_cpc_table(lines: list[str]) -> tuple[list[float], tuple[int, int] | None]:
@@ -189,12 +206,10 @@ def _parse_cpc_table(lines: list[str]) -> tuple[list[float], tuple[int, int] | N
     prev_year: int | None = None
     for lineno, line in _data_lines(lines):
         tokens = line.split()
-        try:
-            year = int(tokens[0])
-        except ValueError:
-            if prev_year is None and not (
-                len(tokens) == 13 and all(map(_is_number, tokens[1:]))
-            ):
+        year = _cpc_year(tokens)
+        if year is None:
+            twelve_values = len(tokens) == 13 and None not in map(_number, tokens[1:])
+            if prev_year is None and not twelve_values:
                 continue  # a caption line, not a year row with a bad year
             raise ParseError(f"expected a year row, got {tokens[0]!r}", lineno)
         if len(tokens) != 13:
@@ -224,8 +239,8 @@ def _parse_csv_pair(
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise ParseError(f"expected 'YYYY-MM,value', got {line!r}", lineno)
-        date = parse_month(parts[0])
-        if date is None or not 1 <= date[1] <= 12:
+        date = _csv_month(parts[0])
+        if date is None:
             raise ParseError(f"bad date {parts[0]!r}", lineno)
         value = _value(parts[1], lineno)
         month = month_number(date)

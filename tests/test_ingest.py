@@ -14,6 +14,7 @@ from longmem import (
     select_range,
     serialize_column,
 )
+from longmem.cli import main
 from longmem.errors import WARN_RANGE_CLIPPED, WARN_TRUNCATED_AT_GAP
 from longmem.ingest import FORMATS
 
@@ -435,6 +436,36 @@ class TestSniffing:
         assert str(err.value) == "no data rows found"
 
 
+VALUES = ROW_2014.split(maxsplit=1)[1]
+
+
+@pytest.mark.parametrize("fmt", ["layout", "auto"])
+@pytest.mark.parametrize(
+    "layout, text, lineno, message",
+    [
+        ("cpc_table", f"{ROW_2014}\n2015 {VALUES.replace('0.5', '0_5')}\n", 2, "bad value '0_5'"),
+        ("cpc_table", f"SOI\n1_951 {VALUES}\n1952 {VALUES}\n", 2,
+         "expected a year row, got '1_951'"),
+        ("csv_pair", "2014-01,0.5\n2014-02,1_000\n", 2, "bad value '1_000'"),
+        ("column", "0.5\n0_5\n0.7\n", 2, "bad value '0_5'"),
+    ],
+    ids=["cpc_table value", "cpc_table year", "csv_pair value", "column value"],
+)
+def test_underscore_in_a_number_is_refused(tmp_path, capsys, fmt, layout, text, lineno, message):
+    # float and int read "0_5" as 5 and "1_000" as 1000; no data file means that
+    fmt = layout if fmt == "layout" else fmt
+    with pytest.raises(ParseError) as err:
+        parse(text, IngestOptions(format=fmt))
+    assert err.value.line == lineno
+    assert str(err.value) == f"line {lineno}: {message}"
+    path = tmp_path / "underscore.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["stats", "--input", str(path), "--input-format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line {lineno}: {message}\n"
+
+
 def outcome(text, opts):
     result = parse(text, opts)
     return result.series.values.tobytes(), result.series.start, result.warnings
@@ -531,7 +562,13 @@ class TestProperties:
         st.booleans(),
     )
     def test_auto_reads_cpc_table(self, year, rows, caption):
-        lines = ["INDEX (STANDARDIZED)", "", "YEAR JAN FEB MAR APR MAY JUN JUL AUG SEP OCT NOV DEC"]
+        # the second caption has a comma and a hyphen, as a csv_pair row has
+        lines = [
+            "INDEX (STANDARDIZED)",
+            "SOI 1951-2015, standardized",
+            "",
+            "YEAR JAN FEB MAR APR MAY JUN JUL AUG SEP OCT NOV DEC",
+        ]
         lines = lines if caption else []
         lines += [
             " ".join([str(year + i), *(repr(v) for v in row)]) for i, row in enumerate(rows)
