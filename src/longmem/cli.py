@@ -8,8 +8,9 @@ writes plot-ready curve data as two-column numeric text. Identical
 invocations on identical inputs produce byte-identical structured output
 — the payload carries no timestamps and all randomness is seeded.
 
-Each subcommand returns a ``_Report`` and ``main`` renders it, so the
-envelope, the renderings and the ``--out`` file have one code path.
+Each subcommand's options name the files it reads; ``main`` parses each
+once and hands the series to the handler, whose ``_Report`` it renders:
+one code path for loading, the envelope, the renderings and ``--out``.
 Start-up follows the command: a run adds only its own subcommand's
 options to the parser and imports only the analysis module it calls.
 Subcommands read every library name as an attribute of this module
@@ -137,6 +138,7 @@ def _add_output_options(sub: argparse.ArgumentParser, curve: bool = True) -> Non
 def _add_analysis_options(p, curve: bool = True) -> None:
     """The options of a subcommand that analyses one ``--input`` file."""
     p.add_argument("--input", required=True, help="data file to analyse")
+    p.set_defaults(input_options=("input",))
     _add_format_options(p)
     p.add_argument(
         "--range",
@@ -241,6 +243,7 @@ def _permtest_options(p: argparse.ArgumentParser) -> None:
         metavar=("U", "V"),
         help="build the second series as sqrt(u^2 + v^2) from two files",
     )
+    p.set_defaults(input_options=("x", "y", "resultant"))
     _add_format_options(p)
     p.add_argument(
         "--n-perm",
@@ -303,31 +306,35 @@ class _Report:
     """What one subcommand found; ``main`` renders it.
 
     ``table`` is the table rendering before the warnings; ``curve`` the
-    ``--out`` lines, lazy where long so they cost nothing without ``--out``.
+    ``--out`` lines, lazy where long so they cost nothing without ``--out``;
+    ``warnings`` the analysis's own, reported after the parser's.
     """
 
-    inputs: list[dict]
     results: dict
-    warnings: list[WarningRecord]
     table: list[str]
     curve: Iterable[str] = ()
+    warnings: Iterable[WarningRecord] = ()
 
 
-def _load_series(
-    ns, *paths: str
-) -> tuple[list[TimeSeries], list[dict], list[WarningRecord]]:
+def _load_series(ns) -> tuple[list[TimeSeries], list[dict], list[WarningRecord]]:
     """Each file's series and ``inputs`` digest, and the parser's warnings.
 
     A file is read once, as bytes: its digest is that of the bytes on disk,
     as ``sha256sum`` prints it, and the text parsed is their UTF-8 decoding.
     """
+    paths: list[str] = []  # the files of the options ns.input_options names, in order
+    for dest in getattr(ns, "input_options", ()):  # gen names none
+        value = getattr(ns, dest) or []  # an option not given names no file
+        paths += [value] if isinstance(value, str) else value  # --resultant names two
+    series, inputs, warnings = [], [], []
+    if not paths:  # gen: no file, and no format options
+        return series, inputs, warnings
     opts = IngestOptions(
         format=ns.input_format,
         missing_sentinel=ns.missing_sentinel,
         range=ns.range,
         on_gap=ns.on_gap,
     )
-    series, inputs, warnings = [], [], []
     for path in paths:
         try:
             with open(path, "rb") as fh:
@@ -446,14 +453,12 @@ def _columns(widths: dict[str, int], rows) -> list[str]:
 # subcommands
 
 
-def _cmd_stats(ns) -> _Report:
-    [series], inputs, warnings = _load_series(ns, ns.input)
+def _cmd_stats(ns, series: TimeSeries) -> _Report:
     results = asdict(_lib.summarize(series, mode_resolution=ns.resolution))
-    return _Report(inputs, results, warnings, _kv_lines(results))
+    return _Report(results, _kv_lines(results))
 
 
-def _cmd_acf(ns) -> _Report:
-    [series], inputs, warnings = _load_series(ns, ns.input)
+def _cmd_acf(ns, series: TimeSeries) -> _Report:
     compute = _lib.acf_fft if ns.method == "fft" else _lib.acf_direct
     result = compute(series, ns.max_lag)
     results = {
@@ -471,15 +476,12 @@ def _cmd_acf(ns) -> _Report:
     table.append("")
     table.extend(_columns({"lag": 5, "r": 12}, enumerate(results["coefficients"].tolist())))
     curve = (f"{k} {float(r)!r}" for k, r in enumerate(result.coefficients))
-    return _Report(inputs, results, warnings, table, curve)
+    return _Report(results, table, curve)
 
 
-def _cmd_hurst(ns) -> _Report:
-    [series], inputs, warnings = _load_series(ns, ns.input)
+def _cmd_hurst(ns, series: TimeSeries) -> _Report:
     table = _lib.rs_table(series, min_window=ns.min_window)
     estimate = _lib.fit_h(table, weighted=ns.weighted)
-    warnings.extend(estimate.warnings)
-    warnings.extend(table.warnings)
     results = asdict(estimate)
     del results["warnings"]  # reported with the run's other warnings
     results["skipped_blocks"] = table.skipped_blocks
@@ -490,14 +492,13 @@ def _cmd_hurst(ns) -> _Report:
     # the skipped-block count is reported by the SKIPPED_BLOCKS warning
     lines.extend(_kv_lines(results, "skipped_blocks"))
     curve = [f"{p.window} {p.mean_rs!r}" for p in table]
-    return _Report(inputs, results, warnings, lines, curve)
+    return _Report(results, lines, curve, [*estimate.warnings, *table.warnings])
 
 
-def _cmd_suite(ns) -> _Report:
-    [series], inputs, warnings = _load_series(ns, ns.input)
+def _cmd_suite(ns, series: TimeSeries) -> _Report:
     results = asdict(_lib.hurst_suite(series))
     labelled = {f"{label}:": value for label, value in zip(_SUITE_LABELS, results.values())}
-    return _Report(inputs, results, warnings, _kv_lines(labelled))
+    return _Report(results, _kv_lines(labelled))
 
 
 def _parse_grid(spec: str) -> list[dict]:
@@ -525,8 +526,7 @@ def _parse_grid(spec: str) -> list[dict]:
     return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
 
 
-def _cmd_lyap(ns) -> _Report:
-    [series], inputs, warnings = _load_series(ns, ns.input)
+def _cmd_lyap(ns, series: TimeSeries) -> _Report:
     base = {field: getattr(ns, name) for name, (field, *_) in _GRID_FIELDS.items()}
     base.update(seed=ns.seed, random_sample=ns.random_refs)
     overrides = [{}] if ns.grid is None else _parse_grid(ns.grid)
@@ -541,7 +541,7 @@ def _cmd_lyap(ns) -> _Report:
             _checked_fit(*ns.fit, ns.dt, params.s)
     # each combination adds one block to each output: a blank line, its
     # header, then its error or its curve; the first blank is cut at the end
-    payloads, lines, curve_lines, failures = [], [], [], []
+    payloads, lines, curve_lines, failures, warnings = [], [], [], [], []
     for params in grid:
         payload = {
             "params": {
@@ -584,16 +584,14 @@ def _cmd_lyap(ns) -> _Report:
         payloads.append(payload)
     if len(failures) == len(grid):
         raise failures[0]
-    return _Report(inputs, {"curves": payloads}, warnings, lines[1:], curve_lines[1:])
+    return _Report({"curves": payloads}, lines[1:], curve_lines[1:], warnings)
 
 
-def _cmd_permtest(ns) -> _Report:
-    paths = [ns.x, ns.y] if ns.y is not None else [ns.x, *ns.resultant]
-    series, inputs, warnings = _load_series(ns, *paths)
-    if ns.y is not None:
-        y = series[1]
+def _cmd_permtest(ns, x: TimeSeries, *others: TimeSeries) -> _Report:
+    if ns.y is not None:  # others is y, or the --resultant files' u and v
+        [y] = others
     else:
-        u_series, v_series = series[1:]
+        u_series, v_series = others
         from .permtest import _paired
 
         # U and V pair by the library's rule, and the resultant keeps their anchor
@@ -601,7 +599,7 @@ def _cmd_permtest(ns) -> _Report:
         y = TimeSeries(np.hypot(u, v), start=u_series.start or v_series.start)
 
     result = _lib.perm_test(
-        series[0],
+        x,
         y,
         n_perm=ns.n_perm,
         seed=ns.seed,
@@ -615,7 +613,7 @@ def _cmd_permtest(ns) -> _Report:
     results["r_sorted_summary"] = dict(result.r_sorted_summary)
     summary = {f"r_sorted[{k}]": v for k, v in result.r_sorted_summary.items()}
     curve = (f"{rank} {float(r)!r}" for rank, r in enumerate(result.r_sorted, start=1))
-    return _Report(inputs, results, warnings, _kv_lines({**results, **summary}), curve)
+    return _Report(results, _kv_lines({**results, **summary}), curve)
 
 
 def _cmd_gen(ns) -> _Report | str:
@@ -628,7 +626,7 @@ def _cmd_gen(ns) -> _Report | str:
     if ns.out is None:
         return text
     results = {"kind": ns.kind, "n": ns.n, "seed": ns.seed, "path": ns.out, **kwargs}
-    return _Report([], results, [], _kv_lines(results), text.splitlines())
+    return _Report(results, _kv_lines(results), text.splitlines())
 
 
 # Each subcommand's help line, the function that adds its options and
@@ -682,15 +680,16 @@ def _run(argv: list[str]) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         _, _, command = _SUBCOMMANDS[ns.subcommand]
-        report = command(ns)
+        series, inputs, warnings = _load_series(ns)
+        report = command(ns, *series)
         if isinstance(report, str):  # gen without --out: the bare column
             sys.stdout.write(report)
             return 0
         # the curve file comes first, so a failed write prints no envelope
         if getattr(ns, "out", None):
             _write_out(ns.out, report.curve)
-        strict = ns.format == "json"
-        envelope = _envelope(argv, report.inputs, report.results, report.warnings, strict)
+        warnings.extend(report.warnings)  # the parser's first, then the analysis's
+        envelope = _envelope(argv, inputs, report.results, warnings, ns.format == "json")
         _emit(ns, envelope, report.table)
         return 0
     except (ValidationError, NumericError) as exc:

@@ -5,7 +5,8 @@ Three formats are understood:
 * ``cpc_table``: the climate-center monthly layout, one row per year with
   13 whitespace-separated tokens (``year v1 .. v12``). Header or caption
   lines before the first data row are ignored, but not a row of twelve
-  values with a bad year; once data rows begin, malformed rows are errors.
+  value-like tokens with a bad year; once data rows begin, malformed rows
+  are errors.
 * ``csv_pair``: ``YYYY-MM,value`` rows.
 * ``column``: one value per line, no calendar anchor.
 
@@ -156,6 +157,13 @@ def _value(token: str, lineno: int) -> float:
     return value
 
 
+def _value_like(token: str) -> bool:
+    """Whether ``token`` counts as a value to the ``cpc_table`` caption test:
+    the number rule reads it, or it starts as a number does, as a malformed
+    value such as ``0_5`` does. A caption word does neither."""
+    return _number(token) is not None or _NUMBER_START_RE.match(token) is not None
+
+
 def _cpc_year(tokens: list[str]) -> int | None:
     """The year of a ``cpc_table`` row, its first token read as an integer,
     or None: the row test of the reader and of the sniffer."""
@@ -208,7 +216,7 @@ def _parse_cpc_table(lines: list[str]) -> tuple[list[float], tuple[int, int] | N
         tokens = line.split()
         year = _cpc_year(tokens)
         if year is None:
-            twelve_values = len(tokens) == 13 and None not in map(_number, tokens[1:])
+            twelve_values = len(tokens) == 13 and all(map(_value_like, tokens[1:]))
             if prev_year is None and not twelve_values:
                 continue  # a caption line, not a year row with a bad year
             raise ParseError(f"expected a year row, got {tokens[0]!r}", lineno)

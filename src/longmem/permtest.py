@@ -290,9 +290,9 @@ def nth_permutation(seed: int, index: int, n: int) -> np.ndarray:
         raise ValidationError("permutation length must be positive")
     block, draw = divmod(index, _block_size(n))
     gen = next(_keyed(seed, (block,)))
-    # the block's rows up to this one, as perm_test draws them, in one call
-    rows = gen.permuted(np.broadcast_to(np.arange(n), (draw + 1, n)), axis=1)
-    return rows[-1].copy()  # not a view that keeps the earlier rows alive
+    # the block's rows up to this one, float64 as perm_test draws them, in one call
+    rows = gen.permuted(np.broadcast_to(np.arange(n, dtype=float), (draw + 1, n)), axis=1)
+    return rows[-1].astype(np.int64)  # a copy, not a view that keeps the earlier rows
 
 
 def _sorted_quantile(ascending: np.ndarray, q: float) -> float:

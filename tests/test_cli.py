@@ -707,6 +707,33 @@ class TestTracerContract:
 
         assert not hasattr(longmem.cli, "no_such_call")
 
+    @pytest.mark.parametrize(
+        "command, parses",
+        [("stats", 1), ("acf", 1), ("hurst", 1), ("suite", 1), ("lyap", 1),
+         ("permtest", 2), ("resultant", 3), ("gen", 0)],
+    )
+    def test_each_named_file_is_parsed_once(self, command, parses, tmp_path, capsys, monkeypatch):
+        if command == "resultant":
+            argv = traced_command(tmp_path, "permtest")
+            v = gen_file(tmp_path, "w3.txt", n=256, seed=2)
+            at = argv.index("--y")
+            argv[at : at + 2] = ["--resultant", argv[at + 1], v]
+        else:
+            argv = traced_command(tmp_path, command)
+        import longmem.cli
+
+        real = longmem.cli.parse
+        texts = []
+
+        def counting(text, opts):
+            texts.append(text)
+            return real(text, opts)
+
+        monkeypatch.setattr(longmem.cli, "parse", counting)
+        assert main(argv) == 0, capsys.readouterr().err
+        capsys.readouterr()
+        assert len(texts) == parses
+
 
 class TestWarnings:
     def test_truncation_warning_in_all_formats(self, tmp_path, capsys):
@@ -763,6 +790,21 @@ class TestWarnings:
         ]
         _, table = run(capsys, "hurst", "--input", path)
         assert table.index("[H_OUT_OF_RANGE]") < table.index("[SKIPPED_BLOCKS]")
+
+    def test_parse_warnings_come_before_the_analysis_warnings(self, tmp_path, capsys):
+        # a flat first block of 16 is skipped by the R/S pass, after the
+        # parser has cut the series at the gap that follows the 300 values
+        x = generate(GenSpec(kind="white", n=300, seed=0)).values.copy()
+        x[:16] = 0.25
+        text = "".join(f"{v!r}\n" for v in x.tolist()) + "-999.9\n1.0\n"
+        path = write(tmp_path, "gap.txt", text)
+        argv = ["hurst", "--input", path, "--on-gap", "truncate_at_first_gap"]
+        code, as_json = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        codes = [w["code"] for w in json.loads(as_json)["warnings"]]
+        assert codes == ["TRUNCATED_AT_GAP", "SKIPPED_BLOCKS"]
+        _, table = run(capsys, *argv)
+        assert table.index("[TRUNCATED_AT_GAP]") < table.index("[SKIPPED_BLOCKS]")
 
 
 class TestFormatsAndRange:

@@ -38,23 +38,41 @@ class TestCpcTable:
         assert ts.values[-1] == pytest.approx(2.0)
         assert result.warnings == ()
 
-    def test_preamble_lines_skipped(self):
+    @pytest.mark.parametrize("fmt", ["cpc_table", "auto"])
+    def test_preamble_lines_skipped(self, fmt):
         # the header has 13 words, as a year row has 13 tokens
         header = "YEAR JAN FEB MAR APR MAY JUN JUL AUG SEP OCT NOV DEC"
-        text = f"STANDARDIZED DATA\n(BASE 1951-2015)\n{header}\n{ROW_2014}"
-        ts = cpc(text).series
+        captions = "SOUTHERN OSCILLATION INDEX\nSTANDARDIZED DATA\n(BASE 1951-2015)"
+        text = f"{captions}\n{header}\n{ROW_2014}"
+        ts = parse(text, IngestOptions(format=fmt)).series
         assert len(ts) == 12
         assert ts.start == (2014, 1)
 
     @pytest.mark.parametrize("fmt", ["cpc_table", "auto"])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            ROW_2014.split(maxsplit=1)[1],
+            "0.1 0.2 0.3 0.4 0_5 0.6 0.7 0.8 0.9 1.0 1.1 1.2",
+            " ".join(["nan"] * 12),
+        ],
+        ids=["values", "underscore value", "nan values"],
+    )
     @pytest.mark.parametrize("year", ["1951.0", "l951"])
-    def test_malformed_first_year_row_is_refused_not_skipped(self, fmt, year):
-        # a row of twelve values is no caption: skipped, it would lose a year
-        values = ROW_2014.split(maxsplit=1)[1]
-        text = f"{year} {values}\n1952 {values}\n"
+    def test_malformed_first_year_row_is_refused_not_skipped(
+        self, tmp_path, capsys, fmt, values, year
+    ):
+        # a row of twelve values is no caption: skipped, it would lose a year.
+        # 0_5 is no number, but it starts like one, as no caption word does
+        text = f"{year} {values}\n1952 {ROW_2014.split(maxsplit=1)[1]}\n"
         with pytest.raises(ParseError) as err:
             parse(text, IngestOptions(format=fmt))
+        assert err.value.line == 1
         assert str(err.value) == f"line 1: expected a year row, got {year!r}"
+        path = tmp_path / "table.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["stats", "--input", str(path), "--input-format", fmt]) == 2
+        assert capsys.readouterr().err == f"error: {err.value}\n"
 
     def test_malformed_row_after_data_reports_line(self):
         text = ROW_2014 + "\nnot-a-year 1 2 3\n"
