@@ -279,14 +279,8 @@ def lyap_k(ts: TimeSeries | np.ndarray, params: EmbeddingParams) -> DivergenceCu
     offset, n_valid = _checked_length(x.size, params)
     refs = _reference_indices(n_valid, params)
     # row j is the last coordinate of vector j and its next s - 1 samples:
-    # a read-only view of x, the rows one sample apart. as_strided checks no
-    # bounds; _checked_length's n_valid = x.size - offset - s + 1 ends the
-    # last row at x's last sample
-    assert x.size - offset == n_valid + params.s - 1
-    step = x.strides[0]
-    ahead = np.lib.stride_tricks.as_strided(
-        x[offset:], shape=(n_valid, params.s), strides=(step, step), writeable=False
-    )
+    # a read-only view of x, the rows one sample apart, n_valid of them
+    ahead = np.lib.stride_tricks.sliding_window_view(x[offset:], params.s)
 
     blocks = []
     ref_counts = np.zeros(params.s, dtype=np.intp)

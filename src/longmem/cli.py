@@ -468,11 +468,12 @@ def _cmd_acf(ns, series: TimeSeries) -> _Report:
         "first_zero_crossing": _lib.first_zero_crossing(result),
         "coefficients": result.coefficients,
     }
-    table = _kv_lines(results)
+    shown = dict(results)
     if ns.band is not None:
         lo, hi = ns.band
         results["band"] = {"lo": lo, "hi": hi, "mean": _lib.band_mean(result, lo, hi)}
-        table.extend(_kv_lines({f"band_mean[{lo}:{hi}]": results["band"]["mean"]}))
+        shown[f"band_mean[{lo}:{hi}]"] = results["band"]["mean"]
+    table = _kv_lines(shown)
     table.append("")
     table.extend(_columns({"lag": 5, "r": 12}, enumerate(results["coefficients"].tolist())))
     curve = (f"{k} {float(r)!r}" for k, r in enumerate(result.coefficients))

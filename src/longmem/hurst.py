@@ -103,6 +103,14 @@ class HurstEstimate:
     ``fractal_correlation`` is ``fractal_correlation(h).rho``; each is
     ``None`` where its function refuses ``h``: at h <= 0 for the dimension,
     outside (0, 1) for the correlation.
+
+    ``std_err`` is the OLS slope error of the log-log fit, which assumes
+    independent residuals; the mean R/S values at different windows share
+    data, so it understates the spread of ``h``. Over 300 seeds at n = 776
+    (white noise, AR(1) with phi = 0.7, fGn with H = 0.7), the standard
+    deviation of ``h`` across seeds was 1.6-2.4 times the median
+    ``std_err``, and 5-9 times with ``weighted=True``; ``h`` +/- 1.96
+    ``std_err`` covered the ensemble median in only 56-77 % of seeds.
     """
 
     h: float

@@ -151,7 +151,7 @@ def pearson(p, j) -> float:
 def _keyed(seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]:
     """A generator over an SFC64 seeded by the Philox key ``(seed, k)``, for each ``k`` in ``indices``.
 
-    The one rule by which the package keys its draws. Philox keys,
+    The rule by which the permutation null keys its draws. Philox keys,
     SFC64 draws: for each ``k``, ``Philox(key=np.array([seed, k],
     dtype=np.uint64))``, both keys as given, in [0, 2**64) by the
     callers' checks, gives its first three 64-bit outputs (its first

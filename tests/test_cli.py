@@ -54,15 +54,32 @@ def run(capsys, *args):
     return code, capsys.readouterr().out
 
 
-def run_module(*args, **env):
-    """Run ``python -m longmem`` with ``env`` added to the environment."""
+def run_python(*args, preexec_fn=None, **env):
+    """Run ``python *args`` with ``env`` added to the environment and the
+    package importable; ``preexec_fn`` runs in the child before it starts."""
     path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "longmem", *args],
+        [sys.executable, *args],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": path, **env},
+        preexec_fn=preexec_fn,
         timeout=120,
     )
+
+
+def run_module(*args, **kwargs):
+    """Run ``python -m longmem``, as ``run_python`` runs its arguments."""
+    return run_python("-m", "longmem", *args, **kwargs)
+
+
+# a one-CPU run is only a second configuration where the test process may
+# run on more than one CPU and can confine its child to one
+CAN_PIN = hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) > 1
+
+
+def pin_to_one_cpu():
+    """Confine the calling process to the lowest-numbered CPU it may run on."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
 def write(tmp_path, name, text):
@@ -200,13 +217,16 @@ class TestDeterminism:
 
     def test_long_series_stdout_independent_of_blas_threads(self, tmp_path):
         """``permtest`` and ``acf --method direct`` at 20 000 samples print the
-        same bytes with one OpenBLAS thread and with two.
+        same bytes with one OpenBLAS thread, with two, and on one CPU.
 
         OpenBLAS splits a dot product of more than 10 000 samples over its
         threads, and the last bits follow their count; ``core._dot`` gives it
         at most 8192 samples at a time. On a machine with a single CPU
         OpenBLAS runs one thread under either setting, so there this test
-        cannot fail.
+        cannot fail. The chunk size rests on OpenBLAS's threading threshold,
+        and each numpy ships its own OpenBLAS. The one-CPU run is skipped
+        where the test process cannot be confined to one CPU of several,
+        after the thread-count runs are compared.
         """
         x = gen_file(tmp_path, "x.txt", n=20_000, seed=1)
         y = gen_file(tmp_path, "y.txt", n=20_000, seed=2)
@@ -214,10 +234,43 @@ class TestDeterminism:
             ("permtest", "--x", x, "--y", y, "--n-perm", "100", "--format", "json"),
             ("acf", "--input", x, "--method", "direct", "--max-lag", "50", "--format", "json"),
         ):
-            one = run_module(*argv, OPENBLAS_NUM_THREADS="1")
-            two = run_module(*argv, OPENBLAS_NUM_THREADS="2")
-            assert one.returncode == 0 and two.returncode == 0, one.stderr + two.stderr
-            assert one.stdout == two.stdout, argv[0]
+            runs = [
+                run_module(*argv, OPENBLAS_NUM_THREADS="1"),
+                run_module(*argv, OPENBLAS_NUM_THREADS="2"),
+            ]
+            if CAN_PIN:
+                runs.append(run_module(*argv, preexec_fn=pin_to_one_cpu))
+            for proc in runs:
+                assert proc.returncode == 0, proc.stderr
+                assert proc.stdout == runs[0].stdout, argv[0]
+        if not CAN_PIN:
+            pytest.skip("the process cannot be confined to one CPU of several")
+
+    @pytest.mark.skipif(not CAN_PIN, reason="the process cannot be confined to one CPU of several")
+    @pytest.mark.parametrize("n, n_perm", [(4096, 1001), (776, 1001), (60, 1001), (40_000, 201)])
+    def test_permtest_stdout_same_on_one_cpu(self, tmp_path, n, n_perm):
+        """``permtest`` runs its keyed blocks of permutations on one thread per
+        usable CPU, at most four, and on one CPU all of them on the calling
+        thread; the envelope is the same bytes either way.
+
+        Blocks hold 16383 // n permutations (at least one): 3 at 4096
+        samples, 21 at the paper's 776, 273 at 60 and 1 at 40 000.
+        """
+        x = gen_file(tmp_path, "x.txt", n=n, seed=3)
+        y = gen_file(tmp_path, "y.txt", n=n, seed=4)
+        argv = ("permtest", "--x", x, "--y", y, "--n-perm", str(n_perm), "--format", "json")
+        threaded = run_module(*argv)
+        serial = run_module(*argv, preexec_fn=pin_to_one_cpu)
+        assert threaded.returncode == 0 and serial.returncode == 0, (
+            threaded.stderr + serial.stderr
+        )
+        assert serial.stdout == threaded.stdout
+        # the pinned child sees one CPU, so it starts no worker thread
+        usable = run_python(
+            "-c", "from longmem import permtest; print(permtest._usable_cpus())",
+            preexec_fn=pin_to_one_cpu,
+        )
+        assert usable.stdout == b"1\n", usable.stderr
 
 
 class TestExitCodes:
