@@ -23,11 +23,15 @@ Every R/S value comes from one pass per block length over all of that
 length's blocks, laid out as the rows of a matrix; ``rs_statistic`` is
 that pass on one block. Each row is centred once: its standard deviation
 and the range of its running sums are both read off the same centred
-values, with the arithmetic of ``np.std``, so the values are
-bit-identical to a per-block loop. Every exponent comes from one log-log
-line fit. The suite's divisor ladder and the expectations on it depend
-only on the series length, and a small cache keeps them for the lengths
-used last.
+values, with the arithmetic of ``np.std``. The running sums keep the
+row layout when a length has no more blocks than samples; with more
+blocks than samples they are laid out as columns, which numpy reduces in
+one elementwise pass per sample instead of one call per short row. Each
+block's sum still adds its values in index order and max and min are
+exact, so in either layout the values are bit-identical to a per-block
+loop. Every exponent comes from one log-log line fit. The suite's
+divisor ladder and the expectations on it depend only on the series
+length, and a small cache keeps them for the lengths used last.
 
 Related fractal quantities: a process with exponent h has fractal
 dimension 1/h, and its successive increments are correlated with
@@ -161,19 +165,34 @@ def rs_statistic(x: TimeSeries | Sequence[float] | np.ndarray) -> float:
 def _block_rs_values(x: np.ndarray, window: int) -> tuple[np.ndarray, int]:
     """R/S of each full block of ``window`` samples; remainder discarded.
 
-    One row-wise pass over the blocks laid out as the rows of a
-    (blocks, window) matrix, which centres each block once: S is taken
-    from the centred rows, and the range from their running sums, written
-    over the same buffer. Constant rows, by ``core._moments``' rule, are
-    dropped, by a copy only when there is one. Returns the values of the
-    other blocks and the count of skipped (constant) blocks.
+    One pass over the blocks laid out as the rows of a (blocks, window)
+    matrix, which centres each block once: S is taken from the centred
+    rows, and the range from their running sums. Constant rows, by
+    ``core._moments``' rule, are dropped, by a copy only when there is one.
+    Returns the values of the other blocks and the count of skipped
+    (constant) blocks.
+
+    The running sums' layout follows the matrix's shape. With no more
+    blocks than samples they are written over the centred rows and
+    reduced along them. With more blocks than samples they go through
+    the transpose of a (window, blocks) buffer and are reduced down its
+    columns: numpy reduces a short row by one inner-loop call per row,
+    and a column reduction is one elementwise pass per sample, about ten
+    times faster over the 512 blocks of 8 at n = 4096. The bits are the
+    same either way: the running sum adds each block's values in index
+    order in both layouts, and max and min are exact.
     """
     nb = x.size // window
     _, deviations, variance, flat = _moments(x[: nb * window].reshape(nb, window))
     if flat.size:
         deviations, variance = np.delete(deviations, flat, 0), np.delete(variance, flat)
-    deviations.cumsum(axis=1, out=deviations)
-    r = np.maximum.reduce(deviations, axis=1) - np.minimum.reduce(deviations, axis=1)
+    if nb > window:
+        sums = np.empty((window, variance.size))
+        np.cumsum(deviations, axis=1, out=sums.T)
+        r = np.maximum.reduce(sums) - np.minimum.reduce(sums)
+    else:
+        deviations.cumsum(axis=1, out=deviations)
+        r = np.maximum.reduce(deviations, axis=1) - np.minimum.reduce(deviations, axis=1)
     return r / np.sqrt(variance), flat.size
 
 

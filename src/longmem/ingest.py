@@ -4,9 +4,10 @@ Three formats are understood:
 
 * ``cpc_table``: the climate-center monthly layout, one row per year with
   13 whitespace-separated tokens (``year v1 .. v12``). Header or caption
-  lines before the first data row are ignored, but not a row of twelve
-  value-like tokens with a bad year; once data rows begin, malformed rows
-  are errors.
+  lines before the first data row are ignored, but not a 13-token row
+  with a bad year, where the year is a number (``1951.0``) or the twelve
+  other tokens are value-like; once data rows begin, malformed rows are
+  errors.
 * ``csv_pair``: ``YYYY-MM,value`` rows.
 * ``column``: one value per line, no calendar anchor.
 
@@ -216,9 +217,13 @@ def _parse_cpc_table(lines: list[str]) -> tuple[list[float], tuple[int, int] | N
         tokens = line.split()
         year = _cpc_year(tokens)
         if year is None:
-            twelve_values = len(tokens) == 13 and all(map(_value_like, tokens[1:]))
-            if prev_year is None and not twelve_values:
-                continue  # a caption line, not a year row with a bad year
+            # 13 tokens with a number first, or with twelve values, are a
+            # year row with a bad year; only another line is a caption
+            year_row = len(tokens) == 13 and (
+                _number(tokens[0]) is not None or all(map(_value_like, tokens[1:]))
+            )
+            if prev_year is None and not year_row:
+                continue
             raise ParseError(f"expected a year row, got {tokens[0]!r}", lineno)
         if len(tokens) != 13:
             raise ParseError(f"expected 13 tokens (year + 12 values), got {len(tokens)}", lineno)

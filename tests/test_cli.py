@@ -337,11 +337,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert f"expected LO:HI integers, got {value!r}" in captured.err
 
-    @pytest.mark.parametrize("year", ["1951.0", "l951"])
-    def test_malformed_first_year_row_exits_two(self, tmp_path, capsys, year):
-        # twelve values after a bad year are a year row, not a caption to skip
-        values = " 0.1 0.2 0.3 0.4 0.5 0.6 0.7 0.8 0.9 1.0 1.1 1.2\n"
-        path = write(tmp_path, "bad.txt", f"{year}{values}1952{values}")
+    @pytest.mark.parametrize(
+        "year, last",
+        [("1951.0", "1.2"), ("l951", "1.2"), ("1951.0", "_5")],
+        ids=["1951.0", "l951", "1951.0-non-value token"],
+    )
+    def test_malformed_first_year_row_exits_two(self, tmp_path, capsys, year, last):
+        # twelve values after a bad year are a year row, not a caption to skip,
+        # and so are twelve tokens of any kind after a year that is a number
+        values = " 0.1 0.2 0.3 0.4 0.5 0.6 0.7 0.8 0.9 1.0 1.1"
+        good = f"1952{values} 1.2\n"
+        path = write(tmp_path, "bad.txt", f"{year}{values} {last}\n{good}")
         assert main(["stats", "--input", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

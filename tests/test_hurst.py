@@ -196,6 +196,11 @@ def trial_division_ladder(n, min_div):
 
 
 class TestBlockPass:
+    """The pass against a per-block loop. ``rs_statistic`` is the pass on
+    one block, so the loop takes the row layout of the running sums, and
+    every window with more blocks than samples checks the column layout
+    against it."""
+
     @pytest.mark.parametrize("n", [776, 4096])
     @pytest.mark.parametrize("h", [0.3, 0.7])
     def test_equals_per_block_loop_on_both_ladders(self, n, h):
@@ -206,6 +211,38 @@ class TestBlockPass:
         for segment, w in cases:
             values, skipped = _block_rs_values(segment, w)
             assert (values.tolist(), skipped) == looped_block_rs(segment, w), w
+
+    @pytest.mark.parametrize("surplus", [-1, 0, 1])
+    @pytest.mark.parametrize("window", [2, 8, 63, 64, 65])
+    def test_equals_per_block_loop_either_side_of_the_layout_switch(self, window, surplus):
+        # blocks = window + surplus; the column layout starts at surplus 1
+        n = window * (window + surplus) + window // 2
+        x = generate(GenSpec(kind="fgn", n=n, seed=window, h=0.7)).values
+        assert x.size // window - window == surplus
+        values, skipped = _block_rs_values(x, window)
+        assert (values.tolist(), skipped) == looped_block_rs(x, window)
+
+    def test_equals_per_block_loop_on_a_long_series(self):
+        x = generate(GenSpec(kind="fgn", n=100_000, seed=5, h=0.7)).values
+        for w in default_window_ladder(x.size):
+            values, skipped = _block_rs_values(x, w)
+            assert (values.tolist(), skipped) == looped_block_rs(x, w), w
+
+    @pytest.mark.parametrize("level", [0.25, 0.7])
+    def test_flat_blocks_in_the_column_layout_skipped_like_the_loop(self, level):
+        # each window has more blocks than samples; 20 of the 32 blocks of
+        # 16 are flat, so fewer varying blocks than samples are left
+        x = generate(GenSpec(kind="white", n=512, seed=6)).values.copy()
+        x[:320] = level
+        for w in (2, 8, 16, 17, 22):
+            values, skipped = _block_rs_values(x, w)
+            assert x.size // w > w
+            assert (values.tolist(), skipped) == looped_block_rs(x, w), w
+        assert _block_rs_values(x, 16)[0].size == 12
+        x[:] = level  # every block flat: no value, each block counted
+        for w in (2, 8, 22):
+            values, skipped = _block_rs_values(x, w)
+            assert (values.shape, skipped) == ((0,), x.size // w)
 
     @pytest.mark.parametrize("levels", [(0.25, -1.0), (0.7, -2.8)])
     def test_flat_blocks_skipped_like_the_loop(self, levels):

@@ -50,20 +50,31 @@ class TestCpcTable:
 
     @pytest.mark.parametrize("fmt", ["cpc_table", "auto"])
     @pytest.mark.parametrize(
-        "values",
+        "year, values",
         [
-            ROW_2014.split(maxsplit=1)[1],
-            "0.1 0.2 0.3 0.4 0_5 0.6 0.7 0.8 0.9 1.0 1.1 1.2",
-            " ".join(["nan"] * 12),
+            pytest.param(year, values, id=f"{year}-{name}")
+            for year in ("1951.0", "l951")
+            for name, values in (
+                ("values", ROW_2014.split(maxsplit=1)[1]),
+                ("underscore value", "0.1 0.2 0.3 0.4 0_5 0.6 0.7 0.8 0.9 1.0 1.1 1.2"),
+                ("nan values", " ".join(["nan"] * 12)),
+            )
+        ]
+        + [
+            pytest.param(
+                "1951.0",
+                "0.1 0.2 0.3 0.4 0.5 0.6 0.7 0.8 0.9 1.0 1.1 _5",
+                id="1951.0-non-value token",
+            )
         ],
-        ids=["values", "underscore value", "nan values"],
     )
-    @pytest.mark.parametrize("year", ["1951.0", "l951"])
     def test_malformed_first_year_row_is_refused_not_skipped(
         self, tmp_path, capsys, fmt, values, year
     ):
         # a row of twelve values is no caption: skipped, it would lose a year.
-        # 0_5 is no number, but it starts like one, as no caption word does
+        # 0_5 is no number, but it starts like one, as no caption word does;
+        # _5 does not, but a 13-token row whose first token is a number is a
+        # year row too
         text = f"{year} {values}\n1952 {ROW_2014.split(maxsplit=1)[1]}\n"
         with pytest.raises(ParseError) as err:
             parse(text, IngestOptions(format=fmt))
