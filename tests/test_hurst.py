@@ -31,7 +31,8 @@ from longmem.hurst import (
     WARN_SKIPPED_BLOCKS,
     _block_rs_values,
     _divisor_ladder,
-    _rs_points,
+    _halving_ladder,
+    _log_fit,
     _suite_ladder,
     default_window_ladder,
 )
@@ -278,8 +279,8 @@ def two_pass_block_rs_values(x, window):
 
 
 def two_pass_rs_points(x, windows):
-    """Oracle of ``_rs_points``: the oracle pass, with each window's R/S
-    values aggregated by ``np.mean`` and ``np.std(ddof=1)``."""
+    """Oracle of ``rs_table``'s points: the oracle pass, with each window's
+    R/S values aggregated by ``np.mean`` and ``np.std(ddof=1)``."""
     points, skipped_total = [], 0
     for w in windows:
         values, skipped = two_pass_block_rs_values(x, w)
@@ -292,6 +293,19 @@ def two_pass_rs_points(x, windows):
             mean, std = float(np.mean(values)), float(np.std(values, ddof=1))
         points.append(RsPoint(window=w, mean_rs=mean, std_rs=std, blocks=values.size))
     return points, skipped_total
+
+
+def two_pass_mean_rs(x, windows):
+    """Oracle of the suite's per-window work: the oracle pass, with each
+    window's R/S values aggregated by ``np.mean``, or by their common value
+    when all are equal, as ``core._moments`` takes it."""
+    kept = []
+    for w in windows:
+        values, _ = two_pass_block_rs_values(x, w)
+        if values.size:
+            equal = values.max() == values.min()
+            kept.append((w, values[0] if equal else np.mean(values)))
+    return np.array(kept).reshape(-1, 2).T
 
 
 def point_bits(points):
@@ -314,7 +328,12 @@ def oracle_grid_input(kind, n):
         flat[: n // 4] = low
         flat[n // 2 : n // 2 + n // 8] = high
         return flat
+    if kind == "periodic":  # the blocks of a window that is a multiple of 8 are alike
+        return np.resize(np.sin(np.arange(8.0)), n)
     return white
+
+
+ORACLE_KINDS = ["fgn", "white", "rounded", "flat", "flat_decimal", "periodic"]
 
 
 class TestSingleCentringOracle:
@@ -322,7 +341,7 @@ class TestSingleCentringOracle:
     two-pass ``np.std``/``np.mean`` code they replaced."""
 
     @pytest.mark.parametrize("n", [32, 33, 776, 4096, 100_003])
-    @pytest.mark.parametrize("kind", ["fgn", "white", "rounded", "flat", "flat_decimal"])
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
     def test_points_and_suite_match_the_two_pass_oracle(self, kind, n, monkeypatch):
         x = oracle_grid_input(kind, n)
         for w in (2, 3, n):
@@ -341,7 +360,7 @@ class TestSingleCentringOracle:
             assert point_bits(table) == point_bits(want)
             assert table.skipped_blocks == want_skipped
         suite = hurst_suite(x)
-        monkeypatch.setattr(hurst, "_rs_points", two_pass_rs_points)
+        monkeypatch.setattr(hurst, "_mean_rs", two_pass_mean_rs)
         monkeypatch.setattr(hurst, "_suite_ladder", _suite_ladder.__wrapped__)
         assert suite_bits(suite) == suite_bits(hurst_suite(x))
 
@@ -570,6 +589,20 @@ class TestExpectedRescaledRange:
         above = expected_rescaled_range(341)
         assert abs(above / below - 1.0) < 1e-3
 
+    def test_switch_steps_down_by_weron_rule(self):
+        # the asymptotic prefactor takes over above 340 by Weron's rule,
+        # not for overflow: the exact form would give 21.9947 at 341
+        assert expected_rescaled_range(340) == pytest.approx(21.9607, abs=1e-4)
+        assert expected_rescaled_range(341) == pytest.approx(21.9463, abs=1e-4)
+
+    def test_sqrt_law_exceeds_the_expectation_by_more_than_one(self):
+        # with R/S >= 0, R/S - E[R/S] + sqrt(pi w / 2) > 1 on every window,
+        # so the suite fits its corrected statistic on all of them
+        windows = [*range(2, 5001), *np.geomspace(5000, 1e7, 25).astype(int).tolist()]
+        gaps = [math.sqrt(0.5 * math.pi * w) - expected_rescaled_range(w) for w in windows]
+        assert min(gaps) >= 1.022
+        assert gaps.index(min(gaps)) == 0  # w = 2: sqrt(pi) - 3/4
+
     def test_ratio_converges_to_sqrt_half_pi(self):
         target = math.sqrt(math.pi / 2.0)
         r1 = expected_rescaled_range(1000) / math.sqrt(1000)
@@ -634,6 +667,31 @@ class TestHurstSuite:
         assert [p.window for p in table] == default_window_ladder(100_000)
         assert all(math.isfinite(p.mean_rs) and math.isfinite(p.std_rs) for p in table)
         assert math.isfinite(fit_h(table).h)
+
+
+class TestSuiteAgreesWithRsTable:
+    """The suite's mean R/S and ``rs_table``'s are two aggregations of one
+    pass: the public table, fitted by ``_log_fit``, gives the suite's bits."""
+
+    @pytest.mark.parametrize("n", [32, 100, 776, 1000, 4096])
+    def test_simple_and_empirical_are_fits_of_rs_table(self, n):
+        inputs = [oracle_grid_input(kind, n) for kind in ORACLE_KINDS]
+        inputs += [
+            generate(GenSpec(kind="fgn", n=n, seed=seed, h=h)).values
+            for seed, h in enumerate((0.2, 0.4, 0.6, 0.8))
+        ]
+        opt_n, ladder, _ = _suite_ladder(n)
+        for x in inputs:
+            suite = hurst_suite(x)
+            # the halving ladder descends, the divisor ladder ascends
+            for h, segment, scheme, step in (
+                (suite.h_simple, x, _halving_ladder(n), -1),
+                (suite.h_empirical, x[n - opt_n :], ladder, 1),
+            ):
+                points = rs_table(segment, scheme=scheme).points[::step]
+                windows = np.array([p.window for p in points], dtype=float)
+                fit = _log_fit(windows, np.array([p.mean_rs for p in points]))
+                assert fit[0].hex() == h.hex()
 
 
 class TestFractal:
