@@ -27,6 +27,24 @@ stable: a window is cut by the sorted values, so which vectors it holds
 does not depend on how tied first coordinates are ordered; each
 candidate's test is elementwise; and the hits are re-sorted by a unique
 key. The curve is the same bits whatever order a numpy build gives ties.
+
+For m >= 2 the search is a box over the first two coordinates. The
+second coordinate is cut into cells of width W = max(eps * (1 + 2**-20),
+span / 2**24), span being its range, and a vector's cell is
+floor((y - low) / W), low being its lowest value. The vectors are sorted
+by the integer key cell * n_valid + rank, rank their place in the
+first-coordinate order, so each cell's vectors lie in rank order, and a
+reference's candidates are the three key ranges of cells c - 1, c and
+c + 1 with ranks in its first-coordinate window. No true neighbour lies
+outside them: its exact gap is below eps, so the exact quotients differ
+by less than eps / W <= 1 - 2**-21, and the rounding of the subtraction
+and the division moves each quotient by less than 2**-27 (quotients are
+at most 2**24), so the floors differ by at most 1. The margin is needed:
+with W = eps, values a few ulps from low + k * eps make pairs closer
+than eps whose quotients round two cells apart. The 2**24 cap bounds
+the key by (2**24 + 1) * n_valid, inside int64. Candidates still take the
+full max-norm and Theiler tests, and the hits the same re-sort.
+
 References are processed in consecutive chunks whose windows
 together hold a bounded number of candidates, which bounds memory at
 any length. Within a chunk the divergence stage is one vectorised pass:
@@ -42,6 +60,7 @@ can therefore dip at steps dominated by ties.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,12 +82,12 @@ from .errors import EpsTooSmallError, ValidationError
 __all__ = list(_EXPORTS["chaos"])
 
 # Candidate pairs tested at once by the neighbour search. References are
-# processed in consecutive chunks whose windows together hold at most this
-# many candidates; a reference whose window is wider is a chunk of its
-# own. A chunk's divergence stage holds s gaps per hit at once, so memory
-# is O(s * (budget + widest window)), never O(n_ref * n); the gaps of one
-# chunk are not split, as that would change the order they are summed in.
-# The value is small so that a ``lyap`` run at the paper's length
+# processed in consecutive chunks whose candidates number at most this
+# together; a reference with more is a chunk of its own. A chunk's
+# divergence stage holds s gaps per hit at once, so memory is
+# O(s * (budget + most candidates of one reference)), never O(n_ref * n);
+# the gaps of one chunk are not split, as that would change the order they
+# are summed in. The value is small so that a ``lyap`` run at the paper's length
 # allocates no more than the per-reference scan it replaced; chunks cost
 # one pass of numpy calls each, which at most n_ref chunks keeps cheap.
 _CANDIDATE_BUDGET = 1 << 12
@@ -123,11 +142,17 @@ class EmbeddingParams:
 
 @dataclass(frozen=True)
 class DivergenceCurve:
-    """Stretching curve S(0..s-1) and per-step reference counts."""
+    """Stretching curve S(0..s-1) and per-step reference counts.
+
+    ``candidates`` is the number of (reference, vector) pairs the neighbour
+    search tested to find the neighbourhoods, hits and misses alike; it is
+    0 for a curve not computed by ``lyap_k``.
+    """
 
     s_values: np.ndarray
     ref_counts: np.ndarray
     params: EmbeddingParams
+    candidates: int = 0
 
     def __post_init__(self):
         for name in ("s_values", "ref_counts"):
@@ -171,33 +196,75 @@ def embed(x, m: int, d: int) -> np.ndarray:
     return np.stack([arr[c * d : c * d + count] for c in range(m)], axis=1)
 
 
-def _reference_indices(n_valid: int, params: EmbeddingParams) -> np.ndarray:
-    """``min(n_ref, n_valid)`` distinct reference indices below ``n_valid``, ascending."""
-    count = min(params.n_ref, n_valid)
-    if params.random_sample:
+@functools.lru_cache(maxsize=8)
+def _reference_indices(n_valid: int, n_ref: int, random_sample: bool, seed: int) -> np.ndarray:
+    """``min(n_ref, n_valid)`` distinct reference indices below ``n_valid``, ascending.
+
+    Evenly spaced, or drawn without replacement by ``seed`` when
+    ``random_sample`` is set. They depend on these four values alone, so
+    repeated curves at one length (an ensemble, a null band, a grid's
+    combinations of one m and d) take them once. The cache holds the 8
+    most recently used keys, at most 8 * min(n_ref, n_valid) * 8 bytes for
+    the largest count used: 12.8 KB at the default n_ref = 200. The array
+    is read-only, so no caller can change what the next one is given. The
+    arguments must be the checked ``EmbeddingParams`` values, ints and a
+    bool: the cache would take ``True`` for the length 1.
+    """
+    count = min(n_ref, n_valid)
+    if random_sample:
         # a draw without replacement is distinct already; only its order is put right
-        idx = np.random.default_rng(params.seed).choice(n_valid, size=count, replace=False)
+        idx = np.random.default_rng(seed).choice(n_valid, size=count, replace=False)
         idx.sort()
-        return idx
-    # spaced at least 1 apart, the rounded indices ascend without a sort;
-    # linspace's rounding errors can still bring two to one integer on very
-    # long series, so repeats are dropped
-    idx = np.round(np.linspace(0, n_valid - 1, num=count)).astype(np.int64)
-    distinct = np.ones(count, dtype=bool)
-    np.not_equal(idx[1:], idx[:-1], out=distinct[1:])
-    return idx[distinct]
+    else:
+        # spaced at least 1 apart, the rounded indices ascend without a sort;
+        # linspace's rounding errors can still bring two to one integer on
+        # very long series, so repeats are dropped
+        idx = np.round(np.linspace(0, n_valid - 1, num=count)).astype(np.int64)
+        distinct = np.ones(count, dtype=bool)
+        np.not_equal(idx[1:], idx[:-1], out=distinct[1:])
+        idx = idx[distinct]
+    idx.flags.writeable = False
+    return idx
+
+
+def _box(x, n_valid, order, refs, lo, width, params):
+    """Each reference's candidates as three ranges of a box-sorted order.
+
+    Returns ``(slots, starts, sizes)``: ``slots`` lists the vectors sorted
+    by the key cell * n_valid + rank, where rank is a vector's place in
+    ``order`` and cell is its second coordinate's cell of width ``W``, and
+    row r of ``starts`` and ``sizes`` holds the three ranges of ``slots``
+    whose vectors lie in cells c - 1, c and c + 1 of reference r's cell c
+    with ranks in its first-coordinate window ``[lo, lo + width)``.
+    """
+    second = x[params.d : params.d + n_valid]
+    low = float(second.min())
+    cell = max(params.eps * (1 + 2**-20), (float(second.max()) - low) / 2**24)
+    # the values less ``low`` are not negative, so the cast is the floor
+    key = ((second[order] - low) / cell).astype(np.int64)
+    key *= n_valid
+    key += np.arange(n_valid)
+    key.sort()
+    slots = order[key % n_valid]
+    bounds = ((second[refs] - low) / cell).astype(np.int64)[:, None] + (-1, 0, 1)
+    bounds *= n_valid
+    bounds += lo[:, None]
+    starts = np.searchsorted(key, bounds)
+    bounds += width[:, None]
+    return slots, starts, np.searchsorted(key, bounds) - starts
 
 
 def _neighbours(x, n_valid, refs, params):
     """Yield the neighbours of consecutive chunks of references.
 
-    Each item is ``(chunk, owner, hits)``: ``hits`` are the indices of the
-    embedded vectors within ``eps`` (max norm) of the references in
-    ``chunk`` and outside their Theiler windows, and ``owner`` is the
-    position in ``chunk`` of each hit's reference. Hits are grouped by
-    reference, the groups in ``chunk``'s order, and ascend in index within
-    each group, the order a full scan finds them. Coordinate c of embedded
-    vector j is ``x[j + c*d]``.
+    Each item is ``(chunk, owner, hits, tested)``: ``hits`` are the indices
+    of the embedded vectors within ``eps`` (max norm) of the references in
+    ``chunk`` and outside their Theiler windows, ``owner`` is the position
+    in ``chunk`` of each hit's reference, and ``tested`` counts the
+    candidate pairs the chunk tested. Hits are grouped by reference, the
+    groups in ``chunk``'s order, and ascend in index within each group, the
+    order a full scan finds them. Coordinate c of embedded vector j is
+    ``x[j + c*d]``.
     """
     eps = params.eps
     first = x[:n_valid]
@@ -214,19 +281,28 @@ def _neighbours(x, n_valid, refs, params):
     # window holds every true neighbour, rounded bounds and all.
     lo = np.searchsorted(keys, centre - eps, side="left")
     width = np.searchsorted(keys, centre + eps, side="right") - lo
+    if params.m == 1:
+        # one range of ``slots`` per reference: its window
+        slots, starts, ranges = order, lo, width
+    else:
+        slots, starts, sizes = _box(x, n_valid, order, refs, lo, width, params)
+        starts, ranges, width = starts.ravel(), sizes.ravel(), sizes.sum(axis=1)
+    # a reference's ranges are consecutive in ``ranges``, and candidate k,
+    # counted over all references, of range r sits at slot shift[r] + k
+    per_ref = ranges.size // refs.size
+    shift = starts - (ranges.cumsum() - ranges)
     ends = width.cumsum()
     start = 0
     while start < refs.size:
         base = ends[start] - width[start]
         stop = int(np.searchsorted(ends, base + _CANDIDATE_BUDGET, side="right"))
         stop = max(stop, start + 1)
-        chunk, sizes = refs[start:stop], width[start:stop]
-        i = np.repeat(chunk, sizes)
-        # candidate k of the chunk is the t-th of its reference r, where t
-        # is k minus r's first k, and sits at sorted slot lo[r] + t
-        j = np.repeat(lo[start:stop] - (ends[start:stop] - sizes - base), sizes)
+        chunk = refs[start:stop]
+        i = np.repeat(chunk, width[start:stop])
+        first_range, last_range = start * per_ref, stop * per_ref
+        j = np.repeat(shift[first_range:last_range] + base, ranges[first_range:last_range])
         j += np.arange(j.size)
-        j = order[j]
+        j = slots[j]
         dist = np.abs(x[j] - x[i])
         for lag in range(params.d, params.m * params.d, params.d):
             gap = x[lag:][j]
@@ -238,7 +314,7 @@ def _neighbours(x, n_valid, refs, params):
         # refs ascend, so one sort on (i, j) groups the hits by reference
         # and orders each group by index
         hit_ref, hits = np.divmod(np.sort(i[near] * n_valid + j[near]), n_valid)
-        yield chunk, np.searchsorted(chunk, hit_ref), hits
+        yield chunk, np.searchsorted(chunk, hit_ref), hits, i.size
         start = stop
 
 
@@ -277,15 +353,22 @@ def lyap_k(ts: TimeSeries | np.ndarray, params: EmbeddingParams) -> DivergenceCu
     """
     x = _standardized(sample_values(ts))
     offset, n_valid = _checked_length(x.size, params)
-    refs = _reference_indices(n_valid, params)
+    refs = _reference_indices(n_valid, params.n_ref, bool(params.random_sample), params.seed)
     # row j is the last coordinate of vector j and its next s - 1 samples:
-    # a read-only view of x, the rows one sample apart, n_valid of them
-    ahead = np.lib.stride_tricks.sliding_window_view(x[offset:], params.s)
+    # a read-only view of x, the rows one sample apart, n_valid of them.
+    # as_strided checks no bounds, so the rows' reach is checked here
+    tail = x[offset:]
+    if tail.size != n_valid + params.s - 1:
+        raise AssertionError(f"{tail.size} samples for {n_valid} rows of {params.s}")
+    ahead = np.lib.stride_tricks.as_strided(
+        tail, shape=(n_valid, params.s), strides=tail.strides * 2, writeable=False
+    )
 
     blocks = []
     ref_counts = np.zeros(params.s, dtype=np.intp)
-    max_neighbors = 0
-    for chunk, owner, hits in _neighbours(x, n_valid, refs, params):
+    max_neighbors = candidates = 0
+    for chunk, owner, hits, tested in _neighbours(x, n_valid, refs, params):
+        candidates += tested
         counts = np.bincount(owner, minlength=chunk.size)
         max_neighbors = max(max_neighbors, int(counts.max()))
         kept = counts >= params.k_min
@@ -316,7 +399,9 @@ def lyap_k(ts: TimeSeries | np.ndarray, params: EmbeddingParams) -> DivergenceCu
         )
     total = np.concatenate(blocks).sum(axis=0)
     s_values = np.divide(total, ref_counts, out=np.full(params.s, np.nan), where=ref_counts > 0)
-    return DivergenceCurve(s_values=s_values, ref_counts=ref_counts, params=params)
+    return DivergenceCurve(
+        s_values=s_values, ref_counts=ref_counts, params=params, candidates=candidates
+    )
 
 
 def _checked_fit(start, end, dt, steps: int) -> tuple[int, int, float]:

@@ -68,6 +68,8 @@ __all__ = list(_EXPORTS["hurst"])
 # Above this window length the exact Gamma-ratio prefactor of the
 # Anis-Lloyd expectation is replaced by its asymptotic form (Weron 2002).
 _GAMMA_FORM_LIMIT = 340
+# The most terms of E[R/S]'s sum held at once (see ``_tail_sum``)
+_TAIL_LEAF = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -367,13 +369,32 @@ def expected_rescaled_range(window: int) -> float:
     w = _integer(window, "window")
     if w < 2:
         raise ValidationError("expected_rescaled_range requires window >= 2")
-    i = np.arange(1, w)
-    tail_sum = float(np.sum(np.sqrt((w - i) / i)))
-    scaled = (w - 0.5) / w * tail_sum
+    scaled = (w - 0.5) / w * _tail_sum(w, 1, w)
     if w > _GAMMA_FORM_LIMIT:
         return scaled / math.sqrt(0.5 * math.pi * w)
     prefactor = math.exp(math.lgamma(0.5 * (w - 1)) - math.lgamma(0.5 * w))
     return prefactor * scaled / math.sqrt(math.pi)
+
+
+def _tail_sum(w: int, lo: int, hi: int) -> float:
+    """The sum of sqrt((w - i) / i) over i in [lo, hi), as one ``np.add.reduce``.
+
+    ``np.add.reduce`` sums a contiguous 1-d float64 array pairwise: above
+    128 terms it halves it at n // 2 rounded down to a multiple of 8 and
+    adds the sums of the halves. Halving at the same places down to
+    leaves of at most ``_TAIL_LEAF`` terms, each summed by
+    ``np.add.reduce``, is the same arithmetic, so the sum keeps the bits
+    of one reduction over all the terms while holding one leaf's terms at
+    a time: three arrays of 512 KB at any window, not of 80 MB each at
+    w = 1e7.
+    """
+    n = hi - lo
+    if n <= _TAIL_LEAF:
+        i = np.arange(lo, hi)
+        return float(np.add.reduce(np.sqrt((w - i) / i)))
+    half = n // 2
+    half -= half % 8
+    return _tail_sum(w, lo, lo + half) + _tail_sum(w, lo + half, hi)
 
 
 def _halving_ladder(n: int) -> list[int]:

@@ -31,6 +31,10 @@ def series(values):
     return TimeSeries(values=np.asarray(values, dtype=float))
 
 
+def reference_indices(n_valid, params):
+    return chaos._reference_indices(n_valid, params.n_ref, params.random_sample, params.seed)
+
+
 def full_scan_neighbours(x, n_valid, refs, params):
     """Each reference's neighbours, by testing every embedded vector."""
     vectors = embed(x, params.m, params.d)[:n_valid]
@@ -40,6 +44,15 @@ def full_scan_neighbours(x, n_valid, refs, params):
         mask = (dist < params.eps) & (np.abs(np.arange(n_valid) - i) > params.theiler)
         found.append(np.nonzero(mask)[0])
     return found
+
+
+def assert_hits_match(x, n_valid, refs, params):
+    """The search's chunks, and each reference's hits, checked against a full scan."""
+    chunks = list(chaos._neighbours(x, n_valid, refs, params))
+    found = [hits[owner == k] for chunk, owner, hits, _ in chunks for k in range(chunk.size)]
+    expected = full_scan_neighbours(x, n_valid, refs, params)
+    assert all(np.array_equal(a, b) for a, b in zip(found, expected, strict=True))
+    return chunks, found
 
 
 def full_scan_lyap_k(ts, params):
@@ -52,7 +65,7 @@ def full_scan_lyap_k(ts, params):
     x = standardize(ts).values
     offset = (params.m - 1) * params.d
     n_valid = x.size - offset - params.s + 1
-    refs = chaos._reference_indices(n_valid, params)
+    refs = reference_indices(n_valid, params)
     steps = np.arange(params.s)
     contributions = []
     max_neighbors = 0
@@ -112,6 +125,10 @@ ORACLE_GRID = [
             (1e-3, 0.2, 0.3, 1.0),
         )
     )
+]
+# the box search (m >= 2) meets both delays in every cell
+ORACLE_GRID += [
+    (kind, n, m, eps, 4 - d, *rest) for kind, n, m, eps, d, *rest in ORACLE_GRID if m > 1
 ]
 
 
@@ -263,7 +280,7 @@ class TestLyapK:
     def test_reference_indices_are_unique_and_sorted(self, n_ref, n_valid, random_sample):
         params = EmbeddingParams(n_ref=n_ref, random_sample=random_sample, seed=n_valid)
         rng = np.random.default_rng(params.seed)
-        refs = chaos._reference_indices(n_valid, params)
+        refs = reference_indices(n_valid, params)
         assert refs.dtype == np.int64
         if random_sample:
             # a draw without replacement is only sorted
@@ -281,7 +298,7 @@ class TestLyapK:
         params = [EmbeddingParams(n_ref=count) for count in range(1, 121)]
         for n_valid in range(1, 121):
             for count in range(1, n_valid + 1):
-                refs = chaos._reference_indices(n_valid, params[count - 1])
+                refs = reference_indices(n_valid, params[count - 1])
                 assert refs.dtype == np.int64
                 # all count rounded values, strictly ascending: np.unique of them
                 assert (refs[1:] > refs[:-1]).all()
@@ -329,10 +346,7 @@ class TestNeighbourSearch:
             gap = abs(x[j] - x[i])
             for eps, inside in ((gap, False), (np.nextafter(gap, np.inf), True)):
                 params = EmbeddingParams(m=1, theiler=0, eps=float(eps))
-                chunks = chaos._neighbours(x, n_valid, np.array([i]), params)
-                hits = np.concatenate([h for _, _, h in chunks])
-                (expected,) = full_scan_neighbours(x, n_valid, [i], params)
-                assert np.array_equal(hits, expected)
+                _, (hits,) = assert_hits_match(x, n_valid, np.array([i]), params)
                 assert (j in hits) is inside
                 assert_matches_full_scan(ts, params)
 
@@ -345,17 +359,14 @@ class TestNeighbourSearch:
         monkeypatch.setattr(chaos, "_CANDIDATE_BUDGET", budget)
         x = standardize(ts).values
         n_valid = x.size - (params.m - 1) * params.d - params.s + 1
-        refs = chaos._reference_indices(n_valid, params)
-        chunks = list(chaos._neighbours(x, n_valid, refs, params))
+        refs = reference_indices(n_valid, params)
+        chunks, _ = assert_hits_match(x, n_valid, refs, params)
         if chunking == "each":
             assert len(chunks) == refs.size
         elif chunking == "one":
             assert len(chunks) == 1
         else:
             assert 1 < len(chunks) < refs.size
-        found = [hits[owner == k] for chunk, owner, hits in chunks for k in range(chunk.size)]
-        expected = full_scan_neighbours(x, n_valid, refs, params)
-        assert all(np.array_equal(a, b) for a, b in zip(found, expected, strict=True))
         assert_matches_full_scan(ts, params)
 
     def test_memory_stays_bounded_at_1e5(self):
@@ -373,6 +384,133 @@ class TestNeighbourSearch:
             # reference is a chunk of its own, and its s gaps per hit peak
             # at about 22 MB
             assert peak < 64e6, eps
+
+
+class TestBoxSearch:
+    """The box over the first two coordinates (m >= 2) against a full scan."""
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_second_coordinate_gap_equal_to_eps_excludes_the_pair(self, d):
+        # pairs whose max-norm distance is their second coordinate's gap,
+        # about 0.3: with eps that gap the pair is out, with the next float
+        # in, and the cells are about as wide as the gap
+        ts = oracle_series("fgn", 776)
+        x = standardize(ts).values
+        n_valid = x.size - d - EmbeddingParams().s + 1
+        vectors = embed(x, 2, d)[:n_valid]
+        pairs = []
+        for i in range(3, n_valid, 25):
+            gap0, gap1 = np.abs(vectors - vectors[i]).T
+            fits = np.flatnonzero((gap0 < gap1) & (np.abs(gap1 - 0.3) < 0.05))
+            pairs += [(i, int(j)) for j in fits[:1]]
+        assert len(pairs) > 25
+        for i, j in pairs:
+            gap = abs(x[j + d] - x[i + d])
+            for eps, inside in ((gap, False), (np.nextafter(gap, np.inf), True)):
+                params = EmbeddingParams(m=2, d=d, theiler=0, eps=float(eps))
+                _, (hits,) = assert_hits_match(x, n_valid, np.array([i]), params)
+                assert (j in hits) is inside
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_values_on_cell_boundaries(self, m):
+        # second coordinates within 6 ulps of low + k * eps and of the cell
+        # edges low + k * W. Some pairs of the first kind are closer than
+        # eps, yet their quotients (y - low) / eps round two apart: cells
+        # only eps wide would lose them, and W's margin keeps them adjacent
+        eps, low = 0.1, -3.3
+        edges = low + np.arange(1, 60) * np.array([[eps], [eps * (1 + 2**-20)]])
+        near_edges = (edges.view(np.int64)[..., None] + np.arange(-6, 7)).view(np.float64)
+        # and pairs closer than eps that straddle the edge low + W' of any
+        # narrower width W' = eps * (1 - delta), 2**-40 < delta < 1/2: for
+        # one k, low + eps * (1 - 1.5 * 2**-k) lies within eps - W' below it
+        ladder = low + eps * (1 - 1.5 * 2.0 ** -np.arange(1, 41))
+        partners = np.nextafter(ladder + eps, -np.inf)
+        while (late := partners - ladder >= eps).any():
+            partners[late] = np.nextafter(partners[late], -np.inf)
+        ys = np.concatenate([near_edges.ravel(), ladder, partners])
+
+        def straddled(width):
+            gaps = np.abs(ys[:, None] - ys)
+            cells = np.floor((ys - low) / width)
+            return ((gaps < eps) & (np.abs(cells[:, None] - cells) >= 2)).any()
+
+        assert all(straddled(eps * (1 - delta)) for delta in (0, 2**-30, 2**-20, 1e-3, 0.3))
+        # vector 2k is (low, ys[k], ...): its second coordinate is ys[k], and
+        # the lowest second coordinate is low
+        x = np.empty(2 * ys.size + 2)
+        x[0::2], x[1:-1:2], x[-1] = low, ys, low
+        params = EmbeddingParams(m=m, d=1, theiler=0, eps=eps, s=2)
+        n_valid = x.size - (m - 1) - params.s + 1
+        _, found = assert_hits_match(x, n_valid, np.arange(n_valid), params)
+        assert sum(hits.size for hits in found) > n_valid
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("kind", ["fgn", "ar1_rounded"])
+    def test_eps_below_the_span_cap(self, kind, m):
+        # the cells are span / 2**24 wide, not eps: 2**24 cells at most,
+        # so the key cell * n_valid + rank fits in int64. The rounded
+        # series' tied vectors are neighbours at any radius
+        ts = oracle_series(kind, 5000)
+        x = standardize(ts).values
+        eps = 1e-7
+        n_valid = x.size - (m - 1) - EmbeddingParams().s + 1
+        second = x[1 : 1 + n_valid]
+        assert (second.max() - second.min()) / 2**24 > eps * (1 + 2**-20)
+        for k_min in (1, 4):
+            params = EmbeddingParams(m=m, eps=eps, theiler=0, k_min=k_min)
+            assert_matches_full_scan(ts, params)
+
+    def test_candidates_count_the_box(self):
+        # the AR(1) index at the paper's length: the first coordinate's
+        # windows hold 25 987 candidates and the box 8 329 of them, with
+        # the same 5 285 neighbours
+        ts = generate(GenSpec(kind="ar1", n=776, phi=0.7, seed=3))
+        x = standardize(ts).values
+        counts = {}
+        for m in (1, 2, 3):
+            params = EmbeddingParams(m=m)
+            n_valid = x.size - (m - 1) - params.s + 1
+            refs = reference_indices(n_valid, params)
+            first = np.sort(x[:n_valid])
+            windows = np.searchsorted(first, x[refs] + params.eps, side="right")
+            windows -= np.searchsorted(first, x[refs] - params.eps)
+            _, found = assert_hits_match(x, n_valid, refs, params)
+            hits = sum(hits.size for hits in found)
+            candidates = lyap_k(ts, params).candidates
+            if m == 1:  # no box: the candidates are the windows
+                assert candidates == windows.sum()
+            else:
+                assert hits <= candidates < windows.sum()
+            counts[m] = (windows.sum(), candidates, hits)
+        assert counts[2] == (25_987, 8_329, 5_285)
+        assert DivergenceCurve(np.zeros(3), np.ones(3), EmbeddingParams()).candidates == 0
+
+
+class TestReferenceCache:
+    KEYS = [(4993, 200, False, 0), (765, 200, True, 5), (765, 200, True, 6), (50, 200, False, 0)]
+
+    def test_interleaved_calls_equal_uncached_ones(self):
+        chaos._reference_indices.cache_clear()
+        for key in self.KEYS * 3:
+            fresh = chaos._reference_indices.__wrapped__(*key)
+            assert np.array_equal(chaos._reference_indices(*key), fresh)
+        assert chaos._reference_indices.cache_info().hits == 2 * len(self.KEYS)
+        ts = generate(GenSpec(kind="white", n=2048, seed=4))
+        grid = [EmbeddingParams(m=m, random_sample=r, seed=s) for m in (1, 2) for r, s in
+                ((False, 0), (True, 1), (True, 2))]
+        cached = [lyap_k(ts, params) for params in grid * 2]
+        for params, curve in zip(grid * 2, cached):
+            chaos._reference_indices.cache_clear()
+            again = lyap_k(ts, params)
+            assert np.array_equal(curve.s_values, again.s_values, equal_nan=True)
+            assert np.array_equal(curve.ref_counts, again.ref_counts)
+
+    def test_cached_array_is_read_only(self):
+        refs = chaos._reference_indices(*self.KEYS[1])
+        assert not refs.flags.writeable
+        with pytest.raises(ValueError):
+            refs[0] = 1
+        assert chaos._reference_indices(*self.KEYS[1]) is refs
 
 
 class _NumpyWithSort:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -602,6 +603,32 @@ class TestExpectedRescaledRange:
         gaps = [math.sqrt(0.5 * math.pi * w) - expected_rescaled_range(w) for w in windows]
         assert min(gaps) >= 1.022
         assert gaps.index(min(gaps)) == 0  # w = 2: sqrt(pi) - 3/4
+
+    @pytest.mark.parametrize(
+        "window",
+        # one leaf, the first splits on each side of the leaf size and of
+        # twice it, odd remainders of the multiple-of-8 halving, and windows
+        # whose split tree is several levels deep
+        [2, 9, 129, 340, 341, 2**16, 2**16 + 1, 2**16 + 2, 2**16 + 9, 2**17, 2**17 + 1,
+         2**17 + 2, 2**17 + 17, 3 * 2**16 + 5, 100_003, 776_000, 1_000_001, 2_345_679],
+    )
+    def test_leaves_keep_the_one_shot_sum(self, window):
+        # the expectation's tail sum, summed in leaves, has the bits of one
+        # np.sum over all its terms
+        i = np.arange(1, window)
+        one_shot = float(np.sum(np.sqrt((window - i) / i)))
+        assert hurst._tail_sum(window, 1, window).hex() == one_shot.hex()
+
+    def test_memory_does_not_grow_with_the_window(self):
+        # the one-shot sum held three arrays of w - 1 terms: 240 MB at 1e7
+        tracemalloc.start()
+        try:
+            value = expected_rescaled_range(10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert value == pytest.approx(math.sqrt(0.5 * math.pi * 1e7), rel=1e-3)
 
     def test_ratio_converges_to_sqrt_half_pi(self):
         target = math.sqrt(math.pi / 2.0)

@@ -52,6 +52,15 @@ def fresh_keyed(seed, key):
     return np.random.Generator(sfc64_from_words(*philox.random_raw(3)))
 
 
+def halves_dot(a, b):
+    """The dot of two 16384-sample arrays as ``core._dot`` takes it: the dots
+    of the two 8192-sample halves, added in order. One 16384-sample ``@``
+    would be split by OpenBLAS over its threads, so its last bits would
+    follow the thread count."""
+    assert a.size == b.size == 16384
+    return float(a[:8192] @ b[:8192]) + float(a[8192:] @ b[8192:])
+
+
 def fresh_keyed_permutation(seed, index, n):
     """Reference: draw ``index mod B`` of the successive ``permutation(n)``
     draws of a new generator keyed on (seed, index div B)."""
@@ -616,9 +625,12 @@ class TestPermTest:
         # the shuffle of a fresh generator keyed (seed, k)
         p, j = self.gaussian_pair(n=16384, data_seed=4)
         res = perm_test(p, j, n_perm=300, seed=seed)
-        p_unit = (p - p.mean()) / np.linalg.norm(p - p.mean())
-        j_unit = (j - j.mean()) / np.linalg.norm(j - j.mean())
-        rebuilt = [p_unit @ j_unit[fresh_keyed(seed, k).permutation(16384)] for k in range(300)]
+        p_unit = (p - p.mean()) / math.sqrt(halves_dot(p - p.mean(), p - p.mean()))
+        j_unit = (j - j.mean()) / math.sqrt(halves_dot(j - j.mean(), j - j.mean()))
+        rebuilt = [
+            halves_dot(p_unit, j_unit[fresh_keyed(seed, k).permutation(16384)])
+            for k in range(300)
+        ]
         assert np.array_equal(np.sort(rebuilt), res.r_sorted)
 
     def test_interleaved_calls_agree(self):
