@@ -6,8 +6,9 @@ Both estimators use the biased convention
 
 with the full-sample mean, which keeps |r_k| <= 1 and the coefficient
 sequence positive semidefinite. ``acf_fft`` is the fast route through a
-zero-padded transform; ``acf_direct`` is the plain double sum and serves
-as its independent oracle.
+transform zero-padded to the shortest 5-smooth length (2**a * 3**b * 5**c)
+of at least n + max_lag, which no lag up to max_lag wraps; ``acf_direct``
+is the plain double sum and serves as its independent oracle.
 
 ``acf_direct`` takes each lag's sum as ``core._dot``, which hands OpenBLAS
 at most 8192 samples at a time, so its coefficients are the same whatever
@@ -65,19 +66,42 @@ def acf_direct(ts: TimeSeries | np.ndarray, max_lag: int) -> AcfResult:
     return AcfResult(max_lag=max_lag, coefficients=coeffs, n=d.size)
 
 
+def _fft_length(m: int) -> int:
+    """The smallest 2**a * 3**b * 5**c that is at least ``m`` >= 1.
+
+    Each odd part q = 3**b * 5**c below the best length so far takes the
+    least power of two that lifts it to ``m``, read off ``bit_length``.
+    """
+    best = 1 << (m - 1).bit_length()
+    five = 1
+    while five < best:
+        q = five
+        while q < best:
+            candidate = q << ((m - 1) // q).bit_length()
+            if candidate < best:
+                best = candidate
+            q *= 3
+        five *= 5
+    return best
+
+
 def acf_fft(ts: TimeSeries | np.ndarray, max_lag: int) -> AcfResult:
     """Autocorrelation via a zero-padded fast transform.
 
-    Pads the demeaned series to a power of two >= 2n so the circular
-    convolution implied by the transform never wraps, then reads the
-    autocovariance off the inverse transform of the power spectrum.
-    Contract-identical to ``acf_direct``.
+    Pads the demeaned series to L, the smallest 2**a * 3**b * 5**c of at
+    least n + max_lag, and reads the autocovariance off the inverse
+    transform of the power spectrum. The circular sum at lag k wraps only
+    through indices t >= L - k >= n, where the padding is zero, so lags up
+    to max_lag take no wrapped term. Contract-identical to ``acf_direct``
+    to rounding; the last bits of a coefficient follow L, so they follow
+    ``max_lag`` as well as n.
     """
     d, max_lag = _check_input(ts, max_lag)
     n = d.size
-    n_fft = 1 << int(2 * n - 1).bit_length()
+    n_fft = _fft_length(n + max_lag)
     spectrum = np.fft.rfft(d, n_fft)
-    autocov = np.fft.irfft(spectrum * np.conj(spectrum), n_fft)[: max_lag + 1]
+    spectrum *= spectrum.conj()
+    autocov = np.fft.irfft(spectrum, n_fft)[: max_lag + 1]
     coeffs = autocov / autocov[0]
     coeffs[0] = 1.0
     return AcfResult(max_lag=max_lag, coefficients=coeffs, n=n)

@@ -1,5 +1,7 @@
 """Autocorrelation estimators: dual-route equivalence and diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from longmem import (
     NumericError,
     TimeSeries,
     ValidationError,
+    acf,
     acf_direct,
     acf_fft,
     band_mean,
@@ -57,6 +60,46 @@ class TestBasicContract:
         assert len(result.coefficients) == 3
 
 
+def smooth_ceilings(top):
+    """Index m holds the smallest 2**a * 3**b * 5**c >= m, by trial division."""
+
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    ceil = [0] * (top + 1)
+    k = 2 * top  # a power of two lies in [top, 2 * top]
+    for m in range(2 * top, 0, -1):
+        if smooth(m):
+            k = m
+        if m <= top:
+            ceil[m] = k
+    return ceil
+
+
+def ends_heavy(n, seed=0):
+    """Small noise between a large first and last sample.
+
+    A transform one sample too short adds d_0 * d_(n-1) to the top lag's
+    sum, which here is of the order of the whole sum of squares.
+    """
+    x = 1e-3 * np.random.default_rng(seed).standard_normal(n)
+    x[0], x[-1] = 3.0, -2.0
+    return x
+
+
+def length_cases():
+    cases = set()
+    for n in (2, 3, 17, 776, 4096, 4097):
+        cases.update((n, k) for k in (1, 2, 7, n // 3, n - 1) if 1 <= k < n)
+    # n + max_lag exactly 5-smooth (18, 900, 4320), then one past it
+    for n, k in ((17, 1), (776, 124), (4096, 224), (4097, 223)):
+        cases.update(((n, k), (n, k + 1)))
+    return sorted(cases)
+
+
 class TestDualRouteEquivalence:
     @pytest.mark.parametrize("n", [17, 64, 255, 777])
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -69,10 +112,53 @@ class TestDualRouteEquivalence:
             b.coefficients, a.coefficients, rtol=0.0, atol=1e-10
         )
 
+    @pytest.mark.parametrize("n,max_lag", length_cases())
+    def test_fft_matches_direct_at_every_length(self, n, max_lag):
+        x = ends_heavy(n)
+        a = acf_direct(x, max_lag)
+        b = acf_fft(x, max_lag)
+        np.testing.assert_allclose(
+            b.coefficients, a.coefficients, rtol=0.0, atol=1e-10
+        )
+
     def test_tiny_series_exact(self):
         a = acf_direct(series([1.0, 2.0, 3.0, 4.0]), 3)
         b = acf_fft(series([1.0, 2.0, 3.0, 4.0]), 3)
         np.testing.assert_allclose(b.coefficients, a.coefficients, atol=1e-12)
+
+
+class TestTransformLength:
+    def test_smallest_smooth_length_by_brute_force(self):
+        ceil = smooth_ceilings(20_000)
+        assert [acf._fft_length(m) for m in range(1, 20_001)] == ceil[1:]
+
+    @pytest.mark.parametrize("n,max_lag", length_cases())
+    def test_one_short_transform_wraps_the_top_lag(self, monkeypatch, n, max_lag):
+        # the series make a transform of n + max_lag - 1 visible
+        x = ends_heavy(n)
+        exact = acf_direct(x, max_lag).coefficients[-1]
+        monkeypatch.setattr(acf, "_fft_length", lambda m: m - 1)
+        assert abs(acf_fft(x, max_lag).coefficients[-1] - exact) > 0.1
+
+    def test_shared_lags_agree_across_max_lag(self):
+        # each max_lag takes its own length (800 and 864 here), so the
+        # shared lags agree to rounding, not bit for bit
+        x = generate(GenSpec(kind="fgn", n=776, h=0.7, seed=3))
+        short = acf_fft(x, 20).coefficients
+        long = acf_fft(x, 72).coefficients[:21]
+        np.testing.assert_allclose(long, short, rtol=0.0, atol=1e-13)
+
+    def test_memory_at_1e5(self):
+        ts = generate(GenSpec(kind="fgn", n=100_000, h=0.7, seed=3))
+        tracemalloc.start()
+        try:
+            acf_fft(ts, 365)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a transform of the power of two >= 2n peaked at 9.1 times the
+        # series' bytes at n = 776 000; about 3 times remain
+        assert peak <= 9.1 * ts.values.nbytes
 
 
 class TestInvariances:
