@@ -87,9 +87,10 @@ __all__ = list(_EXPORTS["chaos"])
 # divergence stage holds s gaps per hit at once, so memory is
 # O(s * (budget + most candidates of one reference)), never O(n_ref * n);
 # the gaps of one chunk are not split, as that would change the order they
-# are summed in. The value is small so that a ``lyap`` run at the paper's length
-# allocates no more than the per-reference scan it replaced; chunks cost
-# one pass of numpy calls each, which at most n_ref chunks keeps cheap.
+# are summed in. The value is small so that a ``lyap`` run at the paper's
+# length allocates no more than a scan of one reference at a time would;
+# chunks cost one pass of numpy calls each, which at most n_ref chunks
+# keeps cheap.
 _CANDIDATE_BUDGET = 1 << 12
 
 

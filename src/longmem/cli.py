@@ -391,6 +391,14 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field (RFC 4180): quoted, with inner quotes
+    doubled, only when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
     if isinstance(value, dict):
         for k, v in value.items():
@@ -411,7 +419,7 @@ def _emit(ns, envelope: dict, table_lines: list[str]) -> None:
     if ns.format == "csv":
         rows: list[tuple[str, str]] = []
         _flatten("", envelope["results"], rows)
-        lines = ["key,value", *(f"{k},{v}" for k, v in rows)]
+        lines = ["key,value", *(f"{k},{_csv_field(v)}" for k, v in rows)]
         lines.extend(f"warning.{w['code']},{json.dumps(w['message'])}" for w in warnings)
     else:
         lines = list(table_lines)

@@ -32,9 +32,7 @@ exact, so in either layout the values are bit-identical to a per-block
 loop. One loop over the windows feeds two aggregations: ``rs_table``
 takes each window's mean and scatter by ``core._moments``, and
 ``hurst_suite``, which fits means only, takes the mean alone, by the same
-sum over the count, and builds no ``RsPoint``: the scatter and the
-points were 17 % of a suite call at n = 776 and 13 % at n = 4096 (on a
-shared 2-vCPU x86 machine, numpy 2.4.6). Every
+sum over the count, and builds no ``RsPoint``. Every
 exponent comes from one log-log line fit. The suite's
 divisor ladder and the expectations on it depend only on the series
 length, and a small cache keeps them for the lengths used last.
@@ -467,9 +465,9 @@ def hurst_suite(ts: TimeSeries | np.ndarray) -> HurstSuite:
 
     The divisor ladder and its expectations are cached by length (the 32
     most recent lengths), so after the first call at a length a suite
-    pays only for the R/S passes, one mean per window and the fits: about
-    0.46 ms at n = 776 and 2.3 ms at n = 4096. Flat blocks are left out
-    without a warning (``rs_table`` warns ``SKIPPED_BLOCKS``).
+    pays only for the R/S passes, one mean per window and the fits. Flat
+    blocks are left out without a warning (``rs_table`` warns
+    ``SKIPPED_BLOCKS``).
     """
     x = sample_values(ts)
     n = x.size

@@ -74,7 +74,7 @@ _SUMMARY_QUANTILES = (
 # one row of n samples, and permutation k is keyed (seed, k). The smallest
 # size that pays at 4096 samples on two threads: blocks of one or two rows
 # (4095, 8191) drew little faster than Philox, three rows as fast as seven
-# (32767). README "Determinism and randomness" has the sweep.
+# (32767). CHANGES.md's entry on the SFC64 block draws has the sweep.
 _BLOCK_SAMPLES = 16383
 # At most this many threads. Only 1 and 2 cores were measured; the gain
 # above 2 is untested.

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: envelopes, exit codes, determinism."""
 
+import csv
 import hashlib
 import inspect
+import io
 import json
 import os
 import shlex
@@ -188,6 +190,19 @@ class TestEnvelope:
         assert lines[0] == "key,value"
         keys = {line.split(",", 1)[0] for line in lines[1:]}
         assert {"n", "mean", "std_dev", "cv_percent"} <= keys
+
+    @pytest.mark.parametrize("name", ["a,b.txt", 'say "hi".txt', "two\r\nlines.txt"])
+    def test_csv_reads_back_two_fields_a_row(self, tmp_path, capsys, name):
+        # a value holding a comma, a quote or a line break is one quoted field
+        out_path = str(tmp_path / name)
+        code, out = run(
+            capsys, "gen", "--kind", "white", "--n", "4", "--out", out_path, "--format", "csv"
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert rows[0] == ["key", "value"]
+        assert all(len(row) == 2 for row in rows)
+        assert dict(rows[1:])["path"] == out_path
 
     def test_table_format_lists_fields(self, tmp_path, capsys):
         path = write(tmp_path, "soi.txt", CPC_TEXT)

@@ -1,13 +1,23 @@
-"""README's library tour runs as printed."""
+"""README states the user's contract: its examples run as printed, and it
+names every subcommand, option, warning code and exit code."""
 
+import argparse
+import os
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from longmem import GenSpec, generate
+import longmem
+from longmem import GenSpec, errors, generate
+from longmem.cli import _SUBCOMMANDS, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC_DIR = str(Path(longmem.__file__).resolve().parents[1])
 
 
 def tour_code() -> str:
@@ -57,3 +67,69 @@ def test_library_tour_keeps_the_first_year_after_a_byte_order_mark(
     write_cpc_table(tmp_path / "soi.txt", 1951, 2016, preamble=False, mark="\ufeff")
     lines = run_tour(tmp_path, monkeypatch, capsys)
     assert lines[-1] == f"{(2015 - 1951) * 12 + 8} []"
+
+
+def cli_examples() -> list[str]:
+    """The lines of the first shell block under "Command-line tool"."""
+    section = README.read_text(encoding="utf-8").split("## Command-line tool", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    return block.splitlines()
+
+
+def test_cli_examples_run_as_printed(tmp_path, capsys):
+    soi = tmp_path / "soi.txt"
+    write_cpc_table(soi, 1951, 2016)
+    n = str(12 * (2016 - 1951 + 1))
+    for name, seed in (("u.txt", "1"), ("v.txt", "2")):
+        argv = ["gen", "--kind", "white", "--n", n, "--seed", seed, "--out", str(tmp_path / name)]
+        assert main(argv) == 0
+    capsys.readouterr()
+    lines = cli_examples()
+    assert len(lines) == 6
+    for line in lines:
+        program, *args = shlex.split(line)
+        assert program == "longmem"
+        done = subprocess.run(
+            [sys.executable, "-m", "longmem", *args],
+            cwd=tmp_path,
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            timeout=120,
+        )
+        assert done.returncode == 0, (line, done.stderr)
+
+
+def names(token: str) -> bool:
+    """Whether README names ``token`` whole, not as part of a longer name."""
+    pattern = rf"(?<![\w-]){re.escape(token)}(?![\w-])"
+    return re.search(pattern, README.read_text(encoding="utf-8")) is not None
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+def test_names_every_subcommand_and_its_options(command):
+    assert names(f"`{command}`")
+    _, add_options, _ = _SUBCOMMANDS[command]
+    parser = argparse.ArgumentParser(add_help=False)
+    add_options(parser)
+    options = [s for a in parser._actions for s in a.option_strings if s.startswith("--")]
+    assert options
+    assert [o for o in options if not names(o)] == []
+
+
+def test_names_every_warning_code():
+    codes = [v for k, v in vars(errors).items() if k.startswith("WARN_")]
+    assert codes
+    assert [c for c in codes if not names(f"`{c}`")] == []
+
+
+def test_names_every_error_class_with_its_exit_code():
+    classes = [
+        c
+        for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.LongmemError) and hasattr(c, "exit_code")
+    ]
+    assert {c.__name__ for c in classes} >= {"ValidationError", "ParseError", "NumericError"}
+    text = README.read_text(encoding="utf-8")
+    for c in classes:
+        row = rf"^\| `{c.__name__}` +\| `{c.exit_code}` +\|"
+        assert re.search(row, text, re.MULTILINE), c.__name__
