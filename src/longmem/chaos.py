@@ -47,9 +47,11 @@ full max-norm and Theiler tests, and the hits the same re-sort.
 
 References are processed in consecutive chunks whose windows
 together hold a bounded number of candidates, which bounds memory at
-any length. Within a chunk the divergence stage is one vectorised pass:
-every hit's next ``s`` gaps are gathered at once and ``np.bincount``
-sums them by (reference, step), adding each bin's gaps in index order.
+any length. Within a chunk the divergence stage takes a group of steps
+at a time, as many as keep about ``_CANDIDATE_BUDGET * s`` gaps, all of
+them in one group when the chunk is within the budget: every hit's gaps
+at those steps are gathered at once and ``np.bincount`` sums them by
+(reference, step), adding each bin's gaps in index order.
 
 Exact ties (zero future distance) occur in quantized data and would put
 minus infinity into the log; tied pairs are dropped at the affected step
@@ -84,13 +86,14 @@ __all__ = list(_EXPORTS["chaos"])
 # Candidate pairs tested at once by the neighbour search. References are
 # processed in consecutive chunks whose candidates number at most this
 # together; a reference with more is a chunk of its own. A chunk's
-# divergence stage holds s gaps per hit at once, so memory is
-# O(s * (budget + most candidates of one reference)), never O(n_ref * n);
-# the gaps of one chunk are not split, as that would change the order they
-# are summed in. The value is small so that a ``lyap`` run at the paper's
-# length allocates no more than a scan of one reference at a time would;
-# chunks cost one pass of numpy calls each, which at most n_ref chunks
-# keeps cheap.
+# divergence stage takes whole steps for every hit, about s * budget gaps
+# at once and never fewer than one step's, so memory is O(s * budget +
+# most candidates of one reference), never O(n_ref * n); a chunk's hits
+# are not split, as that would change the order their gaps are summed in.
+# The value is small so that a ``lyap`` run at the paper's length
+# allocates no more than a scan of one reference at a time would; chunks
+# cost one pass of numpy calls each, which at most n_ref chunks keeps
+# cheap.
 _CANDIDATE_BUDGET = 1 << 12
 
 
@@ -377,17 +380,28 @@ def lyap_k(ts: TimeSeries | np.ndarray, params: EmbeddingParams) -> DivergenceCu
             continue
         # the hits of the kept references, still grouped by reference
         sizes, hits = counts[kept], hits[kept[owner]]
-        gaps = ahead[hits]
-        gaps -= np.repeat(ahead[chunk[kept]], sizes, axis=0)
-        np.abs(gaps, out=gaps)
-        # key row * s + step, row the reference's place among the kept ones:
-        # bincount adds each key's gaps in hit order, the index order and so
-        # the bits of a sum over the reference's neighbour rows
-        key = np.repeat(np.arange(sizes.size * params.s).reshape(-1, params.s), sizes, axis=0)
-        key, gaps = key.ravel(), gaps.ravel()
-        sums = np.bincount(key, weights=gaps).reshape(-1, params.s)
-        ties = np.bincount(key[gaps == 0], minlength=sums.size)
-        live = sizes[:, None] - ties.reshape(-1, params.s)
+        sums = np.empty((sizes.size, params.s))
+        ties = np.empty((sizes.size, params.s), dtype=np.intp)
+        # a group of steps at a time, about _CANDIDATE_BUDGET * s gaps: a
+        # chunk within the budget takes one group, and a reference with far
+        # more hits never holds s gaps for each of them at once
+        group = max(1, _CANDIDATE_BUDGET * params.s // hits.size)
+        for lo in range(0, params.s, group):
+            steps = slice(lo, lo + group)
+            gaps = ahead[hits, steps]
+            gaps -= np.repeat(ahead[chunk[kept], steps], sizes, axis=0)
+            np.abs(gaps, out=gaps)
+            # key row * width + step, row the reference's place among the
+            # kept ones: a key lies in one group, and bincount adds its gaps
+            # in hit order, the index order and so the bits of a sum over
+            # the reference's neighbour rows
+            width = gaps.shape[1]
+            key = np.repeat(np.arange(sizes.size * width).reshape(-1, width), sizes, axis=0)
+            key, gaps = key.ravel(), gaps.ravel()
+            bins = sizes.size * width
+            sums[:, steps] = np.bincount(key, weights=gaps, minlength=bins).reshape(-1, width)
+            ties[:, steps] = np.bincount(key[gaps == 0], minlength=bins).reshape(-1, width)
+        live = sizes[:, None] - ties
         # a step whose gaps all tie is 0 = log 1 here and not counted
         blocks.append(np.log(np.divide(sums, live, out=np.ones_like(sums), where=live > 0)))
         ref_counts += np.count_nonzero(live, axis=0)

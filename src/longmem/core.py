@@ -283,23 +283,25 @@ class SummaryStats:
 _DOT_CHUNK = 8192
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """The inner product of two 1-d float arrays of one length, in a fixed order.
+def _dot(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """The inner product of 1-d ``a`` and ``b``, or an array of ``a``'s with each row of a 2-d ``b``.
 
     The toolkit's one dot product. Up to ``_DOT_CHUNK`` samples it is
-    ``float(a @ b)``, one BLAS call. Above, it is the BLAS dots of the
-    consecutive ``_DOT_CHUNK``-sample chunks added in index order, so no
-    call reaches OpenBLAS's threading threshold and the result is the same
-    on any number of CPUs, a ``taskset`` mask or any
+    ``float(a @ b)``, one BLAS call; a stack's ``np.matmul(b[:, None, :],
+    a[:, None])`` runs that BLAS dot per row, so a row gets the bits it
+    gets alone (``b @ a``, a gemv, rounds differently). Above, it is the
+    dots of the consecutive ``_DOT_CHUNK``-sample chunks added in index
+    order, so no call reaches OpenBLAS's threading threshold and the
+    result is the same on any number of CPUs, a ``taskset`` mask or any
     ``OPENBLAS_NUM_THREADS``. It can still differ between CPU families,
     whose BLAS kernels sum a chunk in different orders, and under another
     BLAS library.
     """
     if a.size <= _DOT_CHUNK:
-        return float(a @ b)
+        return float(a @ b) if b.ndim == 1 else np.matmul(b[:, None, :], a[:, None])[:, 0, 0]
     total = 0.0
     for lo in range(0, a.size, _DOT_CHUNK):  # not sum(): Python 3.12's compensates
-        total += float(a[lo : lo + _DOT_CHUNK] @ b[lo : lo + _DOT_CHUNK])
+        total += _dot(a[lo : lo + _DOT_CHUNK], b[..., lo : lo + _DOT_CHUNK])
     return total
 
 

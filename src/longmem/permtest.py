@@ -17,16 +17,16 @@ in one ``Generator.permuted`` call over B rows that each hold the second
 series' unit residual, in place of drawing index permutations and
 gathering through them: the shuffle's draws depend only on the length,
 and it moves items without reading them, so each row comes out as that
-gather, bit for bit. What is left per permutation is numpy's shuffle of
-one row and one dot product. The blocks are split into contiguous runs
-that run on up to four threads, one per usable CPU and never more than
-there are blocks, each with its own generator and rows; numpy releases
-the GIL once for a whole block of B shuffles. Every correlation,
-observed or permuted, is ``core._dot``, whichever thread computes it,
-and that dot never gives OpenBLAS more than 8192 samples at once, below
-the length from which it splits a dot over its own threads. So the
-result depends neither on the number of permutation threads nor on
-OpenBLAS's thread count.
+gather, bit for bit. What is left per block is numpy's shuffle of its
+rows and one ``_dot`` call for them all. The blocks are split into
+contiguous runs that run on up to four threads, one per usable CPU and
+never more than there are blocks, each with its own generator and rows;
+numpy releases the GIL once for a whole block of B shuffles. Every
+correlation, observed or permuted, is ``core._dot``'s, bit for bit that
+of its row alone whichever thread computes it, and that dot never gives
+OpenBLAS more than 8192 samples at once, below the length from which it
+splits a dot over its own threads. So the result depends neither on the
+number of permutation threads nor on OpenBLAS's thread count.
 
 p-values use the add-one rule ``(count + 1) / (n_perm + 1)``, never zero,
 and the test rejects at 5% exactly when the chosen tail's p-value is at
@@ -218,11 +218,12 @@ def _permuted_correlations(
     per usable CPU, up to ``_MAX_THREADS`` and never more than there are
     blocks. The calling thread runs the first run and a
     ``threading.Thread`` each other run, with its own generator and
-    rows. Each correlation is the same ``_dot`` wherever it runs (a 2-d
-    product may round differently), so the output does not depend on
-    the split. The first exception raised in any run, a ``MemoryError``
-    for the rows or a ``KeyboardInterrupt`` included, stops every run at
-    its next block and is raised again here once all threads have ended.
+    rows. Each block's correlations are one ``_dot`` call for its rows,
+    each row the bits of its own 1-d ``_dot`` (a plain 2-d product may
+    round differently), so the output does not depend on the split. The
+    first exception raised in any run, a ``MemoryError`` for the rows or
+    a ``KeyboardInterrupt`` included, stops every run at its next block
+    and is raised again here once all threads have ended.
     """
     n = j_unit.size
     size = _block_size(n)
@@ -235,20 +236,16 @@ def _permuted_correlations(
 
     def run(lo: int, hi: int) -> None:
         try:
-            rows = np.empty((size, n))
-            # views and slices made once, not per block: at B = 1 this body
-            # runs once per permutation, holding the GIL
-            src, out, views = unshuffled, rows, list(rows)
+            src, out = unshuffled, np.empty((size, n))
             for b, gen in enumerate(_keyed(seed, range(lo, hi)), lo):
                 if errors:
                     return
                 first = b * size
                 m = n_perm - first
                 if m < size:  # the last block is short
-                    src, out, views = src[:m], out[:m], views[:m]
+                    src, out = src[:m], out[:m]
                 gen.permuted(src, axis=1, out=out)
-                for k, row in enumerate(views, first):
-                    r_perm[k] = _dot(p_unit, row)
+                r_perm[first : first + len(out)] = _dot(p_unit, out)
         except BaseException as exc:
             errors.append(exc)
 

@@ -663,7 +663,8 @@ class TestConstancyRule:
 
 class TestDot:
     """``core._dot``: one BLAS call up to 8192 samples, and above that the
-    8192-sample chunks' BLAS dots added in index order."""
+    8192-sample chunks' BLAS dots added in index order; a stack of rows
+    gets each row's own bits."""
 
     @staticmethod
     def pair(n):
@@ -682,6 +683,19 @@ class TestDot:
         for lo in range(0, n, 8192):
             expected += float(a[lo : lo + 8192] @ b[lo : lo + 8192])
         assert _dot(a, b).hex() == expected.hex()
+
+    @pytest.mark.parametrize("n", [1, 3, 776, 4096, 8191, 8192, 8193, 10_001, 16_384, 100_000])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 21])
+    def test_each_row_of_a_stack_gets_its_own_dot(self, n, rows):
+        # each row's (1, n) @ (n, 1) is numpy's vector-vector BLAS dot, the
+        # one a 1-d a @ b runs, where a 2-d b @ a is a gemv that rounds
+        # otherwise; above 8192 samples each row's chunk dots are added in
+        # index order
+        rng = np.random.default_rng([n, rows])
+        a, stack = rng.standard_normal(n), rng.standard_normal((rows, n))
+        got = _dot(a, stack)
+        assert got.dtype == np.float64 and got.shape == (rows,)
+        assert got.tobytes() == np.array([_dot(a, row) for row in stack]).tobytes()
 
 
 class TestFrozenCopy:

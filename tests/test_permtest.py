@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import os
 import sys
 import threading
 
@@ -612,6 +613,15 @@ class TestThreadedBlocks:
         with pytest.raises(RuntimeError, match="can't start new thread"):
             perm_test(p, j, n_perm=300, seed=0)
         assert threading.active_count() == before
+
+    def test_usable_cpus_without_an_affinity_mask(self, monkeypatch):
+        # macOS and Windows have no sched_getaffinity: the thread count is
+        # os.cpu_count(), and 1 when that is unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert permtest._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert permtest._usable_cpus() == 1
 
 
 class TestPermTest:
