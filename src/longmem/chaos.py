@@ -18,15 +18,18 @@ Neighbor search is exact but does not scan every vector (Schreiber 1995,
 embedded vectors are sorted once by their first coordinate, and each
 reference's candidates are the vectors whose first coordinate lies in
 its +/-eps window, found by binary search. Both ends of the window are
-inclusive, and since rounding is monotone no true neighbor falls
-outside. Every candidate then takes the unchanged test, max-norm
-distance < eps and index gap > theiler, and the hits are put back into
-ascending index order, so the neighbor sets and the order their gaps
-are summed in match a full scan bit for bit. The sort need not be
-stable: a window is cut by the sorted values, so which vectors it holds
-does not depend on how tied first coordinates are ordered; each
-candidate's test is elementwise; and the hits are re-sorted by a unique
-key. The curve is the same bits whatever order a numpy build gives ties.
+inclusive, and it needs no widening: rounding is monotone and eps is a
+float, so a rounded |x_j - x_i| below eps means an exact gap below eps,
+and then fl(x_i - eps) <= x_j <= fl(x_i + eps). Every candidate then
+takes the unchanged test, max-norm distance < eps and index gap >
+theiler, and the hits are put back into ascending index order, so the
+neighbor sets and the order their gaps are summed in match a full scan
+bit for bit. The sort need not be stable: a window is cut by the sorted
+values, so which vectors it holds does not depend on how tied first
+coordinates are ordered; each candidate's test is elementwise; and the
+hits are re-sorted by the unique key i * n_valid + j, i the reference
+and j the vector. The curve is the same bits whatever order a numpy
+build gives ties.
 
 For m >= 2 the search is a box over the first two coordinates. The
 second coordinate is cut into cells of width W = max(eps * (1 + 2**-20),
@@ -45,12 +48,16 @@ than eps whose quotients round two cells apart. The 2**24 cap bounds
 the key by (2**24 + 1) * n_valid, inside int64. Candidates still take the
 full max-norm and Theiler tests, and the hits the same re-sort.
 
-References are processed in consecutive chunks whose windows
-together hold a bounded number of candidates, which bounds memory at
-any length. Within a chunk the divergence stage takes a group of steps
-at a time, as many as keep about ``_CANDIDATE_BUDGET * s`` gaps, all of
-them in one group when the chunk is within the budget: every hit's gaps
-at those steps are gathered at once and ``np.bincount`` sums them by
+The search's O(n) set-up arrays, the sorted first coordinates and, from
+m = 2, the box keys and the first-coordinate order, are freed before the
+first candidate is tested; only the order the candidates are read from,
+n_valid indices, stays. References are then processed in consecutive
+chunks whose candidates number at most ``_CANDIDATE_BUDGET`` together, a
+reference with more being a chunk of its own, which bounds memory at any
+length. Within a chunk the divergence stage takes a group of steps at a
+time, as many as keep about ``_CANDIDATE_BUDGET * s`` gaps, all of them
+in one group when the chunk is within the budget: every hit's gaps at
+those steps are gathered at once and ``np.bincount`` sums them by
 (reference, step), adding each bin's gaps in index order.
 
 Exact ties (zero future distance) occur in quantized data and would put
@@ -87,7 +94,9 @@ __all__ = list(_EXPORTS["chaos"])
 # processed in consecutive chunks whose candidates number at most this
 # together; a reference with more is a chunk of its own. A chunk's
 # divergence stage takes whole steps for every hit, about s * budget gaps
-# at once and never fewer than one step's, so memory is O(s * budget +
+# at once and never fewer than one step's, so past the series and the one
+# index per vector that the candidates are read from (the search's other
+# sort arrays are freed before the first chunk), memory is O(s * budget +
 # most candidates of one reference), never O(n_ref * n); a chunk's hits
 # are not split, as that would change the order their gaps are summed in.
 # The value is small so that a ``lyap`` run at the paper's length
@@ -231,31 +240,44 @@ def _reference_indices(n_valid: int, n_ref: int, random_sample: bool, seed: int)
     return idx
 
 
-def _box(x, n_valid, order, refs, lo, width, params):
-    """Each reference's candidates as three ranges of a box-sorted order.
+def _candidates(x, n_valid, refs, params):
+    """Each reference's candidates, as ranges of a sorted order of the vectors.
 
-    Returns ``(slots, starts, sizes)``: ``slots`` lists the vectors sorted
-    by the key cell * n_valid + rank, where rank is a vector's place in
-    ``order`` and cell is its second coordinate's cell of width ``W``, and
-    row r of ``starts`` and ``sizes`` holds the three ranges of ``slots``
-    whose vectors lie in cells c - 1, c and c + 1 of reference r's cell c
-    with ranks in its first-coordinate window ``[lo, lo + width)``.
+    Returns ``(slots, starts, ranges, width)``. ``slots`` lists the
+    vectors' indices in search order; each reference owns
+    ``ranges.size // refs.size`` consecutive entries of ``starts`` and
+    ``ranges``, entry k naming ``slots[starts[k] : starts[k] + ranges[k]]``;
+    and ``width`` holds each reference's total. At m = 1 ``slots`` is the
+    first-coordinate order and a reference's one range is its window; from
+    m = 2 ``slots`` is the box order and its three ranges are the window's
+    ranks in cells c - 1, c and c + 1 (the module docstring gives both).
+    Only ``slots`` is O(n): the sorted first coordinates and, from m = 2,
+    the box keys and the first-coordinate order are freed when this returns.
     """
+    eps = params.eps
+    first = x[:n_valid]
+    order = np.argsort(first)
+    ranked = first[order]
+    centre = first[refs]
+    lo = np.searchsorted(ranked, centre - eps, side="left")
+    width = np.searchsorted(ranked, centre + eps, side="right") - lo
+    if params.m == 1:
+        return order, lo, width, width
     second = x[params.d : params.d + n_valid]
     low = float(second.min())
-    cell = max(params.eps * (1 + 2**-20), (float(second.max()) - low) / 2**24)
+    cell = max(eps * (1 + 2**-20), (float(second.max()) - low) / 2**24)
     # the values less ``low`` are not negative, so the cast is the floor
     key = ((second[order] - low) / cell).astype(np.int64)
     key *= n_valid
     key += np.arange(n_valid)
     key.sort()
-    slots = order[key % n_valid]
     bounds = ((second[refs] - low) / cell).astype(np.int64)[:, None] + (-1, 0, 1)
     bounds *= n_valid
     bounds += lo[:, None]
     starts = np.searchsorted(key, bounds)
     bounds += width[:, None]
-    return slots, starts, np.searchsorted(key, bounds) - starts
+    ranges = np.searchsorted(key, bounds) - starts
+    return order[key % n_valid], starts.ravel(), ranges.ravel(), ranges.sum(axis=1)
 
 
 def _neighbours(x, n_valid, refs, params):
@@ -270,27 +292,7 @@ def _neighbours(x, n_valid, refs, params):
     order a full scan finds them. Coordinate c of embedded vector j is
     ``x[j + c*d]``.
     """
-    eps = params.eps
-    first = x[:n_valid]
-    # numpy's default sort, not a stable one: which vectors a window holds
-    # is fixed by the values alone, each candidate's test is elementwise,
-    # and the hits are re-sorted below by the unique key i * n_valid + j,
-    # so the order of tied values never reaches the output
-    order = np.argsort(first)
-    keys = first[order]
-    centre = first[refs]
-    # The window needs no widening. Rounding is monotone and eps is a
-    # float, so a rounded |x_j - x_i| below eps means an exact gap below
-    # eps, and then fl(x_i - eps) <= x_j <= fl(x_i + eps): the inclusive
-    # window holds every true neighbour, rounded bounds and all.
-    lo = np.searchsorted(keys, centre - eps, side="left")
-    width = np.searchsorted(keys, centre + eps, side="right") - lo
-    if params.m == 1:
-        # one range of ``slots`` per reference: its window
-        slots, starts, ranges = order, lo, width
-    else:
-        slots, starts, sizes = _box(x, n_valid, order, refs, lo, width, params)
-        starts, ranges, width = starts.ravel(), sizes.ravel(), sizes.sum(axis=1)
+    slots, starts, ranges, width = _candidates(x, n_valid, refs, params)
     # a reference's ranges are consecutive in ``ranges``, and candidate k,
     # counted over all references, of range r sits at slot shift[r] + k
     per_ref = ranges.size // refs.size
@@ -312,7 +314,7 @@ def _neighbours(x, n_valid, refs, params):
             gap = x[lag:][j]
             gap -= x[lag:][i]
             np.maximum(dist, np.abs(gap, out=gap), out=dist)
-        near = dist < eps
+        near = dist < params.eps
         sep = j - i
         near &= np.abs(sep, out=sep) > params.theiler
         # refs ascend, so one sort on (i, j) groups the hits by reference

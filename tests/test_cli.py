@@ -10,7 +10,6 @@ import shlex
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from longmem.ingest import ON_GAP
 from longmem.permtest import TAILS
 from longmem.synth import KINDS, PARAMS
 
-SRC_DIR = str(Path(longmem.__file__).resolve().parents[1])
+from child_env import child_env
 
 CPC_TEXT = """SOUTHERN OSCILLATION INDEX
 (STANDARDIZED DATA)
@@ -59,11 +58,10 @@ def run(capsys, *args):
 def run_python(*args, preexec_fn=None, **env):
     """Run ``python *args`` with ``env`` added to the environment and the
     package importable; ``preexec_fn`` runs in the child before it starts."""
-    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
-        env={**os.environ, "PYTHONPATH": path, **env},
+        env=child_env(**env),
         preexec_fn=preexec_fn,
         timeout=120,
     )

@@ -19,9 +19,10 @@ from pathlib import Path
 
 import pytest
 
-import longmem
 from longmem import GenSpec, TimeSeries, generate, serialize_column
 from longmem.cli import main
+
+from child_env import child_env
 
 GOLDEN = Path(__file__).parent / "golden"
 UPDATE = os.environ.get("LONGMEM_UPDATE_GOLDEN") == "1"
@@ -206,8 +207,6 @@ def test_error_exit_matches_golden(workdir, capsys, case, argv, exit_code):
     _check(f"{case}.stderr", captured.err)
 
 
-SRC_DIR = str(Path(longmem.__file__).resolve().parents[1])
-
 # (case, format) run as the program: one per command, gen with and without --out
 PROGRAM_CASES = [
     ("stats_cpc", "table"),
@@ -223,12 +222,11 @@ PROGRAM_CASES = [
 
 def _run_program(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
     """``python -m longmem *argv`` in a fresh interpreter."""
-    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "longmem", *argv],
         capture_output=True,
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
         encoding="utf-8",
         timeout=120,
     )

@@ -2,7 +2,6 @@
 names every subcommand, option, warning code and exit code."""
 
 import argparse
-import os
 import re
 import shlex
 import subprocess
@@ -12,12 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import longmem
 from longmem import GenSpec, errors, generate
 from longmem.cli import _SUBCOMMANDS, main
 
+from child_env import child_env
+
 README = Path(__file__).resolve().parents[1] / "README.md"
-SRC_DIR = str(Path(longmem.__file__).resolve().parents[1])
 
 
 def tour_code() -> str:
@@ -93,7 +92,7 @@ def test_cli_examples_run_as_printed(tmp_path, capsys):
             [sys.executable, "-m", "longmem", *args],
             cwd=tmp_path,
             capture_output=True,
-            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            env=child_env(),
             timeout=120,
         )
         assert done.returncode == 0, (line, done.stderr)

@@ -8,7 +8,6 @@ long since imported every module.
 import gc
 import importlib
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +17,8 @@ import pytest
 import longmem
 from longmem.cli import main
 
-SRC_DIR = str(Path(longmem.__file__).resolve().parents[1])
+from child_env import child_env
+
 ANALYSIS = {"acf", "chaos", "hurst", "permtest", "synth"}
 
 # The public names; loading them lazily must not change the list.
@@ -46,12 +46,11 @@ print(json.dumps({
 
 def run_fresh(code: str, cwd: Path) -> str:
     """The stdout of ``code`` run in a fresh interpreter, which must succeed."""
-    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
         text=True,
         timeout=120,
     )
